@@ -362,23 +362,17 @@ def verify_coupling_bound(
     l2 form with a nonzero offset.
     """
     if channel == "into_x":
-        h = traj.h_into_x
-        l2_h = traj.l2_h_into_x
-        psi_src = traj.psi_y
-        l2_src = traj.l2_psi_y
+        into, src = traj.loops["x"], traj.loops["y"]
     elif channel == "into_y":
-        h = traj.h_into_y
-        l2_h = traj.l2_h_into_y
-        psi_src = traj.psi_x
-        l2_src = traj.l2_psi_x
+        into, src = traj.loops["y"], traj.loops["x"]
     else:
         raise ValueError("channel must be 'into_x' or 'into_y'")
 
     if mode == "pointwise":
-        slack = beta * np.abs(psi_src) + tol - np.abs(h)
+        slack = beta * np.abs(src.psi) + tol - np.abs(into.eps)
         name = f"coupling-bound-pointwise-{channel}"
     elif mode == "l2":
-        slack = beta * l2_src + offset + tol - l2_h
+        slack = beta * src.l2_psi + offset + tol - into.l2_eps
         name = f"coupling-bound-l2-{channel}"
     else:
         raise ValueError("mode must be 'pointwise' or 'l2'")
@@ -419,11 +413,11 @@ def monitor_tail_convergence(
         )
 
     if isinstance(traj, Trajectory):
-        tail_entry("tail-psi-x", traj.psi_x, psi_threshold)
-        tail_entry("tail-psi-y", traj.psi_y, psi_threshold)
-        tail_entry("tail-mismatch-x", traj.mismatch_x, mismatch_threshold)
-        tail_entry("tail-mismatch-y", traj.mismatch_y, mismatch_threshold)
+        named = [("-x", traj.loops["x"]), ("-y", traj.loops["y"])]
     else:
-        tail_entry("tail-psi", traj.psi, psi_threshold)
-        tail_entry("tail-mismatch", traj.mismatch, mismatch_threshold)
+        named = [("", traj)]
+    for suffix, loop in named:
+        tail_entry(f"tail-psi{suffix}", loop.psi, psi_threshold)
+    for suffix, loop in named:
+        tail_entry(f"tail-mismatch{suffix}", loop.mismatch, mismatch_threshold)
     return entries

@@ -21,6 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .scenario import (
     OscillatorScenario,
     build_oscillator,
@@ -139,8 +141,8 @@ def _sweep_cell(payload) -> tuple:
     traj = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
     if traj.status == STATUS_COMPLETED:
         mask = traj.t >= traj.t[-1] - tail_window
-        tail_x = float(abs(traj.psi_x[mask]).max())
-        tail_y = float(abs(traj.psi_y[mask]).max())
+        tail_x = float(abs(traj.loops["x"].psi[mask]).max())
+        tail_y = float(abs(traj.loops["y"].psi[mask]).max())
     else:
         tail_x = float("nan")
         tail_y = float("nan")
@@ -181,11 +183,8 @@ def _cmd_plotdata(args) -> int:
         ("d", "y2", traj.y[:, 1]),
     )
     for panel, column, series in panels:
-        path = out_dir / f"panel_{panel}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"t,{column}\n")
-            for t, v in zip(traj.t, series):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        np.savetxt(out_dir / f"panel_{panel}.csv", np.column_stack((traj.t, series)),
+                   fmt="%.17g", delimiter=",", header=f"t,{column}", comments="")
     print(f"panels a-d -> {out_dir}")
     return EXIT_OK if traj.status == STATUS_COMPLETED else EXIT_SIM_ABORT
 

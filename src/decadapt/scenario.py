@@ -101,8 +101,16 @@ def damping(position: float, theta: float, offset: float, wobble: float) -> floa
     return s + wobble * math.sin(s)
 
 
-def _make_loop(rate: float, offset: float, gain: float, wobble: float,
-               growth: tuple, psi0_bound: float) -> AdaptiveLoopSpec:
+def _shapers(sc: OscillatorScenario) -> tuple:
+    """Target shapers of the x and y loops, sized for the initial goal errors."""
+    return (
+        TargetShaper.linear(sc.lambda_x, psi0_bound=abs(sc.x1_0 + sc.x2_0)),
+        TargetShaper.linear(sc.lambda_y, psi0_bound=abs(sc.y1_0 + sc.y2_0)),
+    )
+
+
+def _make_loop(shaper: TargetShaper, offset: float, gain: float, wobble: float,
+               growth: tuple) -> AdaptiveLoopSpec:
     g1_const = (0.0,)
     g2_const = (1.0,)
     psi_grad = (1.0, 1.0)
@@ -134,7 +142,7 @@ def _make_loop(rate: float, offset: float, gain: float, wobble: float,
     return AdaptiveLoopSpec(
         spec=spec,
         goal=goal,
-        shaper=TargetShaper.linear(rate, psi0_bound=psi0_bound),
+        shaper=shaper,
         param=param,
         potential=zero_potential(1, 2),
         gain=np.array([[gain]]),
@@ -143,12 +151,9 @@ def _make_loop(rate: float, offset: float, gain: float, wobble: float,
 
 def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
     """Assemble the coupled oscillator pair from scenario parameters."""
-    loop_x = _make_loop(
-        sc.lambda_x, sc.offset_x, sc.gamma_x, 0.5, GROWTH_X, abs(sc.x1_0 + sc.x2_0)
-    )
-    loop_y = _make_loop(
-        sc.lambda_y, sc.offset_y, sc.gamma_y, 0.6, GROWTH_Y, abs(sc.y1_0 + sc.y2_0)
-    )
+    shaper_x, shaper_y = _shapers(sc)
+    loop_x = _make_loop(shaper_x, sc.offset_x, sc.gamma_x, 0.5, GROWTH_X)
+    loop_y = _make_loop(shaper_y, sc.offset_y, sc.gamma_y, 0.6, GROWTH_Y)
     k1, k2 = sc.k1, sc.k2
     coupling = Coupling(
         into_x2=lambda y, t: (k1 * y[0],),
@@ -166,11 +171,15 @@ def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
 
 
 def small_gain_problem(sc: OscillatorScenario) -> SmallGainProblem:
-    """Small-gain data of the scenario; both gains are exactly linear."""
-    loop = build_oscillator(sc)
+    """Small-gain data of the scenario; both gains are exactly linear.
+
+    Built from the same shapers as `build_oscillator`, without assembling
+    and revalidating the loops.
+    """
+    shaper_x, shaper_y = _shapers(sc)
     return SmallGainProblem(
-        gain_x22=loop.loop_x.shaper.gain_l2_from_l2,
-        gain_y22=loop.loop_y.shaper.gain_l2_from_l2,
+        gain_x22=shaper_x.gain_l2_from_l2,
+        gain_y22=shaper_y.gain_l2_from_l2,
         beta_x=abs(sc.k1),
         beta_y=abs(sc.k2),
         ratio_x=GROWTH_X[0] / GROWTH_X[1],

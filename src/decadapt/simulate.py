@@ -3,9 +3,17 @@
 Classical fourth-order Runge-Kutta on a fixed grid: certificate monitors
 and the realizable-versus-virtual equivalence tests need a deterministic,
 shared time grid, so reproducibility outranks solver efficiency here.
-Running signal norms are accumulated by trapezoidal quadrature on the
-logged grid; their quadrature error is folded into the tolerances of the
-checks that consume them.
+
+Every integrator in this module runs the same two pieces: one compiled
+closed-loop kernel per loop (`_compile_loop`), which evaluates the
+certainty-equivalent control law, and one RK4 driver (`_rk4`), which logs
+raw samples of the state and of the kernel's diagnostics on the thinned
+grid.  Loops with one coordinate per block and one parameter get a scalar
+form of the realizable kernel (`_scalar_rates`), bit-identical to the
+general one and several times cheaper per evaluation.  Running signal
+norms are computed after the run from the logged samples by trapezoidal
+quadrature (`running_l2`); their quadrature error is folded into the
+tolerances of the checks that consume them.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -125,34 +133,29 @@ class LoopTrajectory:
         return float(self.t[-1])
 
 
+def _loop_field(which: str, name: str) -> property:
+    """Read-only accessor for one array of one loop of a coupled run."""
+    return property(lambda self: getattr(self.loops[which], name))
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Logged record of a coupled run; see LoopTrajectory for conventions."""
+    """Logged record of a coupled run: one LoopTrajectory per subsystem.
+
+    loops["x"] and loops["y"] share the time grid and the status; each
+    loop's eps is the coupling channel into that loop.
+    """
 
     t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta_hat_x: np.ndarray
-    theta_hat_y: np.ndarray
-    theta_i_x: np.ndarray
-    theta_i_y: np.ndarray
-    psi_x: np.ndarray
-    psi_y: np.ndarray
-    u_x: np.ndarray
-    u_y: np.ndarray
-    h_into_x: np.ndarray
-    h_into_y: np.ndarray
-    mismatch_x: np.ndarray
-    mismatch_y: np.ndarray
-    l2_psi_x: np.ndarray
-    l2_psi_y: np.ndarray
-    l2_h_into_x: np.ndarray
-    l2_h_into_y: np.ndarray
-    l2_mismatch_x: np.ndarray
-    l2_mismatch_y: np.ndarray
-    linf_psi_x: np.ndarray
-    linf_psi_y: np.ndarray
+    loops: dict
     status: str
+
+    x = _loop_field("x", "state")
+    y = _loop_field("y", "state")
+    theta_hat_x = _loop_field("x", "theta_hat")
+    theta_hat_y = _loop_field("y", "theta_hat")
+    theta_i_x = _loop_field("x", "theta_i")
+    theta_i_y = _loop_field("y", "theta_i")
 
     @property
     def t0(self) -> float:
@@ -163,22 +166,10 @@ class Trajectory:
         return float(self.t[-1])
 
     def loop_view(self, which: str) -> LoopTrajectory:
-        """Per-loop view with the coupling channel into that loop as eps."""
-        if which == "x":
-            return LoopTrajectory(
-                t=self.t, state=self.x, theta_hat=self.theta_hat_x, theta_i=self.theta_i_x,
-                psi=self.psi_x, u=self.u_x, eps=self.h_into_x, mismatch=self.mismatch_x,
-                l2_psi=self.l2_psi_x, l2_eps=self.l2_h_into_x, l2_mismatch=self.l2_mismatch_x,
-                linf_psi=self.linf_psi_x, status=self.status,
-            )
-        if which == "y":
-            return LoopTrajectory(
-                t=self.t, state=self.y, theta_hat=self.theta_hat_y, theta_i=self.theta_i_y,
-                psi=self.psi_y, u=self.u_y, eps=self.h_into_y, mismatch=self.mismatch_y,
-                l2_psi=self.l2_psi_y, l2_eps=self.l2_h_into_y, l2_mismatch=self.l2_mismatch_y,
-                linf_psi=self.linf_psi_y, status=self.status,
-            )
-        raise ValueError("which must be 'x' or 'y'")
+        """Per-loop record with the coupling channel into that loop as eps."""
+        if which not in ("x", "y"):
+            raise ValueError("which must be 'x' or 'y'")
+        return self.loops[which]
 
 
 def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -193,49 +184,28 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def rk4_path(rhs: Callable, y0, t0: float, step: float, n_steps: int) -> tuple:
-    """Bare fixed-step RK4 on a plain vector field rhs(t, y) -> sequence.
+def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawConfig, tag: str):
+    """Bind one loop's callables into fast per-point rate evaluators.
 
-    Returns (times, states) as numpy arrays; no logging thinning, no
-    divergence handling.  The closed-loop integrators below share the same
-    tableau; this entry point exists for probing integrator accuracy
-    directly.
-    """
-    y = [float(v) for v in y0]
-    m = len(y)
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, m))
-    times[0] = t0
-    states[0] = y
-    h = step
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(n_steps):
-        t = t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b + 2.0 * (c + d) + e)
-             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-        times[k + 1] = t0 + (k + 1) * h
-        states[k + 1] = y
-    return times, states
+    Returns (rates, virtual_rates).  Both run one shared evaluation of the
+    certainty-equivalent control input and the true plant rate:
 
+    - rates(state, theta_i, t, inject2) -> (state_dot + theta_i_dot, diag)
+      is the realizable PI estimator, with the flat
+      diag = (psi, u, mismatch, eps, *theta_hat);
+    - virtual_rates(state, theta_hat, t, inject2) ->
+      (state_dot + theta_hat_dot, (psi, u)) is the reduced update law
+      gain @ ((psi_dot + phi) * alpha), with psi_dot the chain-rule
+      derivative along the closed loop.  It keeps its own estimator
+      arithmetic so that it stays an independent oracle for `rates`.
 
-def _compile_loop_rates(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawConfig,
-                        tag: str):
-    """Bind one loop's callables into a fast per-point rate evaluator.
-
-    Returns rates(state, theta_i, t, inject2) -> (state_dot, theta_i_dot,
-    diag) with diag = (psi, u, theta_hat, mismatch, eps_channel).  The
-    arithmetic matches the reference operations in `controller` and
-    `adaptation` term for term; this closure only shares sub-expressions.
+    inject2 is the additive second-block contribution (coupling or an
+    exogenous disturbance).  The arithmetic matches the reference
+    operations in `controller` and `adaptation` term for term; the closures
+    only share sub-expressions.
     """
     spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
     q = spec.layout.q
-    p = spec.layout.p
-    d = param.dim
     gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
     theta_true = tuple(float(v) for v in theta_true)
     psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
@@ -245,121 +215,199 @@ def _compile_loop_rates(loop: AdaptiveLoopSpec, theta_true, control_cfg: Control
     phi = shaper.phi
     floor = control_cfg.singularity_floor
 
-    def rates(state, theta_i, t, inject2):
+    def closed_loop(state, psi, theta_hat, t, inject2):
+        """Control input at the estimate theta_hat and the true plant rate.
+
+        Returns (grad, dpsidt, phi, u, f1, g1, state_dot, mismatch), with
+        mismatch the true drift of the goal function minus the estimated one.
+        """
         grad = grad_fn(state, t)
         gq = grad[:q]
         gp = grad[q:]
-        psi = psi_fn(state, t)
-        alpha = alpha_fn(state, t)
-        potv = pot_fn(state, t)
-        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, potv, theta_i)]
-        theta_hat = [_dot(row, v) for row in gamma_rows]
-
         f1v = f1_fn(state, t)
         g1v = g1_fn(state)
         g2v = g2_fn(state)
-        f2_hat = f2_fn(state, theta_hat, t)
         lf1 = _dot(gq, f1v)
-        drift_hat = lf1 + _dot(gp, f2_hat)
+        drift_hat = lf1 + _dot(gp, f2_fn(state, theta_hat, t))
         gain_u = _dot(gq, g1v) + _dot(gp, g2v)
+        if abs(gain_u) < floor:
+            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
+        phiv = phi(psi, t)
+        dpsidt = dpsidt_fn(state, t)
+        u = (-drift_hat - phiv - dpsidt) / gain_u
+
+        f2v = f2_fn(state, theta_true, t)
+        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
+        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
+        drift_true = lf1 + _dot(gp, f2v)
+        return grad, dpsidt, phiv, u, f1v, g1v, state_dot, drift_true - drift_hat
+
+    def rates(state, theta_i, t, inject2):
+        psi = psi_fn(state, t)
+        alpha = alpha_fn(state, t)
+        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, pot_fn(state, t), theta_i)]
+        theta_hat = [_dot(row, v) for row in gamma_rows]
+        grad, _, phiv, u, f1v, g1v, state_dot, mismatch = closed_loop(
+            state, psi, theta_hat, t, inject2
+        )
+
+        theta_i_dot = []
+        for a, da, dadt, dp, dpdt in zip(alpha, dalpha_fn(state, t), dalphadt_fn(state, t),
+                                         dpot_fn(state, t), dpotdt_fn(state, t)):
+            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
+            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
+            theta_i_dot.append(phiv * a + corr)
+        return state_dot + theta_i_dot, (psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
+
+    def virtual_rates(state, theta_hat, t, inject2):
+        psi = psi_fn(state, t)
+        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
+        psi_dot = dpsidt + _dot(grad, state_dot)
+        w = psi_dot + phiv
+        incr = [w * a for a in alpha_fn(state, t)]
+        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
+
+    if (q, spec.layout.p, param.dim) == (1, 1, 1):
+        rates = _scalar_rates(loop, theta_true, floor, tag)
+    return rates, virtual_rates
+
+
+def _scalar_rates(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
+    """`rates` of `_compile_loop` for a loop with q = p = d = 1.
+
+    The same operations in the same order as the general closure, with the
+    one-term dot products written out as `0.0 + a * b` (what `_dot` computes
+    for length one), so the results are bit-identical; it skips the
+    per-call slicing, list building and `_dot` calls that dominate the run
+    time of small loops.
+    """
+    spec, goal, param, pot = loop.spec, loop.goal, loop.param, loop.potential
+    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
+    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
+    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
+    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
+    phi = loop.shaper.phi
+    gamma = float(np.atleast_2d(loop.gain)[0, 0])
+
+    def rates(state, theta_i, t, inject2):
+        psi = psi_fn(state, t)
+        (a,) = alpha_fn(state, t)
+        theta_hat = 0.0 + gamma * (psi * a - pot_fn(state, t)[0] + theta_i[0])
+        gq, gp = grad_fn(state, t)
+        (f1,) = f1_fn(state, t)
+        (g1,) = g1_fn(state)
+        (g2,) = g2_fn(state)
+        lf1 = 0.0 + gq * f1
+        drift_hat = lf1 + (0.0 + gp * f2_fn(state, (theta_hat,), t)[0])
+        gain_u = (0.0 + gq * g1) + (0.0 + gp * g2)
         if abs(gain_u) < floor:
             raise ControlSingularityError(state, t, gain_u, subsystem=tag)
         phiv = phi(psi, t)
         u = (-drift_hat - phiv - dpsidt_fn(state, t)) / gain_u
 
-        f2v = f2_fn(state, theta_true, t)
-        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
-        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
+        (f2,) = f2_fn(state, theta_true, t)
+        (inj,) = inject2
+        mismatch = lf1 + (0.0 + gp * f2) - drift_hat
 
-        dalpha = dalpha_fn(state, t)
-        dalphadt = dalphadt_fn(state, t)
-        dpot = dpot_fn(state, t)
-        dpotdt = dpotdt_fn(state, t)
-        theta_i_dot = []
-        for a, da, dadt, dp, dpdt in zip(alpha, dalpha, dalphadt, dpot, dpotdt):
-            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
-            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
-            theta_i_dot.append(phiv * a + corr)
-
-        drift_true = lf1 + _dot(gp, f2v)
-        diag = (psi, u, theta_hat, drift_true - drift_hat, _dot(gp, inject2))
-        return state_dot, theta_i_dot, diag
+        (da,) = dalpha_fn(state, t)
+        (dp,) = dpot_fn(state, t)
+        da1, dp1 = da[0], dp[0]
+        corr = dpotdt_fn(state, t)[0] - psi * (dalphadt_fn(state, t)[0] + (0.0 + da1 * f1)) \
+            + (0.0 + dp1 * f1)
+        corr -= (psi * (0.0 + da1 * g1) - (0.0 + dp1 * g1)) * u
+        return ([f1 + g1 * u, f2 + inj + g2 * u, phiv * a + corr],
+                (psi, u, mismatch, 0.0 + gp * inj, theta_hat))
 
     return rates
 
 
-def _rk4_log_run(rhs_full, y0, cfg: IntegratorConfig, t0: float, log_fn):
-    """Shared RK4 loop with thinned logging and divergence/singularity handling.
+def _rk4(rhs_full, y0, t0: float, step: float, n_steps: int, every: int, bound: float):
+    """Fixed-step RK4 shared by every integrator; logs raw samples every `every` steps.
 
-    rhs_full(t, y) -> (deriv list, diag); log_fn(index, t, y, diag) writes
-    one sample.  Returns (number_of_logged_samples, status).
+    rhs_full(t, y) -> (derivative list, diag sequence).  A sample is the
+    time, the state and the diag at a grid point; the diag comes from the
+    stage-one evaluation the step needs anyway.  The run stops early when a
+    state component leaves [-bound, bound] (a NaN does too) or when the
+    control law is undefined; an undefined law at the initial point is a
+    caller error and propagates.  Returns (t, y, diag, status), one row per
+    logged sample.
     """
-    h = cfg.step
+    h = step
     half = 0.5 * h
     sixth = h / 6.0
-    bound = cfg.divergence_bound
-    every = cfg.log_every
-    n_steps = cfg.n_steps
     y = [float(v) for v in y0]
 
-    # an undefined control law at the initial point is a caller error: propagate
-    deriv, diag = rhs_full(t0, y)
-    log_fn(0, t0, y, diag)
-    logged = 1
+    k1, diag = rhs_full(t0, y)
+    n_logs = n_steps // every + 1
+    t_log = np.empty(n_logs)
+    y_log = np.empty((n_logs, len(y)))
+    diag_log = np.empty((n_logs, len(diag)))
+    logged = 0
 
+    def log(t, y, diag):
+        nonlocal logged
+        t_log[logged] = t
+        y_log[logged] = y
+        diag_log[logged] = diag
+        logged += 1
+
+    log(t0, y, diag)
+    status = STATUS_COMPLETED
     for k in range(n_steps):
         t = t0 + k * h
         try:
-            if k == 0:
-                k1 = deriv
-            else:
+            if k:
                 k1, diag = rhs_full(t, y)
                 if k % every == 0:
-                    log_fn(logged, t, y, diag)
-                    logged += 1
+                    log(t, y, diag)
             k2, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k1)])
             k3, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k2)])
             k4, _ = rhs_full(t + h, [a + h * b for a, b in zip(y, k3)])
         except ControlSingularityError:
-            return logged, STATUS_SINGULAR
+            status = STATUS_SINGULAR
+            break
         y = [a + sixth * (b + 2.0 * (c + d) + e)
              for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
         for v in y:
-            if not (-bound <= v <= bound):
-                return logged, STATUS_DIVERGED
+            if not -bound <= v <= bound:
+                status = STATUS_DIVERGED
+                break
+        if status == STATUS_DIVERGED:
+            break
+    else:
+        if n_steps % every == 0:
+            tf = t0 + n_steps * h
+            try:
+                _, diag = rhs_full(tf, y)
+            except ControlSingularityError:
+                status = STATUS_SINGULAR
+            else:
+                log(tf, y, diag)
+    return t_log[:logged], y_log[:logged], diag_log[:logged], status
 
-    tf = t0 + n_steps * h
-    if n_steps % every == 0:
-        try:
-            _, diag = rhs_full(tf, y)
-        except ControlSingularityError:
-            return logged, STATUS_SINGULAR
-        log_fn(logged, tf, y, diag)
-        logged += 1
-    return logged, STATUS_COMPLETED
+
+def rk4_path(rhs: Callable, y0, t0: float, step: float, n_steps: int) -> tuple:
+    """Bare fixed-step RK4 on a plain vector field rhs(t, y) -> sequence.
+
+    Returns (times, states) as numpy arrays, one row per step.  This runs
+    the closed-loop integrators' driver with no divergence bound (a NaN
+    state still ends the path); the entry point exists for probing
+    integrator accuracy directly.
+    """
+    times, states, _, _ = _rk4(lambda t, y: (rhs(t, y), ()), y0, t0, step, n_steps, 1, math.inf)
+    return times, states
 
 
-class _NormTracker:
-    """Running trapezoidal L2 accumulators over the logged grid."""
-
-    def __init__(self, n_signals: int, dt_log: float):
-        self.sq = [0.0] * n_signals
-        self.prev = [0.0] * n_signals
-        self.half_dt = 0.5 * dt_log
-
-    def start(self, values):
-        self.prev = list(values)
-        return [0.0] * len(self.prev)
-
-    def advance(self, values):
-        out = []
-        sq = self.sq
-        half_dt = self.half_dt
-        for i, (pv, v) in enumerate(zip(self.prev, values)):
-            sq[i] += (pv * pv + v * v) * half_dt
-            out.append(math.sqrt(sq[i]))
-        self.prev = list(values)
-        return out
+def _loop_record(t, state, theta_i, diag, status: str) -> LoopTrajectory:
+    """LoopTrajectory from the logged rows of one loop; diag as `_compile_loop` rates."""
+    psi, u, mismatch, eps = diag[:, 0], diag[:, 1], diag[:, 2], diag[:, 3]
+    return LoopTrajectory(
+        t=t, state=state, theta_hat=diag[:, 4:], theta_i=theta_i,
+        psi=psi, u=u, eps=eps, mismatch=mismatch,
+        l2_psi=running_l2(t, psi), l2_eps=running_l2(t, eps),
+        l2_mismatch=running_l2(t, mismatch),
+        linf_psi=np.maximum.accumulate(np.abs(psi)), status=status,
+    )
 
 
 def integrate(
@@ -375,10 +423,11 @@ def integrate(
     every cfg.log_every steps on the uniform grid, with running norms of
     the goal errors, coupling channels, and drift mismatches.
     """
-    n_x, d_x, n_y, d_y = sys.dims
-    x0, ti_x0, y0, ti_y0 = sys.split_state(np.asarray(aug0, dtype=float))
-    rates_x = _compile_loop_rates(sys.loop_x, sys.theta_true_x, control_cfg, "x")
-    rates_y = _compile_loop_rates(sys.loop_y, sys.theta_true_y, control_cfg, "y")
+    n_x, d_x, n_y, _ = sys.dims
+    aug0 = np.asarray(aug0, dtype=float)
+    sys.split_state(aug0)  # rejects a wrong length
+    rates_x, _ = _compile_loop(sys.loop_x, sys.theta_true_x, control_cfg, "x")
+    rates_y, _ = _compile_loop(sys.loop_y, sys.theta_true_y, control_cfg, "y")
     into_x2 = sys.coupling.into_x2
     into_y2 = sys.coupling.into_y2
     ax, bx = n_x, n_x + d_x
@@ -386,85 +435,31 @@ def integrate(
 
     def rhs_full(t, aug):
         x = aug[:ax]
-        ti_x = aug[ax:bx]
         y = aug[bx:ay]
-        ti_y = aug[ay:]
-        inj_x = into_x2(y, t)
-        inj_y = into_y2(x, t)
-        xd, tixd, diag_x = rates_x(x, ti_x, t, inj_x)
-        yd, tiyd, diag_y = rates_y(y, ti_y, t, inj_y)
-        return xd + tixd + yd + tiyd, (diag_x, diag_y)
+        xd, diag_x = rates_x(x, aug[ax:bx], t, into_x2(y, t))
+        yd, diag_y = rates_y(y, aug[ay:], t, into_y2(x, t))
+        return xd + yd, diag_x + diag_y
 
-    n_logs = cfg.n_steps // cfg.log_every + 1
-    t_arr = np.empty(n_logs)
-    x_arr = np.empty((n_logs, n_x))
-    y_arr = np.empty((n_logs, n_y))
-    thx = np.empty((n_logs, d_x))
-    thy = np.empty((n_logs, d_y))
-    tix = np.empty((n_logs, d_x))
-    tiy = np.empty((n_logs, d_y))
-    scalars = {
-        name: np.empty(n_logs)
-        for name in (
-            "psi_x", "psi_y", "u_x", "u_y", "h_into_x", "h_into_y",
-            "mismatch_x", "mismatch_y", "l2_psi_x", "l2_psi_y", "l2_h_into_x",
-            "l2_h_into_y", "l2_mismatch_x", "l2_mismatch_y", "linf_psi_x", "linf_psi_y",
-        )
+    t, aug, diag, status = _rk4(rhs_full, aug0, t0, cfg.step, cfg.n_steps, cfg.log_every,
+                                cfg.divergence_bound)
+    split = 4 + d_x
+    loops = {
+        "x": _loop_record(t, aug[:, :ax], aug[:, ax:bx], diag[:, :split], status),
+        "y": _loop_record(t, aug[:, bx:ay], aug[:, ay:], diag[:, split:], status),
     }
-    tracker = _NormTracker(6, cfg.step * cfg.log_every)
-    peak = [0.0, 0.0]
+    return Trajectory(t=t, loops=loops, status=status)
 
-    def log_fn(i, t, aug, diag):
-        (psi_x, u_x, th_x, mis_x, h_x), (psi_y, u_y, th_y, mis_y, h_y) = diag
-        t_arr[i] = t
-        x_arr[i] = aug[:ax]
-        tix[i] = aug[ax:bx]
-        y_arr[i] = aug[bx:ay]
-        tiy[i] = aug[ay:]
-        thx[i] = th_x
-        thy[i] = th_y
-        sig = (psi_x, psi_y, h_x, h_y, mis_x, mis_y)
-        if i == 0:
-            l2 = tracker.start(sig)
-        else:
-            l2 = tracker.advance(sig)
-        peak[0] = max(peak[0], abs(psi_x))
-        peak[1] = max(peak[1], abs(psi_y))
-        s = scalars
-        s["psi_x"][i] = psi_x
-        s["psi_y"][i] = psi_y
-        s["u_x"][i] = u_x
-        s["u_y"][i] = u_y
-        s["h_into_x"][i] = h_x
-        s["h_into_y"][i] = h_y
-        s["mismatch_x"][i] = mis_x
-        s["mismatch_y"][i] = mis_y
-        s["l2_psi_x"][i] = l2[0]
-        s["l2_psi_y"][i] = l2[1]
-        s["l2_h_into_x"][i] = l2[2]
-        s["l2_h_into_y"][i] = l2[3]
-        s["l2_mismatch_x"][i] = l2[4]
-        s["l2_mismatch_y"][i] = l2[5]
-        s["linf_psi_x"][i] = peak[0]
-        s["linf_psi_y"][i] = peak[1]
 
-    aug_list = list(np.concatenate([x0, ti_x0, y0, ti_y0]))
-    logged, status = _rk4_log_run(rhs_full, aug_list, cfg, t0, log_fn)
+def _disturbed(kernel, n: int, p: int, disturbance: Disturbance):
+    """rhs_full(t, z) of one loop kernel with z = state + estimator state."""
+    direction = disturbance.resolve_direction(p)
+    signal = disturbance.signal
 
-    sl = slice(0, logged)
-    return Trajectory(
-        t=t_arr[sl], x=x_arr[sl], y=y_arr[sl],
-        theta_hat_x=thx[sl], theta_hat_y=thy[sl], theta_i_x=tix[sl], theta_i_y=tiy[sl],
-        psi_x=scalars["psi_x"][sl], psi_y=scalars["psi_y"][sl],
-        u_x=scalars["u_x"][sl], u_y=scalars["u_y"][sl],
-        h_into_x=scalars["h_into_x"][sl], h_into_y=scalars["h_into_y"][sl],
-        mismatch_x=scalars["mismatch_x"][sl], mismatch_y=scalars["mismatch_y"][sl],
-        l2_psi_x=scalars["l2_psi_x"][sl], l2_psi_y=scalars["l2_psi_y"][sl],
-        l2_h_into_x=scalars["l2_h_into_x"][sl], l2_h_into_y=scalars["l2_h_into_y"][sl],
-        l2_mismatch_x=scalars["l2_mismatch_x"][sl], l2_mismatch_y=scalars["l2_mismatch_y"][sl],
-        linf_psi_x=scalars["linf_psi_x"][sl], linf_psi_y=scalars["linf_psi_y"][sl],
-        status=status,
-    )
+    def rhs_full(t, z):
+        s = signal(t)
+        return kernel(z[:n], z[n:], t, [s * dv for dv in direction])
+
+    return rhs_full
 
 
 def integrate_loop(
@@ -484,59 +479,14 @@ def integrate_loop(
     subsystem trajectories on the same grid.
     """
     layout = loop.spec.layout
-    n, p, d = layout.n, layout.p, loop.spec.param_dim
-    direction = disturbance.resolve_direction(p)
-    signal = disturbance.signal
-    rates = _compile_loop_rates(loop, theta_true, control_cfg, "loop")
-
-    def rhs_full(t, z):
-        state = z[:n]
-        theta_i = z[n:]
-        s = signal(t)
-        inj = [s * dv for dv in direction]
-        sd, tid, diag = rates(state, theta_i, t, inj)
-        return sd + tid, diag
-
-    n_logs = cfg.n_steps // cfg.log_every + 1
-    t_arr = np.empty(n_logs)
-    st_arr = np.empty((n_logs, n))
-    th_arr = np.empty((n_logs, d))
-    ti_arr = np.empty((n_logs, d))
-    cols = {name: np.empty(n_logs) for name in
-            ("psi", "u", "eps", "mismatch", "l2_psi", "l2_eps", "l2_mismatch", "linf_psi")}
-    tracker = _NormTracker(3, cfg.step * cfg.log_every)
-    peak = [0.0]
-
-    def log_fn(i, t, z, diag):
-        psi, u, th, mis, eps = diag
-        t_arr[i] = t
-        st_arr[i] = z[:n]
-        ti_arr[i] = z[n:]
-        th_arr[i] = th
-        sig = (psi, eps, mis)
-        l2 = tracker.start(sig) if i == 0 else tracker.advance(sig)
-        peak[0] = max(peak[0], abs(psi))
-        cols["psi"][i] = psi
-        cols["u"][i] = u
-        cols["eps"][i] = eps
-        cols["mismatch"][i] = mis
-        cols["l2_psi"][i] = l2[0]
-        cols["l2_eps"][i] = l2[1]
-        cols["l2_mismatch"][i] = l2[2]
-        cols["linf_psi"][i] = peak[0]
-
+    n, d = layout.n, loop.spec.param_dim
+    rates, _ = _compile_loop(loop, theta_true, control_cfg, "loop")
     z0 = list(np.asarray(state0, dtype=float)) + list(np.asarray(theta_i0, dtype=float))
     if len(z0) != n + d:
         raise ValueError(f"initial data must have total length {n + d}")
-    logged, status = _rk4_log_run(rhs_full, z0, cfg, t0, log_fn)
-
-    sl = slice(0, logged)
-    return LoopTrajectory(
-        t=t_arr[sl], state=st_arr[sl], theta_hat=th_arr[sl], theta_i=ti_arr[sl],
-        psi=cols["psi"][sl], u=cols["u"][sl], eps=cols["eps"][sl],
-        mismatch=cols["mismatch"][sl], l2_psi=cols["l2_psi"][sl], l2_eps=cols["l2_eps"][sl],
-        l2_mismatch=cols["l2_mismatch"][sl], linf_psi=cols["linf_psi"][sl], status=status,
-    )
+    t, z, diag, status = _rk4(_disturbed(rates, n, layout.p, disturbance), z0, t0, cfg.step,
+                              cfg.n_steps, cfg.log_every, cfg.divergence_bound)
+    return _loop_record(t, z[:, :n], z[:, n:], diag, status)
 
 
 @dataclass(eq=False)
@@ -568,61 +518,14 @@ def integrate_virtual(
     realizable online; from consistent initial data it must reproduce the
     estimates of `integrate_loop` up to integration error.
     """
-    spec, goal, shaper, param = loop.spec, loop.goal, loop.shaper, loop.param
-    layout = spec.layout
-    q, p, n, d = layout.q, layout.p, layout.n, spec.param_dim
-    direction = disturbance.resolve_direction(p)
-    signal = disturbance.signal
-    gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
-    theta_true = tuple(float(v) for v in theta_true)
-    floor = control_cfg.singularity_floor
-
-    def rhs_full(t, z):
-        state = z[:n]
-        theta_hat = z[n:]
-        grad = goal.grad_state(state, t)
-        gq, gp = grad[:q], grad[q:]
-        psi = goal.psi(state, t)
-        dpsidt = goal.d_time(state, t)
-        f1v = spec.f1(state, t)
-        g1v = spec.g1(state)
-        g2v = spec.g2(state)
-        f2_hat = spec.f2(state, theta_hat, t)
-        drift_hat = _dot(gq, f1v) + _dot(gp, f2_hat)
-        gain_u = _dot(gq, g1v) + _dot(gp, g2v)
-        if abs(gain_u) < floor:
-            raise ControlSingularityError(state, t, gain_u, subsystem="virtual")
-        phiv = shaper.phi(psi, t)
-        u = (-drift_hat - phiv - dpsidt) / gain_u
-        f2v = spec.f2(state, theta_true, t)
-        s = signal(t)
-        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
-        state_dot += [fv + s * dv + gv * u for fv, dv, gv in zip(f2v, direction, g2v)]
-        psi_dot = dpsidt + _dot(grad, state_dot)
-        alpha = param.alpha(state, t)
-        w = psi_dot + phiv
-        incr = [w * a for a in alpha]
-        theta_hat_dot = [_dot(row, incr) for row in gamma_rows]
-        return state_dot + theta_hat_dot, (psi, u)
-
-    n_logs = cfg.n_steps // cfg.log_every + 1
-    t_arr = np.empty(n_logs)
-    st_arr = np.empty((n_logs, n))
-    th_arr = np.empty((n_logs, d))
-    psi_arr = np.empty(n_logs)
-
-    def log_fn(i, t, z, diag):
-        t_arr[i] = t
-        st_arr[i] = z[:n]
-        th_arr[i] = z[n:]
-        psi_arr[i] = diag[0]
-
+    layout = loop.spec.layout
+    n = layout.n
+    _, virtual_rates = _compile_loop(loop, theta_true, control_cfg, "virtual")
     z0 = list(np.asarray(state0, dtype=float)) + list(np.asarray(theta_hat0, dtype=float))
-    logged, status = _rk4_log_run(rhs_full, z0, cfg, t0, log_fn)
-    sl = slice(0, logged)
-    return VirtualTrajectory(
-        t=t_arr[sl], state=st_arr[sl], theta_hat=th_arr[sl], psi=psi_arr[sl], status=status
-    )
+    t, z, diag, status = _rk4(_disturbed(virtual_rates, n, layout.p, disturbance), z0, t0,
+                              cfg.step, cfg.n_steps, cfg.log_every, cfg.divergence_bound)
+    return VirtualTrajectory(t=t, state=z[:, :n], theta_hat=z[:, n:], psi=diag[:, 0],
+                             status=status)
 
 
 def first_attainment_time(t: np.ndarray, values: np.ndarray, threshold: float,
@@ -646,45 +549,29 @@ def goal_attainment(traj: Trajectory, eps_x: float, eps_y: float, window: float 
     Returns None if the trajectory never settles (or did not complete with
     enough trailing data).
     """
-    tx = first_attainment_time(traj.t, traj.psi_x, eps_x, window)
-    ty = first_attainment_time(traj.t, traj.psi_y, eps_y, window)
+    tx = first_attainment_time(traj.t, traj.loops["x"].psi, eps_x, window)
+    ty = first_attainment_time(traj.t, traj.loops["y"].psi, eps_y, window)
     if tx is None or ty is None:
         return None
     return max(tx, ty)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Export a coupled trajectory as CSV with 17-significant-digit floats."""
-    n_x = traj.x.shape[1]
-    n_y = traj.y.shape[1]
-    d_x = traj.theta_hat_x.shape[1]
-    d_y = traj.theta_hat_y.shape[1]
+    lx, ly = traj.loops["x"], traj.loops["y"]
     header = (
         ["t"]
-        + [f"x{i + 1}" for i in range(n_x)]
-        + [f"y{i + 1}" for i in range(n_y)]
+        + [f"x{i + 1}" for i in range(lx.state.shape[1])]
+        + [f"y{i + 1}" for i in range(ly.state.shape[1])]
         + ["psiX", "psiY", "uX", "uY"]
-        + [f"thetaHatX{i + 1}" for i in range(d_x)]
-        + [f"thetaHatY{i + 1}" for i in range(d_y)]
+        + [f"thetaHatX{i + 1}" for i in range(lx.theta_hat.shape[1])]
+        + [f"thetaHatY{i + 1}" for i in range(ly.theta_hat.shape[1])]
         + ["l2PsiX", "l2PsiY", "linfPsiX", "linfPsiY",
            "l2MismatchX", "l2MismatchY", "hIntoX", "hIntoY"]
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(traj.t.shape[0]):
-            row = (
-                [traj.t[i]]
-                + list(traj.x[i])
-                + list(traj.y[i])
-                + [traj.psi_x[i], traj.psi_y[i], traj.u_x[i], traj.u_y[i]]
-                + list(traj.theta_hat_x[i])
-                + list(traj.theta_hat_y[i])
-                + [traj.l2_psi_x[i], traj.l2_psi_y[i], traj.linf_psi_x[i],
-                   traj.linf_psi_y[i], traj.l2_mismatch_x[i], traj.l2_mismatch_y[i],
-                   traj.h_into_x[i], traj.h_into_y[i]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    columns = np.column_stack([
+        traj.t, lx.state, ly.state, lx.psi, ly.psi, lx.u, ly.u, lx.theta_hat, ly.theta_hat,
+        lx.l2_psi, ly.l2_psi, lx.linf_psi, ly.linf_psi, lx.l2_mismatch, ly.l2_mismatch,
+        lx.eps, ly.eps,
+    ])
+    np.savetxt(path, columns, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

@@ -154,8 +154,8 @@ class TestDecoupledEquivalence:
         ts = integrate(swapped, cfg, init_s)
         assert np.array_equal(tf.x, ts.y)
         assert np.array_equal(tf.y, ts.x)
-        assert np.array_equal(tf.psi_x, ts.psi_y)
-        assert np.array_equal(tf.h_into_x, ts.h_into_y)
+        assert np.array_equal(tf.loops["x"].psi, ts.loops["y"].psi)
+        assert np.array_equal(tf.loops["x"].eps, ts.loops["y"].eps)
 
 
 class TestCouplingChannels:
@@ -194,8 +194,8 @@ class TestErrorModelConsistency:
         traj = integrate(sys, sc.integrator, sc.initial_state())
         t = traj.t
         h = t[1] - t[0]
-        psi_dot = (traj.psi_x[2:] - traj.psi_x[:-2]) / (2.0 * h)
-        rhs = (-2.0 * traj.psi_x + traj.mismatch_x + traj.h_into_x)[1:-1]
+        psi_dot = (traj.loops["x"].psi[2:] - traj.loops["x"].psi[:-2]) / (2.0 * h)
+        rhs = (-2.0 * traj.loops["x"].psi + traj.loops["x"].mismatch + traj.loops["x"].eps)[1:-1]
         return float(np.max(np.abs(psi_dot - rhs)))
 
     def test_numeric_derivative_matches_error_model(self):

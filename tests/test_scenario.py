@@ -95,6 +95,29 @@ class TestSmallGainProblem:
         assert prob.ratio_y == 4.0
         assert (prob.beta_x, prob.beta_y) == (0.4, 0.4)
 
+    @pytest.mark.parametrize("name", ["reference", "strong-weak", "decoupled"])
+    def test_matches_built_system_without_rebuilding(self, name, monkeypatch):
+        from pathlib import Path
+
+        import decadapt.scenario as scenario_module
+
+        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.cfg")
+        sys = build_oscillator(sc)
+
+        def rebuild(_sc):
+            raise AssertionError("small_gain_problem must not rebuild the system")
+
+        monkeypatch.setattr(scenario_module, "build_oscillator", rebuild)
+        prob = small_gain_problem(sc)
+        for got, loop in ((prob.gain_x22, sys.loop_x), (prob.gain_y22, sys.loop_y)):
+            want = loop.shaper.gain_l2_from_l2
+            assert (got.kind, got.offset, got.slope, got.table) == (
+                want.kind, want.offset, want.slope, want.table
+            )
+        assert (prob.beta_x, prob.beta_y) == (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
+        assert prob.ratio_x == sys.loop_x.param.growth_upper / sys.loop_x.param.growth_lower
+        assert prob.ratio_y == sys.loop_y.param.growth_upper / sys.loop_y.param.growth_lower
+
     def test_coupling_offsets(self, scenario):
         off_x, off_y = coupling_offsets(scenario)
         assert off_x == pytest.approx(0.4 / math.sqrt(2.0))

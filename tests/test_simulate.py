@@ -80,12 +80,12 @@ class TestRunningNorms:
 
     def test_trajectory_accumulators_match_helper(self, coupled_traj):
         traj = coupled_traj
-        np.testing.assert_allclose(traj.l2_psi_x, running_l2(traj.t, traj.psi_x),
+        np.testing.assert_allclose(traj.loops["x"].l2_psi, running_l2(traj.t, traj.loops["x"].psi),
                                    rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(traj.l2_h_into_y, running_l2(traj.t, traj.h_into_y),
+        np.testing.assert_allclose(traj.loops["y"].l2_eps, running_l2(traj.t, traj.loops["y"].eps),
                                    rtol=1e-12, atol=1e-13)
-        assert (np.diff(traj.l2_psi_x) >= 0).all()
-        assert (np.diff(traj.linf_psi_y) >= 0).all()
+        assert (np.diff(traj.loops["x"].l2_psi) >= 0).all()
+        assert (np.diff(traj.loops["y"].linf_psi) >= 0).all()
 
 
 class TestTrajectoryGrid:
@@ -104,8 +104,20 @@ class TestTrajectoryGrid:
         a = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
         b = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.u_y, b.u_y)
-        assert np.array_equal(a.l2_mismatch_x, b.l2_mismatch_x)
+        assert np.array_equal(a.loops["y"].u, b.loops["y"].u)
+        assert np.array_equal(a.loops["x"].l2_mismatch, b.loops["x"].l2_mismatch)
+
+
+class TestTrajectoryRecord:
+    def test_loop_view_and_state_blocks(self, coupled_traj):
+        traj = coupled_traj
+        assert traj.loop_view("x") is traj.loops["x"]
+        assert traj.loop_view("y") is traj.loops["y"]
+        assert traj.x is traj.loops["x"].state
+        assert traj.theta_i_y is traj.loops["y"].theta_i
+        assert traj.loops["x"].status == traj.status
+        with pytest.raises(ValueError):
+            traj.loop_view("z")
 
 
 class TestTerminationStatuses:
@@ -248,7 +260,7 @@ class TestGoalAttainment:
         sys = build_oscillator(sc)
         # theta_hat(0) = gain * (psi alpha + theta_i) = 1 * (0 + 1) = theta
         traj = integrate(sys, sc.integrator, sc.initial_state())
-        assert np.max(np.abs(traj.psi_x)) == 0.0
+        assert np.max(np.abs(traj.loops["x"].psi)) == 0.0
         assert goal_attainment(traj, 1e-9, 1e-9) == 0.0
 
     def test_monotone_decay_threshold(self):
@@ -287,5 +299,5 @@ class TestCsvExport(object):
         fields = [float(v) for v in lines[k + 1].split(",")]
         assert fields[0] == coupled_traj.t[k]  # 17 significant digits round-trip
         assert fields[1] == coupled_traj.x[k, 0]
-        assert fields[5] == coupled_traj.psi_x[k]
-        assert fields[18] == coupled_traj.h_into_y[k]
+        assert fields[5] == coupled_traj.loops["x"].psi[k]
+        assert fields[18] == coupled_traj.loops["y"].eps[k]

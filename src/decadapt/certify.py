@@ -10,6 +10,7 @@ range otherwise.  Violations are failing report entries, never exceptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,10 +19,12 @@ import numpy as np
 from .adaptation import AdaptiveLoopSpec, check_poincare, realizability_residual
 from .model import (
     DEFAULT_SAMPLE_SEED,
+    DimensionMismatchError,
     DomainBox,
     GainDescriptor,
     GainRangeError,
     Parametrization,
+    _dot,
     joint_sample,
 )
 from .report import (
@@ -51,6 +54,10 @@ RATIO_FLOOR = 1e-9
 GROWTH_REL_SLACK = 1e-6
 MONITOR_TOL = 1e-6
 STEP_MONOTONE_TOL = 1e-8
+
+# Samples converted to plain floats at a time: keeps the Python objects of
+# one block small instead of materialising the whole sample set as lists.
+_SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,42 +94,62 @@ def verify_monotonicity(
     Passes when the sign condition holds everywhere and the estimates stay
     within the declared constants (default: the parametrization's) up to
     relative slack 1e-6.  Returns an inconclusive entry when no sample
-    clears the denominator floor.
+    clears the denominator floor.  Raises ValueError when n_samples < 1 and
+    DimensionMismatchError when alpha's length differs from theta_box's.
+
+    The samples are walked as plain Python floats: f and param.alpha
+    receive the state and parameter vectors as tuples, so user callables
+    must accept any float sequence (tuple, list or 1-D numpy array), as
+    the integrators already require.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     d_declared = param.growth_upper if declared_upper is None else declared_upper
     d1_declared = param.growth_lower if declared_lower is None else declared_lower
     time_box = DomainBox((time_range[0],), (time_range[1],))
     states, thetas, thetas_alt, times = joint_sample(
         [state_box, theta_box, theta_box, time_box], n_samples, seed=seed
     )
+    n_alpha = len(param.alpha(states[0].tolist(), float(times[0, 0])))
+    if n_alpha != theta_box.dim:  # _dot below would silently truncate
+        raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)
+    diffs = thetas_alt - thetas
 
-    worst_sign = np.inf
+    worst_sign = math.inf
     worst_sign_witness = {}
     d_hat = 0.0
-    d1_hat = np.inf
+    d1_hat = math.inf
     d_hat_witness = {}
     d1_hat_witness = {}
     n_ratio = 0
-    for state, th, th_alt, (t,) in zip(states, thetas, thetas_alt, times):
-        alpha = np.asarray(param.alpha(state, t), dtype=float)
-        df = float(f(state, th_alt, t)) - float(f(state, th, t))
-        s = float(alpha @ (th_alt - th))
-        prod = df * s
-        if prod < worst_sign:
-            worst_sign = prod
-            worst_sign_witness = {
-                "state": state.tolist(), "theta": th.tolist(),
-                "theta_alt": th_alt.tolist(), "t": t, "product": prod,
-            }
-        if abs(s) > RATIO_FLOOR:
-            n_ratio += 1
-            ratio = abs(df) / abs(s)
-            if ratio > d_hat:
-                d_hat = ratio
-                d_hat_witness = {"state": state.tolist(), "ratio": ratio}
-            if ratio < d1_hat:
-                d1_hat = ratio
-                d1_hat_witness = {"state": state.tolist(), "ratio": ratio}
+    for lo in range(0, n_samples, _SAMPLE_BLOCK):
+        hi = lo + _SAMPLE_BLOCK
+        block = zip(
+            zip(*states[lo:hi].T.tolist()),
+            zip(*thetas[lo:hi].T.tolist()),
+            zip(*thetas_alt[lo:hi].T.tolist()),
+            zip(*diffs[lo:hi].T.tolist()),
+            times[lo:hi, 0].tolist(),
+        )
+        for state, th, th_alt, diff, t in block:
+            df = float(f(state, th_alt, t)) - float(f(state, th, t))
+            s = _dot(param.alpha(state, t), diff)
+            prod = df * s
+            if prod < worst_sign:
+                worst_sign = prod
+                worst_sign_witness = {
+                    "state": list(state), "theta": list(th),
+                    "theta_alt": list(th_alt), "t": t, "product": prod,
+                }
+            if abs(s) > RATIO_FLOOR:
+                n_ratio += 1
+                ratio = abs(df) / abs(s)
+                if ratio > d_hat:
+                    d_hat = ratio
+                    d_hat_witness = {"state": list(state), "ratio": ratio}
+                if ratio < d1_hat:
+                    d1_hat = ratio
+                    d1_hat_witness = {"state": list(state), "ratio": ratio}
 
     if n_ratio == 0:
         entry = CertificateEntry(

@@ -63,15 +63,14 @@ def _apply_overrides(sc: OscillatorScenario, args) -> OscillatorScenario:
         value = getattr(args, flag, None)
         if value is not None:
             updates[attr] = value
-    integ = sc.integrator
-    if getattr(args, "t_final", None) is not None:
-        integ = replace(integ, t_final=args.t_final)
-    if getattr(args, "dt", None) is not None:
-        integ = replace(integ, step=args.dt)
-    if getattr(args, "log_every", None) is not None:
-        integ = replace(integ, log_every=args.log_every)
-    if integ is not sc.integrator:
-        updates["integrator"] = integ
+    # one replace, so the integrator is validated on the final combination only
+    integ_updates = {}
+    for attr, flag in (("t_final", "t_final"), ("step", "dt"), ("log_every", "log_every")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            integ_updates[attr] = value
+    if integ_updates:
+        updates["integrator"] = replace(sc.integrator, **integ_updates)
     return replace(sc, **updates) if updates else sc
 
 

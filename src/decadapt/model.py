@@ -11,6 +11,9 @@ symbolic or automatic differentiation anywhere in the package.
 
 Vector-valued callables may return any sequence of floats (list, tuple or
 1-D numpy array).  Scalar-valued callables must return a plain float.
+Callables must likewise accept states and parameter vectors as any float
+sequence: the integrators and the monotonicity sampler pass lists and
+tuples of plain floats, the finite-difference validators numpy rows.
 """
 
 from __future__ import annotations

@@ -353,11 +353,14 @@ def load_scenario(path) -> OscillatorScenario:
         return default
 
     base = OscillatorScenario()
+    log_every = float(get("integrator", "log_every", base.integrator.log_every))
+    if not log_every.is_integer():
+        raise ValueError(f"log_every must be an integer, got {log_every!r}")
     integrator = IntegratorConfig(
         step=get("integrator", "step", base.integrator.step),
         t_final=get("integrator", "t_final", base.integrator.t_final),
         divergence_bound=get("integrator", "divergence_bound", base.integrator.divergence_bound),
-        log_every=int(get("integrator", "log_every", base.integrator.log_every)),
+        log_every=int(log_every),
     )
     return OscillatorScenario(
         k1=get("coupling", "k1", base.k1),

@@ -52,6 +52,8 @@ class IntegratorConfig:
             raise ValueError("t_final must be > 0")
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
+        if abs(self.n_steps * self.step - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError("step must divide t_final into a whole number of steps")
         if self.log_every < 1 or int(self.log_every) != self.log_every:
             raise ValueError("log_every must be a positive integer")
         if not self.divergence_bound > 0:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,22 @@ from decadapt import (
     verify_coupling_bound,
     verify_monotonicity,
 )
+from decadapt.certify import (
+    GROWTH_REL_SLACK,
+    RATIO_FLOOR,
+    SIGN_CONDITION_TOL,
+    MonotonicityCertificate,
+)
+from decadapt.model import DEFAULT_SAMPLE_SEED, joint_sample
 from decadapt.report import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     CertificateEntry,
     CertificateReport,
+    entry_from_margin,
 )
+from decadapt.scenario import MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, damping
 from decadapt.simulate import integrate_loop, zero_disturbance
 
 
@@ -65,8 +76,6 @@ class TestVerifyMonotonicity:
         assert cert.entry.margin < 0
 
     def test_estimates_tighten_with_more_samples(self):
-        import math
-
         param = shifted_alpha()
 
         def f(s, th, t):
@@ -105,6 +114,176 @@ class TestVerifyMonotonicity:
         )
         assert cert.entry.status == INCONCLUSIVE
         assert cert.n_ratio_samples == 0
+
+    def test_alpha_length_must_match_theta_box(self):
+        param = Parametrization(
+            alpha=lambda s, t: (s[0], s[1]),
+            grad_state=lambda s, t: ((1.0, 0.0), (0.0, 1.0)),
+            d_time=lambda s, t: (0.0, 0.0),
+            dim=2, growth_upper=1.0, growth_lower=1.0,
+        )
+        with pytest.raises(ValueError):
+            verify_monotonicity(param, lambda s, th, t: th[0] * s[0],
+                                STATE_BOX, THETA_BOX, n_samples=10)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_nonpositive_sample_count(self, n):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            verify_monotonicity(
+                shifted_alpha(), lambda s, th, t: th[0] * (s[0] - 1.0),
+                STATE_BOX, THETA_BOX, n_samples=n,
+            )
+
+
+def reference_monotonicity(param, f, state_box, theta_box, n_samples,
+                           seed=DEFAULT_SAMPLE_SEED, time_range=(0.0, 0.0)):
+    """The earlier per-row numpy loop of verify_monotonicity, kept as an oracle."""
+    d_declared = param.growth_upper
+    d1_declared = param.growth_lower
+    time_box = DomainBox((time_range[0],), (time_range[1],))
+    states, thetas, thetas_alt, times = joint_sample(
+        [state_box, theta_box, theta_box, time_box], n_samples, seed=seed
+    )
+
+    worst_sign = np.inf
+    worst_sign_witness = {}
+    d_hat = 0.0
+    d1_hat = np.inf
+    d_hat_witness = {}
+    d1_hat_witness = {}
+    n_ratio = 0
+    for state, th, th_alt, (t,) in zip(states, thetas, thetas_alt, times):
+        alpha = np.asarray(param.alpha(state, t), dtype=float)
+        df = float(f(state, th_alt, t)) - float(f(state, th, t))
+        s = float(alpha @ (th_alt - th))
+        prod = df * s
+        if prod < worst_sign:
+            worst_sign = prod
+            worst_sign_witness = {
+                "state": state.tolist(), "theta": th.tolist(),
+                "theta_alt": th_alt.tolist(), "t": t, "product": prod,
+            }
+        if abs(s) > RATIO_FLOOR:
+            n_ratio += 1
+            ratio = abs(df) / abs(s)
+            if ratio > d_hat:
+                d_hat = ratio
+                d_hat_witness = {"state": state.tolist(), "ratio": ratio}
+            if ratio < d1_hat:
+                d1_hat = ratio
+                d1_hat_witness = {"state": state.tolist(), "ratio": ratio}
+
+    if n_ratio == 0:
+        entry = CertificateEntry(
+            name="monotonicity-growth",
+            status=INCONCLUSIVE,
+            margin=0.0,
+            witness={"reason": "all sampled alpha^T differences below floor",
+                     "floor": RATIO_FLOOR},
+            tolerance=SIGN_CONDITION_TOL,
+        )
+        return MonotonicityCertificate(entry, float("nan"), float("nan"), 0)
+
+    slack_sign = worst_sign + SIGN_CONDITION_TOL
+    slack_upper = d_declared * (1.0 + GROWTH_REL_SLACK) - d_hat
+    slack_lower = d1_hat - d1_declared * (1.0 - GROWTH_REL_SLACK)
+    margin = min(slack_sign, slack_upper, slack_lower)
+    if margin == slack_sign:
+        witness = worst_sign_witness
+    elif margin == slack_upper:
+        witness = d_hat_witness
+    else:
+        witness = d1_hat_witness
+    witness = dict(witness)
+    witness.update({"d_hat": d_hat, "d1_hat": d1_hat, "n_ratio_samples": n_ratio})
+    entry = entry_from_margin("monotonicity-growth", margin, witness, SIGN_CONDITION_TOL)
+    return MonotonicityCertificate(entry, d_hat, d1_hat, n_ratio)
+
+
+def oscillator_channel(tag):
+    """Parametrization and drift channel certify_oscillator checks for one loop."""
+    sc = OscillatorScenario()
+    sys = build_oscillator(sc)
+    loop, offset, wobble = {
+        "x": (sys.loop_x, sc.offset_x, 0.5), "y": (sys.loop_y, sc.offset_y, 0.6),
+    }[tag]
+
+    def drift(state, theta_vec, t):
+        return state[1] + damping(state[0], theta_vec[0], offset, wobble)
+
+    return loop.param, drift
+
+
+def assert_same_certificate(got, want):
+    assert got.entry.status == want.entry.status
+    assert got.entry.margin == want.entry.margin
+    assert got.entry.witness == want.entry.witness
+    assert got.n_ratio_samples == want.n_ratio_samples
+    if want.n_ratio_samples:
+        assert (got.d_hat, got.d1_hat) == (want.d_hat, want.d1_hat)
+    else:
+        assert math.isnan(got.d_hat) and math.isnan(got.d1_hat)
+
+
+class TestMonotonicityMatchesRowLoop:
+    """The plain-float sample blocks reproduce the per-row numpy loop."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("tag", ["x", "y"])
+    def test_oscillator_channels_exact(self, tag, n):
+        param, drift = oscillator_channel(tag)
+        args = (param, drift, MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
+        assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
+
+    def test_two_parameter_channel(self):
+        param = Parametrization(
+            alpha=lambda s, t: (s[0], s[1]),
+            grad_state=lambda s, t: ((1.0, 0.0), (0.0, 1.0)),
+            d_time=lambda s, t: (0.0, 0.0),
+            dim=2, growth_upper=1.3, growth_lower=0.7,
+        )
+
+        def f(s, th, t):
+            a = th[0] * s[0] + th[1] * s[1]
+            return a + 0.3 * math.sin(a)
+
+        theta_box = DomainBox((0.2, -1.0), (2.0, 1.0))
+        args = (param, f, STATE_BOX, theta_box, 2500)
+        got, want = verify_monotonicity(*args), reference_monotonicity(*args)
+        assert got.n_ratio_samples == want.n_ratio_samples
+        assert got.entry.witness["state"] == want.entry.witness["state"]
+        assert got.d_hat == pytest.approx(want.d_hat, rel=1e-9)
+        assert got.d1_hat == pytest.approx(want.d1_hat, rel=1e-9)
+
+    def test_nan_drift_on_part_of_box(self):
+        param = shifted_alpha()
+
+        def f(s, th, t):
+            if s[0] > 1.5:
+                return float("nan")
+            return th[0] * (s[0] - 1.0) + 0.5 * math.sin(th[0] * (s[0] - 1.0))
+
+        args = (param, f, STATE_BOX, THETA_BOX, 2500)
+        assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
+
+    def test_ties_keep_first_witness(self):
+        # a constant drift makes every ratio 0: the first sample is the witness
+        args = (shifted_alpha(), lambda s, th, t: 0.0, STATE_BOX, THETA_BOX, 1500)
+        got, want = verify_monotonicity(*args), reference_monotonicity(*args)
+        assert got.d1_hat == 0.0
+        assert_same_certificate(got, want)
+
+    def test_zero_alpha_inconclusive(self):
+        param = Parametrization(
+            alpha=lambda s, t: (0.0,),
+            grad_state=lambda s, t: ((0.0, 0.0),),
+            d_time=lambda s, t: (0.0,),
+            dim=1, growth_upper=1.0, growth_lower=1.0,
+        )
+        args = (param, lambda s, th, t: 0.0, STATE_BOX, THETA_BOX, 1500)
+        got, want = verify_monotonicity(*args), reference_monotonicity(*args)
+        assert got.entry.status == INCONCLUSIVE
+        assert_same_certificate(got, want)
 
 
 class TestSmallGainLinear:

@@ -61,6 +61,22 @@ class TestSimulateCommand:
         code = run_cli(["simulate", str(cfg), "--out", str(out)])
         assert code == EXIT_SIM_ABORT
 
+    def test_step_must_divide_horizon(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "oscillator", "--t-final", "1", "--dt", "0.4",
+                     "--out", str(tmp_path / "run.csv")])
+        assert exc.value.code == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_step_and_horizon_overrides_validated_together(self, tmp_path):
+        # the default step 1e-3 exceeds this horizon; only the pair is checked
+        out = tmp_path / "run.csv"
+        code = run_cli(["simulate", "oscillator", "--t-final", "0.0005", "--dt", "0.0005",
+                        "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DECADAPT_OUT_DIR", str(tmp_path))
         code = run_cli(["simulate", "oscillator", "--t-final", "1.0", "--out", "env.csv"])
@@ -102,6 +118,17 @@ class TestCertifyCommand:
         ])
         assert code == EXIT_OK
         assert "ALL PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_sample_count_is_usage_error(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "certify", "oscillator", "--t-final", "1.0",
+                "--monotonicity-samples", count, "--out", str(tmp_path / "report"),
+            ])
+        assert exc.value.code == 2
+        assert "n_samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSweepCommand:

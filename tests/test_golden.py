@@ -6,6 +6,7 @@ here as an inequality, so a refactor that claims bit-identical states is
 held to it.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from decadapt import (
     integrate_virtual,
 )
 from decadapt.adaptation import parameter_estimate
-from decadapt.scenario import load_scenario
+from decadapt.scenario import certify_oscillator, load_scenario
 from decadapt.simulate import exponential_disturbance
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,6 +73,25 @@ VIRTUAL = ("completed", 2001, (-0.25477441656977745, 0.21660882221637745),
            (0.9265639026165503,))
 
 
+# monotonicity-growth entries of certify_oscillator at 10^4 samples:
+# (status, margin, witness).  The three shipped scenarios share the offsets
+# and damping wobbles the check depends on, so their entries coincide.
+_MONO_X = ("pass", 3.1263286728611223e-10, {
+    "state": [0.9982951324312515, -0.13117373127108944], "theta": [1.5306324123753892],
+    "theta_alt": [1.5376160093224627], "t": 0.0, "product": 2.1263286728611224e-10,
+    "d_hat": 1.4999999680954414, "d1_hat": 0.5000640070321414, "n_ratio_samples": 10000,
+})
+_MONO_Y = ("pass", 3.2680835944802043e-10, {
+    "state": [0.9982951324312515, -0.13117373127108944], "theta": [1.5306324123753892],
+    "theta_alt": [1.5376160093224627], "t": 0.0, "product": 2.268083594480204e-10,
+    "d_hat": 1.5999999617157932, "d1_hat": 0.40007680843854193, "n_ratio_samples": 10000,
+})
+MONOTONICITY = {
+    name: {"monotonicity-growth-x": _MONO_X, "monotonicity-growth-y": _MONO_Y}
+    for name in ("reference", "strong-weak", "decoupled")
+}
+
+
 def _row(arr) -> tuple:
     return tuple(float(v) for v in arr[-1])
 
@@ -101,3 +121,14 @@ def test_single_loop_and_virtual_final_rows():
     assert (real.status, real.t.shape[0], _row(real.state), _row(real.theta_i),
             _row(real.theta_hat)) == LOOP
     assert (virt.status, virt.t.shape[0], _row(virt.state), _row(virt.theta_hat)) == VIRTUAL
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONICITY))
+def test_monotonicity_entries(name):
+    sc = load_scenario(SCENARIOS / f"{name}.cfg")
+    sc = replace(sc, integrator=IntegratorConfig(step=1e-3, t_final=0.5))
+    report, _ = certify_oscillator(sc, n_monotonicity_samples=10000, tail_window=0.25,
+                                   tail_threshold=1e6)
+    got = {e.name: (e.status, e.margin, e.witness)
+           for e in report.entries if e.name.startswith("monotonicity")}
+    assert got == MONOTONICITY[name]

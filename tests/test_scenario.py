@@ -162,6 +162,18 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="unknown scenario section"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", ["2.5", "1e-3", "inf", "nan"])
+    def test_non_integer_log_every_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[integrator]\nlog_every = {value}\n")
+        with pytest.raises(ValueError, match="log_every must be an integer"):
+            load_scenario(path)
+
+    def test_integral_log_every_accepted(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_text("[integrator]\nlog_every = 4.0\n")
+        assert load_scenario(path).integrator.log_every == 4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "absent.cfg")

@@ -41,6 +41,7 @@ class TestIntegratorConfig:
             {"step": -1e-3, "t_final": 1.0},
             {"step": 1e-3, "t_final": 0.0},
             {"step": 2.0, "t_final": 1.0},
+            {"step": 0.4, "t_final": 1.0},
             {"step": 1e-3, "t_final": 1.0, "log_every": 0},
             {"step": 1e-3, "t_final": 1.0, "divergence_bound": 0.0},
         ],

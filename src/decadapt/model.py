@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 DEFAULT_SAMPLE_SEED = 0
 
@@ -62,6 +61,52 @@ def _check_finite(values, what: str) -> None:
     for i, v in enumerate(values):
         if not math.isfinite(v):
             raise NonFiniteValueError(what, i, v)
+
+
+def _first_primes(count: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
+    """Owen-scrambled Halton points in [0, 1)^dim, shape (count, dim).
+
+    Reproduces ``scipy.stats.qmc.Halton(dim, scramble=True, seed=seed)
+    .random(count)`` bit for bit: the same digit permutations drawn from one
+    ``default_rng(seed)``, base by base, and the same digit sum in the same
+    order.  Digits that are zero for every index add the constant
+    ``perm[0] * b2r`` one by one; folding them into one sum would round
+    differently.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    columns = []
+    for base in _first_primes(dim):
+        # One permutation per digit with base**-k > 2**-54 (Owen 2017, Alg. 1).
+        # `permuted` shuffles the rows in order, drawing the same stream as one
+        # `rng.shuffle(row)` per row.
+        perms = rng.permuted(
+            np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0), axis=1
+        )
+        acc = np.zeros(count)
+        quotient = index
+        span = 1
+        b2r = 1.0 / base
+        for perm in perms.tolist():
+            if span < count:
+                quotient, digit = np.divmod(quotient, base)
+                acc += np.multiply(perm, b2r)[digit]
+                span *= base
+            else:
+                acc += perm[0] * b2r
+            b2r /= base
+        columns.append(acc)
+    return np.array(columns).T.reshape(count, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +166,14 @@ class DomainBox:
     def sample(self, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
         """Quasi-random points in the box, shape (count, dim).
 
-        Uses a scrambled Halton sequence: for a fixed seed the first N points
-        of a larger draw coincide with an N-point draw, so sample sets grow
-        monotonically with `count`.
+        Uses the in-repo Owen-scrambled Halton sequence, which reproduces
+        ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit:
+        for a fixed seed the first N points of a larger draw coincide with an
+        N-point draw, so sample sets grow monotonically with `count`.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        engine = qmc.Halton(d=self.dim, scramble=True, seed=seed)
-        unit = engine.random(count)
+        unit = _scrambled_halton(self.dim, count, seed)
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         return lo + unit * (hi - lo)
@@ -140,10 +185,11 @@ def joint_sample(boxes: Sequence[DomainBox], count: int, seed: int = DEFAULT_SAM
     Returns a list of arrays, one per box, each of shape (count, box.dim).
     Joint sampling keeps the superset property across `count` for tuples of
     arguments (state, parameters, time), which per-box reseeding would lose.
+    The sequence is the in-repo Owen-scrambled Halton of `DomainBox.sample`
+    over the summed dimension, the same stream scipy's scrambled Halton
+    draws for that seed.
     """
-    dims = [b.dim for b in boxes]
-    engine = qmc.Halton(d=sum(dims), scramble=True, seed=seed)
-    unit = engine.random(count)
+    unit = _scrambled_halton(sum(b.dim for b in boxes), count, seed)
     out = []
     offset = 0
     for b in boxes:

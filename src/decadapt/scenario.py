@@ -54,6 +54,8 @@ from .simulate import STATUS_COMPLETED, IntegratorConfig, integrate
 
 GROWTH_X = (1.5, 0.5)
 GROWTH_Y = (1.6, 0.4)
+WOBBLE_X = 0.5
+WOBBLE_Y = 0.6
 STATE_BOX = DomainBox((-5.0, -5.0), (5.0, 5.0))
 
 MONOTONICITY_STATE_BOX = DomainBox((-3.0, -3.0), (3.0, 3.0))
@@ -152,8 +154,8 @@ def _make_loop(shaper: TargetShaper, offset: float, gain: float, wobble: float,
 def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
     """Assemble the coupled oscillator pair from scenario parameters."""
     shaper_x, shaper_y = _shapers(sc)
-    loop_x = _make_loop(shaper_x, sc.offset_x, sc.gamma_x, 0.5, GROWTH_X)
-    loop_y = _make_loop(shaper_y, sc.offset_y, sc.gamma_y, 0.6, GROWTH_Y)
+    loop_x = _make_loop(shaper_x, sc.offset_x, sc.gamma_x, WOBBLE_X, GROWTH_X)
+    loop_y = _make_loop(shaper_y, sc.offset_y, sc.gamma_y, WOBBLE_Y, GROWTH_Y)
     k1, k2 = sc.k1, sc.k2
     coupling = Coupling(
         into_x2=lambda y, t: (k1 * y[0],),
@@ -256,7 +258,7 @@ def certify_oscillator(
 
     for tag, loop in (("x", sys.loop_x), ("y", sys.loop_y)):
         offset = sc.offset_x if tag == "x" else sc.offset_y
-        wobble = 0.5 if tag == "x" else 0.6
+        wobble = WOBBLE_X if tag == "x" else WOBBLE_Y
 
         def drift(state, theta_vec, t, _o=offset, _w=wobble):
             return state[1] + damping(state[0], theta_vec[0], _o, _w)

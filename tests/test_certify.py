@@ -33,7 +33,13 @@ from decadapt.report import (
     CertificateReport,
     entry_from_margin,
 )
-from decadapt.scenario import MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, damping
+from decadapt.scenario import (
+    MONOTONICITY_STATE_BOX,
+    MONOTONICITY_THETA_BOX,
+    WOBBLE_X,
+    WOBBLE_Y,
+    damping,
+)
 from decadapt.simulate import integrate_loop, zero_disturbance
 
 
@@ -205,7 +211,7 @@ def oscillator_channel(tag):
     sc = OscillatorScenario()
     sys = build_oscillator(sc)
     loop, offset, wobble = {
-        "x": (sys.loop_x, sc.offset_x, 0.5), "y": (sys.loop_y, sc.offset_y, 0.6),
+        "x": (sys.loop_x, sc.offset_x, WOBBLE_X), "y": (sys.loop_y, sc.offset_y, WOBBLE_Y),
     }[tag]
 
     def drift(state, theta_vec, t):

@@ -189,6 +189,8 @@ def joint_sample(boxes: Sequence[DomainBox], count: int, seed: int = DEFAULT_SAM
     over the summed dimension, the same stream scipy's scrambled Halton
     draws for that seed.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     unit = _scrambled_halton(sum(b.dim for b in boxes), count, seed)
     out = []
     offset = 0

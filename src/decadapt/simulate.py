@@ -8,9 +8,12 @@ Every integrator in this module runs the same two pieces: one compiled
 closed-loop kernel per loop (`_compile_loop`), which evaluates the
 certainty-equivalent control law, and one RK4 driver (`_rk4`), which logs
 raw samples of the state and of the kernel's diagnostics on the thinned
-grid.  Loops with one coordinate per block and one parameter get a scalar
-form of the realizable kernel (`_scalar_rates`), bit-identical to the
-general one and several times cheaper per evaluation.  Running signal
+grid.  Loops with one coordinate per block and one parameter get scalar
+forms of both kernels (`_scalar_kernels`), bit-identical to the general
+ones (`_general_kernels`) and several times cheaper per evaluation.  The
+scalar reduced-form kernel behind `integrate_virtual` computes its own
+estimate rate and never calls into the realizable one, so it stays an
+independent oracle for the PI estimator.  Running signal
 norms are computed after the run from the logged samples by trapezoidal
 quadrature (`running_l2`); their quadrature error is folded into the
 tolerances of the checks that consume them.
@@ -189,8 +192,7 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawConfig, tag: str):
     """Bind one loop's callables into fast per-point rate evaluators.
 
-    Returns (rates, virtual_rates).  Both run one shared evaluation of the
-    certainty-equivalent control input and the true plant rate:
+    Returns (rates, virtual_rates):
 
     - rates(state, theta_i, t, inject2) -> (state_dot + theta_i_dot, diag)
       is the realizable PI estimator, with the flat
@@ -202,20 +204,36 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawCon
       arithmetic so that it stays an independent oracle for `rates`.
 
     inject2 is the additive second-block contribution (coupling or an
-    exogenous disturbance).  The arithmetic matches the reference
-    operations in `controller` and `adaptation` term for term; the closures
-    only share sub-expressions.
+    exogenous disturbance).  Loops with q = p = d = 1 get the scalar pair
+    of `_scalar_kernels`, any other layout the general pair of
+    `_general_kernels`; both pairs compute the same bits.  In either pair
+    the virtual kernel shares with `rates` at most the evaluation of the
+    control input and the true plant rate, never the PI estimate or its
+    integral-state rate, which is what keeps it an independent oracle.
+    """
+    theta_true = tuple(float(v) for v in theta_true)
+    floor = control_cfg.singularity_floor
+    if (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim) == (1, 1, 1):
+        return _scalar_kernels(loop, theta_true, floor, tag)
+    return _general_kernels(loop, theta_true, floor, tag)
+
+
+def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
+    """(rates, virtual_rates) of `_compile_loop` for any layout.
+
+    Both closures run one shared evaluation of the certainty-equivalent
+    control input and the true plant rate (`closed_loop`).  The arithmetic
+    matches the reference operations in `controller` and `adaptation` term
+    for term; the closures only share sub-expressions.
     """
     spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
     q = spec.layout.q
     gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
-    theta_true = tuple(float(v) for v in theta_true)
     psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
     alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
     pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
     f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
     phi = shaper.phi
-    floor = control_cfg.singularity_floor
 
     def closed_loop(state, psi, theta_hat, t, inject2):
         """Control input at the estimate theta_hat and the true plant rate.
@@ -269,19 +287,21 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawCon
         incr = [w * a for a in alpha_fn(state, t)]
         return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
 
-    if (q, spec.layout.p, param.dim) == (1, 1, 1):
-        rates = _scalar_rates(loop, theta_true, floor, tag)
     return rates, virtual_rates
 
 
-def _scalar_rates(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
-    """`rates` of `_compile_loop` for a loop with q = p = d = 1.
+def _scalar_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
+    """(rates, virtual_rates) of `_compile_loop` for a loop with q = p = d = 1.
 
-    The same operations in the same order as the general closure, with the
-    one-term dot products written out as `0.0 + a * b` (what `_dot` computes
-    for length one), so the results are bit-identical; it skips the
-    per-call slicing, list building and `_dot` calls that dominate the run
-    time of small loops.
+    Each closure performs the same operations in the same order as its
+    general counterpart in `_general_kernels`, with the one-term dot
+    products written out as `0.0 + a * b` (what `_dot` computes for length
+    one) and the two-term one as `(0.0 + a1 * b1) + a2 * b2`, so the results
+    are bit-identical; they skip the per-call slicing, list building and
+    `_dot` calls that dominate the run time of small loops.  The closures
+    share no code: each evaluates the control input and the plant rate
+    inline, and `virtual_rates` forms its estimate rate
+    `0.0 + gamma * (w * a)` without the PI estimate or its integral state.
     """
     spec, goal, param, pot = loop.spec, loop.goal, loop.param, loop.potential
     psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
@@ -320,7 +340,27 @@ def _scalar_rates(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: 
         return ([f1 + g1 * u, f2 + inj + g2 * u, phiv * a + corr],
                 (psi, u, mismatch, 0.0 + gp * inj, theta_hat))
 
-    return rates
+    def virtual_rates(state, theta_hat, t, inject2):
+        psi = psi_fn(state, t)
+        gq, gp = grad_fn(state, t)
+        (f1,) = f1_fn(state, t)
+        (g1,) = g1_fn(state)
+        (g2,) = g2_fn(state)
+        drift_hat = (0.0 + gq * f1) + (0.0 + gp * f2_fn(state, theta_hat, t)[0])
+        gain_u = (0.0 + gq * g1) + (0.0 + gp * g2)
+        if abs(gain_u) < floor:
+            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
+        phiv = phi(psi, t)
+        dpsidt = dpsidt_fn(state, t)
+        u = (-drift_hat - phiv - dpsidt) / gain_u
+
+        s1 = f1 + g1 * u
+        s2 = f2_fn(state, theta_true, t)[0] + inject2[0] + g2 * u
+        w = dpsidt + ((0.0 + gq * s1) + gp * s2) + phiv
+        (a,) = alpha_fn(state, t)
+        return [s1, s2, 0.0 + gamma * (w * a)], (psi, u)
+
+    return rates, virtual_rates
 
 
 def _rk4(rhs_full, y0, t0: float, step: float, n_steps: int, every: int, bound: float):

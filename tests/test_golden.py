@@ -20,7 +20,7 @@ from decadapt import (
 )
 from decadapt.adaptation import parameter_estimate
 from decadapt.scenario import certify_oscillator, load_scenario
-from decadapt.simulate import exponential_disturbance
+from decadapt.simulate import exponential_disturbance, pulse_disturbance
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,6 +72,16 @@ LOOP = ("completed", 2001, (-0.25477441656980215, 0.21660882221639588),
 VIRTUAL = ("completed", 2001, (-0.25477441656977745, 0.21660882221637745),
            (0.9265639026165503,))
 
+# log_every -> (status, samples, t, state, theta_hat, psi) at the last logged
+# row of the y loop of reference.cfg under pulse_disturbance(0.5, 1.0, 2.0),
+# integrated by the reduced-form oracle; step 1e-3, horizon 2
+VIRTUAL_PULSE_Y = {
+    1: ("completed", 2001, 2.0, (-0.3449300945427801, -0.4948176819290001),
+        (0.1604829124137347,), -0.8397477764717802),
+    7: ("completed", 286, 1.995, (-0.3424428254863164, -0.5001715201085096),
+        (0.1530322620758519,), -0.8426143455948261),
+}
+
 
 # monotonicity-growth entries of certify_oscillator at 10^4 samples:
 # (status, margin, witness).  The three shipped scenarios share the offsets
@@ -121,6 +131,20 @@ def test_single_loop_and_virtual_final_rows():
     assert (real.status, real.t.shape[0], _row(real.state), _row(real.theta_i),
             _row(real.theta_hat)) == LOOP
     assert (virt.status, virt.t.shape[0], _row(virt.state), _row(virt.theta_hat)) == VIRTUAL
+
+
+@pytest.mark.parametrize("every", sorted(VIRTUAL_PULSE_Y))
+def test_virtual_pulse_final_row(every):
+    sc = load_scenario(SCENARIOS / "reference.cfg")
+    sys = build_oscillator(sc)
+    cfg = IntegratorConfig(step=1e-3, t_final=2.0, log_every=every)
+    state0 = (sc.y1_0, sc.y2_0)
+    th0 = parameter_estimate(sys.loop_y, state0, 0.0, (sc.theta_i_y0,))
+    virt = integrate_virtual(sys.loop_y, sys.theta_true_y, pulse_disturbance(0.5, 1.0, 2.0),
+                             cfg, state0, th0)
+    got = (virt.status, virt.t.shape[0], float(virt.t[-1]), _row(virt.state),
+           _row(virt.theta_hat), float(virt.psi[-1]))
+    assert got == VIRTUAL_PULSE_Y[every]
 
 
 @pytest.mark.parametrize("name", sorted(MONOTONICITY))

@@ -4,10 +4,13 @@ The integrators never call `controller.control`, `adaptation.parameter_estimate`
 / `integral_state_rate` or `interconnect.augmented_rhs`; they run a compiled
 per-loop closure instead.  These properties pin that closure to the
 reference operations at random points of the domain box, so the two
-implementations of the closed-loop law cannot drift apart.
+implementations of the closed-loop law cannot drift apart.  A further
+property pins the scalar kernels used for q = p = d = 1 loops to the
+general ones bit for bit.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from decadapt import (
     virtual_estimate_rate,
 )
 from decadapt.controller import DEFAULT_CONTROL_CONFIG, control
-from decadapt.simulate import _compile_loop
+from decadapt.simulate import _compile_loop, _general_kernels, _scalar_kernels
 
 REL_TOL = 1e-12
 VALUES = st.floats(-5.0, 5.0)
@@ -156,3 +159,41 @@ def test_virtual_rates_match_reference(name, data):
     _assert_close(u, ref_u)
     _assert_close(psi, loop.goal.psi(state, t))
     _assert_close(deriv, ref_deriv)
+
+
+def _values(lo, hi):
+    """Floats in [lo, hi], with the integers in range drawn often, in both signs.
+
+    The oscillator callables are affine in the state with integer offsets,
+    so integer points hit their zeros: there a product or sum is a signed
+    zero, and a kernel that drops a `0.0 +` returns the other sign.
+    """
+    integers = st.integers(math.ceil(lo), math.floor(hi)).map(float)
+    return st.one_of(integers, integers.map(lambda v: -v), st.floats(lo, hi))
+
+
+def _assert_same_bits(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
+
+
+@pytest.mark.parametrize("name", ("oscillator-x", "oscillator-y"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scalar_kernels_match_general_bitwise(name, data):
+    loop, theta = _loop(name)
+    box = loop.spec.box
+    state = tuple(data.draw(_values(lo, hi)) for lo, hi in zip(box.lower, box.upper))
+    estimate = (data.draw(_values(-5.0, 5.0)),)
+    inject = (data.draw(_values(-5.0, 5.0)),)
+    t = data.draw(TIMES)
+    floor = DEFAULT_CONTROL_CONFIG.singularity_floor
+    scalar = _scalar_kernels(loop, theta, floor, "x")
+    general = _general_kernels(loop, theta, floor, "x")
+    for kernel, reference in zip(scalar, general):
+        deriv, diag = kernel(state, estimate, t, inject)
+        ref_deriv, ref_diag = reference(state, estimate, t, inject)
+        _assert_same_bits(deriv, ref_deriv)
+        _assert_same_bits(diag, ref_diag)

@@ -89,6 +89,12 @@ class TestDomainBox:
         np.testing.assert_array_equal(a_small, a_large[:8])
         np.testing.assert_array_equal(b_small, b_large[:8])
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_joint_sample_rejects_empty_count(self, count):
+        boxes = [DomainBox((0.0,), (1.0,)), DomainBox((-2.0, 0.0), (2.0, 1.0))]
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            joint_sample(boxes, count)
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             DomainBox((1.0,), (0.0,))

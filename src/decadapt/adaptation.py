@@ -13,7 +13,7 @@ them by quadrature in the single-coordinate case, and provides the reduced
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,9 @@ class AdaptiveLoopSpec:
     gain matrix must be symmetric positive definite, analytic gradients of
     the goal function and parametrization must match finite differences on
     the subsystem's domain box, and the auxiliary potential must satisfy
-    the realizability identity there.
+    the realizability identity there.  The worst relative gradient errors
+    and the realizability residual found are kept, so certification
+    reports them without sampling the box again.
     """
 
     spec: SubsystemSpec
@@ -114,6 +116,9 @@ class AdaptiveLoopSpec:
     param: Parametrization
     potential: AuxiliaryPotential
     gain: np.ndarray
+    goal_grad_error: float = field(init=False)
+    alpha_grad_error: float = field(init=False)
+    realizability_residual: float = field(init=False)
 
     def __post_init__(self):
         if self.param.dim != self.spec.param_dim:
@@ -132,16 +137,18 @@ class AdaptiveLoopSpec:
             raise ValueError(f"gain matrix must be positive definite, eigenvalues {eigs}")
         object.__setattr__(self, "gain", gain)
 
-        check_gradient(self.goal.psi, self.goal.grad_state, self.spec.box)
-        check_gradient(self.param.alpha, self.param.grad_state, self.spec.box)
-        res = realizability_residual(
-            self.potential, self.goal, self.param, self.spec.layout, self.spec.box
-        )
+        box = self.spec.box
+        object.__setattr__(self, "goal_grad_error",
+                           check_gradient(self.goal.psi, self.goal.grad_state, box))
+        object.__setattr__(self, "alpha_grad_error",
+                           check_gradient(self.param.alpha, self.param.grad_state, box))
+        res = realizability_residual(self.potential, self.goal, self.param, self.spec.layout, box)
         if res > REALIZABILITY_TOL:
             raise ValueError(
                 f"auxiliary potential violates realizability: residual {res:.3e} "
                 f"exceeds {REALIZABILITY_TOL:.1e}"
             )
+        object.__setattr__(self, "realizability_residual", res)
 
     @property
     def gain_inverse(self) -> np.ndarray:

@@ -15,6 +15,7 @@ Relative output paths are resolved under $DECADAPT_OUT_DIR when it is set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,26 +50,14 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _load_base_scenario(target: str) -> OscillatorScenario:
-    if target == "oscillator":
-        return OscillatorScenario()
-    return load_scenario(target)
-
-
-def _apply_overrides(sc: OscillatorScenario, args) -> OscillatorScenario:
-    updates = {}
-    for attr, flag in (
-        ("k1", "k1"), ("k2", "k2"), ("lambda_x", "lambda_x"), ("lambda_y", "lambda_y"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[attr] = value
+def _scenario(args) -> OscillatorScenario:
+    """The named scenario with the override flags applied; each flag's dest is its field."""
+    sc = OscillatorScenario() if args.scenario == "oscillator" else load_scenario(args.scenario)
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    updates = {name: given[name] for name in ("k1", "k2", "lambda_x", "lambda_y") if name in given}
     # one replace, so the integrator is validated on the final combination only
-    integ_updates = {}
-    for attr, flag in (("t_final", "t_final"), ("step", "dt"), ("log_every", "log_every")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            integ_updates[attr] = value
+    integ_updates = {name: given[name] for name in ("t_final", "step", "log_every")
+                     if name in given}
     if integ_updates:
         updates["integrator"] = replace(sc.integrator, **integ_updates)
     return replace(sc, **updates) if updates else sc
@@ -84,13 +73,13 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="y target-shaper rate")
     parser.add_argument("--t-final", dest="t_final", type=float, default=None,
                         help="simulation horizon")
-    parser.add_argument("--dt", type=float, default=None, help="integrator step")
+    parser.add_argument("--dt", dest="step", type=float, default=None, help="integrator step")
     parser.add_argument("--log-every", dest="log_every", type=int, default=None,
                         help="log every N steps")
 
 
 def _cmd_simulate(args) -> int:
-    sc = _apply_overrides(_load_base_scenario(args.scenario), args)
+    sc = _scenario(args)
     traj = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
     out = _out_path(args.out)
     write_trajectory_csv(traj, out)
@@ -99,7 +88,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    sc = _apply_overrides(_load_base_scenario(args.scenario), args)
+    sc = _scenario(args)
     report, traj = certify_oscillator(
         sc,
         n_monotonicity_samples=args.monotonicity_samples,
@@ -119,19 +108,24 @@ def _cmd_certify(args) -> int:
 
 
 def _parse_grid(spec: str) -> list:
-    """Grid syntax: 'start:stop:count' (inclusive linspace) or 'v1,v2,...'."""
+    """Grid syntax: 'start:stop:count' (inclusive linspace) or 'v1,v2,...'; finite, non-empty."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError("grid must be start:stop:count or a comma list")
+            raise ValueError("grid must be start:stop:count or a comma list")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
+            raise ValueError("grid count must be >= 1")
         if count == 1:
-            return [start]
-        step = (stop - start) / (count - 1)
-        return [start + i * step for i in range(count)]
-    return [float(v) for v in spec.split(",") if v]
+            values = [start]
+        else:
+            step = (stop - start) / (count - 1)
+            values = [start + i * step for i in range(count)]
+    else:
+        values = [float(v) for v in spec.split(",") if v]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {spec!r} must hold at least one value, all of them finite")
+    return values
 
 
 def _sweep_cell(payload) -> tuple:
@@ -149,7 +143,7 @@ def _sweep_cell(payload) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    base = _apply_overrides(_load_base_scenario(args.scenario), args)
+    base = _scenario(args)
     cells = [
         (replace(base, k1=k1, k2=k2), args.tail_window)
         for k1 in _parse_grid(args.k1_grid)
@@ -171,7 +165,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    sc = _apply_overrides(_load_base_scenario(args.scenario), args)
+    sc = _scenario(args)
     traj = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .adaptation import AdaptiveLoopSpec, check_poincare, realizability_residual, zero_potential
+from .adaptation import REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare, zero_potential
 from .certify import (
     MONITOR_TOL,
     CertificateReport,
@@ -47,7 +47,6 @@ from .model import (
     PartitionLayout,
     SubsystemSpec,
     TargetShaper,
-    check_gradient,
 )
 from .report import CertificateEntry, entry_from_margin
 from .simulate import STATUS_COMPLETED, IntegratorConfig, integrate
@@ -85,6 +84,9 @@ class OscillatorScenario:
     integrator: IntegratorConfig = IntegratorConfig(step=1e-3, t_final=50.0)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "integrator" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.lambda_x <= 0 or self.lambda_y <= 0:
             raise ValueError("shaper rates lambda_x, lambda_y must be > 0")
         if self.gamma_x <= 0 or self.gamma_y <= 0:
@@ -222,44 +224,23 @@ def certify_oscillator(
     """
     sys = build_oscillator(sc)
     report = CertificateReport()
+    loops = (("x", sys.loop_x, sc.offset_x, WOBBLE_X), ("y", sys.loop_y, sc.offset_y, WOBBLE_Y))
 
-    for tag, loop in (("x", sys.loop_x), ("y", sys.loop_y)):
-        worst_goal = check_gradient(
-            loop.goal.psi, loop.goal.grad_state, loop.spec.box, raise_on_fail=False
-        )
-        report.add(
-            entry_from_margin(
-                f"gradient-goal-{tag}", GRAD_REL_TOL - worst_goal,
-                {"worst_rel_error": worst_goal}, GRAD_REL_TOL,
-            )
-        )
-        worst_alpha = check_gradient(
-            loop.param.alpha, loop.param.grad_state, loop.spec.box, raise_on_fail=False
-        )
-        report.add(
-            entry_from_margin(
-                f"gradient-parametrization-{tag}", GRAD_REL_TOL - worst_alpha,
-                {"worst_rel_error": worst_alpha}, GRAD_REL_TOL,
-            )
-        )
-        residual = realizability_residual(
-            loop.potential, loop.goal, loop.param, loop.spec.layout, loop.spec.box
-        )
-        report.add(
-            entry_from_margin(
-                f"realizability-{tag}", 1e-7 - residual, {"residual": residual}, 1e-7
-            )
-        )
+    for tag, loop, _, _ in loops:
+        for name, worst in (("gradient-goal", loop.goal_grad_error),
+                            ("gradient-parametrization", loop.alpha_grad_error)):
+            report.add(entry_from_margin(f"{name}-{tag}", GRAD_REL_TOL - worst,
+                                         {"worst_rel_error": worst}, GRAD_REL_TOL))
+        res = loop.realizability_residual
+        report.add(entry_from_margin(f"realizability-{tag}", REALIZABILITY_TOL - res,
+                                     {"residual": res}, REALIZABILITY_TOL))
         report.add(
             _renamed(
                 check_poincare(loop.goal, loop.param, loop.spec.layout, loop.spec.box), tag
             )
         )
 
-    for tag, loop in (("x", sys.loop_x), ("y", sys.loop_y)):
-        offset = sc.offset_x if tag == "x" else sc.offset_y
-        wobble = WOBBLE_X if tag == "x" else WOBBLE_Y
-
+    for tag, loop, offset, wobble in loops:
         def drift(state, theta_vec, t, _o=offset, _w=wobble):
             return state[1] + damping(state[0], theta_vec[0], _o, _w)
 
@@ -290,48 +271,37 @@ def certify_oscillator(
         for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=monitor_tol):
             report.add(_renamed(entry, tag))
     off_x, off_y = coupling_offsets(sc)
-    report.add(
-        verify_coupling_bound(traj, "into_x", abs(sc.k1), mode="l2", offset=off_x,
-                              tol=MONITOR_TOL)
-    )
-    report.add(
-        verify_coupling_bound(traj, "into_y", abs(sc.k2), mode="l2", offset=off_y,
-                              tol=MONITOR_TOL)
-    )
+    for channel, k, offset in (("into_x", sc.k1, off_x), ("into_y", sc.k2, off_y)):
+        report.add(verify_coupling_bound(traj, channel, abs(k), mode="l2", offset=offset,
+                                         tol=MONITOR_TOL))
     report.extend(
         monitor_tail_convergence(traj, tail_window, tail_threshold, tail_threshold)
     )
     return report, traj
 
 
-_SCENARIO_KEYS = {
-    "coupling": ("k1", "k2"),
-    "subsystem.x": ("lambda", "offset", "theta", "gamma", "init1", "init2", "theta_i"),
-    "subsystem.y": ("lambda", "offset", "theta", "gamma", "init1", "init2", "theta_i"),
-    "integrator": ("step", "t_final", "divergence_bound", "log_every"),
-}
+# (section, key, field) of every scenario-file entry, in file order; the
+# fields of the [integrator] section are those of the IntegratorConfig.
+_SCENARIO_FIELDS = (
+    ("coupling", "k1", "k1"),
+    ("coupling", "k2", "k2"),
+    *((f"subsystem.{tag}", key, name) for tag in "xy" for key, name in (
+        ("lambda", f"lambda_{tag}"), ("offset", f"offset_{tag}"), ("theta", f"theta_{tag}"),
+        ("gamma", f"gamma_{tag}"), ("init1", f"{tag}1_0"), ("init2", f"{tag}2_0"),
+        ("theta_i", f"theta_i_{tag}0"),
+    )),
+    *(("integrator", key, key) for key in ("step", "t_final", "divergence_bound", "log_every")),
+)
 
 
 def save_scenario(sc: OscillatorScenario, path) -> None:
     """Write a scenario file (INI sections of key = value pairs)."""
+    sections = {}
+    for section, key, name in _SCENARIO_FIELDS:
+        owner = sc.integrator if section == "integrator" else sc
+        sections.setdefault(section, {})[key] = repr(getattr(owner, name))
     cp = configparser.ConfigParser()
-    cp["coupling"] = {"k1": repr(sc.k1), "k2": repr(sc.k2)}
-    cp["subsystem.x"] = {
-        "lambda": repr(sc.lambda_x), "offset": repr(sc.offset_x), "theta": repr(sc.theta_x),
-        "gamma": repr(sc.gamma_x), "init1": repr(sc.x1_0), "init2": repr(sc.x2_0),
-        "theta_i": repr(sc.theta_i_x0),
-    }
-    cp["subsystem.y"] = {
-        "lambda": repr(sc.lambda_y), "offset": repr(sc.offset_y), "theta": repr(sc.theta_y),
-        "gamma": repr(sc.gamma_y), "init1": repr(sc.y1_0), "init2": repr(sc.y2_0),
-        "theta_i": repr(sc.theta_i_y0),
-    }
-    cp["integrator"] = {
-        "step": repr(sc.integrator.step),
-        "t_final": repr(sc.integrator.t_final),
-        "divergence_bound": repr(sc.integrator.divergence_bound),
-        "log_every": repr(sc.integrator.log_every),
-    }
+    cp.read_dict(sections)
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
@@ -342,44 +312,21 @@ def load_scenario(path) -> OscillatorScenario:
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"scenario file not found: {path}")
+    known = {(section, key) for section, key, _ in _SCENARIO_FIELDS}
     for section in cp.sections():
-        if section not in _SCENARIO_KEYS:
+        if section not in {s for s, _ in known}:
             raise ValueError(f"unknown scenario section [{section}]")
         for key in cp[section]:
-            if key not in _SCENARIO_KEYS[section]:
+            if (section, key) not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default):
-        if section in cp and key in cp[section]:
-            return float(cp[section][key])
-        return default
-
-    base = OscillatorScenario()
-    log_every = float(get("integrator", "log_every", base.integrator.log_every))
+    values, integ = {}, {}
+    for section, key, name in _SCENARIO_FIELDS:
+        if cp.has_option(section, key):
+            (integ if section == "integrator" else values)[name] = float(cp[section][key])
+    base = OscillatorScenario().integrator
+    log_every = integ.get("log_every", float(base.log_every))
     if not log_every.is_integer():
         raise ValueError(f"log_every must be an integer, got {log_every!r}")
-    integrator = IntegratorConfig(
-        step=get("integrator", "step", base.integrator.step),
-        t_final=get("integrator", "t_final", base.integrator.t_final),
-        divergence_bound=get("integrator", "divergence_bound", base.integrator.divergence_bound),
-        log_every=int(log_every),
-    )
-    return OscillatorScenario(
-        k1=get("coupling", "k1", base.k1),
-        k2=get("coupling", "k2", base.k2),
-        lambda_x=get("subsystem.x", "lambda", base.lambda_x),
-        lambda_y=get("subsystem.y", "lambda", base.lambda_y),
-        offset_x=get("subsystem.x", "offset", base.offset_x),
-        offset_y=get("subsystem.y", "offset", base.offset_y),
-        theta_x=get("subsystem.x", "theta", base.theta_x),
-        theta_y=get("subsystem.y", "theta", base.theta_y),
-        gamma_x=get("subsystem.x", "gamma", base.gamma_x),
-        gamma_y=get("subsystem.y", "gamma", base.gamma_y),
-        x1_0=get("subsystem.x", "init1", base.x1_0),
-        x2_0=get("subsystem.x", "init2", base.x2_0),
-        y1_0=get("subsystem.y", "init1", base.y1_0),
-        y2_0=get("subsystem.y", "init2", base.y2_0),
-        theta_i_x0=get("subsystem.x", "theta_i", base.theta_i_x0),
-        theta_i_y0=get("subsystem.y", "theta_i", base.theta_i_y0),
-        integrator=integrator,
-    )
+    integ["log_every"] = int(log_every)
+    return OscillatorScenario(integrator=replace(base, **integ), **values)

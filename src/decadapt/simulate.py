@@ -49,10 +49,10 @@ class IntegratorConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be > 0")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be > 0")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step!r}")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and > 0, got {self.t_final!r}")
         if self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
         if abs(self.n_steps * self.step - self.t_final) > 1e-9 * self.t_final:
@@ -492,16 +492,24 @@ def integrate(
     return Trajectory(t=t, loops=loops, status=status)
 
 
-def _disturbed(kernel, n: int, p: int, disturbance: Disturbance):
-    """rhs_full(t, z) of one loop kernel with z = state + estimator state."""
-    direction = disturbance.resolve_direction(p)
+def _run_single(kernel, loop: AdaptiveLoopSpec, disturbance: Disturbance, cfg: IntegratorConfig,
+                state0, est0, t0: float):
+    """(t, state, estimator state, diag, status) of one loop kernel run from state0 + est0."""
+    n, d = loop.spec.layout.n, loop.spec.param_dim
+    state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
+    if (len(state0), len(est0)) != (n, d):
+        raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
+                         f"got {len(state0)} and {len(est0)}")
+    direction = disturbance.resolve_direction(loop.spec.layout.p)
     signal = disturbance.signal
 
     def rhs_full(t, z):
         s = signal(t)
         return kernel(z[:n], z[n:], t, [s * dv for dv in direction])
 
-    return rhs_full
+    t, z, diag, status = _rk4(rhs_full, state0 + est0, t0, cfg.step, cfg.n_steps, cfg.log_every,
+                              cfg.divergence_bound)
+    return t, z[:, :n], z[:, n:], diag, status
 
 
 def integrate_loop(
@@ -520,15 +528,8 @@ def integrate_loop(
     coupled run whose coupling vanishes, so the two produce bit-identical
     subsystem trajectories on the same grid.
     """
-    layout = loop.spec.layout
-    n, d = layout.n, loop.spec.param_dim
     rates, _ = _compile_loop(loop, theta_true, control_cfg, "loop")
-    z0 = list(np.asarray(state0, dtype=float)) + list(np.asarray(theta_i0, dtype=float))
-    if len(z0) != n + d:
-        raise ValueError(f"initial data must have total length {n + d}")
-    t, z, diag, status = _rk4(_disturbed(rates, n, layout.p, disturbance), z0, t0, cfg.step,
-                              cfg.n_steps, cfg.log_every, cfg.divergence_bound)
-    return _loop_record(t, z[:, :n], z[:, n:], diag, status)
+    return _loop_record(*_run_single(rates, loop, disturbance, cfg, state0, theta_i0, t0))
 
 
 @dataclass(eq=False)
@@ -560,13 +561,10 @@ def integrate_virtual(
     realizable online; from consistent initial data it must reproduce the
     estimates of `integrate_loop` up to integration error.
     """
-    layout = loop.spec.layout
-    n = layout.n
     _, virtual_rates = _compile_loop(loop, theta_true, control_cfg, "virtual")
-    z0 = list(np.asarray(state0, dtype=float)) + list(np.asarray(theta_hat0, dtype=float))
-    t, z, diag, status = _rk4(_disturbed(virtual_rates, n, layout.p, disturbance), z0, t0,
-                              cfg.step, cfg.n_steps, cfg.log_every, cfg.divergence_bound)
-    return VirtualTrajectory(t=t, state=z[:, :n], theta_hat=z[:, n:], psi=diag[:, 0],
+    t, state, theta_hat, diag, status = _run_single(virtual_rates, loop, disturbance, cfg,
+                                                    state0, theta_hat0, t0)
+    return VirtualTrajectory(t=t, state=state, theta_hat=theta_hat, psi=diag[:, 0],
                              status=status)
 
 

@@ -160,6 +160,19 @@ class TestSweepCommand:
         assert _parse_grid("0.0:1.0:3") == [0.0, 0.5, 1.0]
         assert _parse_grid("0.25") == [0.25]
         assert _parse_grid("0.1,0.2") == [0.1, 0.2]
+        for spec in (",", "", "nan", "0.1,inf", "0:inf:3", "1e308:-1e308:3"):
+            with pytest.raises(ValueError, match="at least one value"):
+                _parse_grid(spec)
+
+    @pytest.mark.parametrize("grid", [",", "0.1,nan", "1:2"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "oscillator", "--k1-grid", grid, "--t-final", "1.0",
+                     "--workers", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotdataCommand:
@@ -173,6 +186,35 @@ class TestPlotdataCommand:
             lines = (out_dir / f"panel_{panel}.csv").read_text().splitlines()
             assert lines[0] == f"t,{column}"
             assert len(lines) == 1002
+
+
+class TestNonFiniteConfiguration:
+    """Non-finite values are usage errors (exit 2) that name the field."""
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--t-final", "inf", "t_final"), ("--dt", "nan", "step"), ("--k1", "inf", "k1"),
+         ("--lambda-y", "nan", "lambda_y")],
+    )
+    def test_flag(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "oscillator", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, line, name",
+        [("simulate", "gamma = inf", "gamma_x"), ("certify", "init1 = nan", "x1_0")],
+    )
+    def test_scenario_file(self, tmp_path, capsys, command, line, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[subsystem.x]\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, str(cfg), "--t-final", "1.0"])
+        assert exc.value.code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,7 +1,11 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decadapt import (
     IntegratorConfig,
@@ -13,8 +17,12 @@ from decadapt import (
     save_scenario,
     small_gain_problem,
 )
-from decadapt.adaptation import integral_state_rate
+from decadapt.adaptation import integral_state_rate, realizability_residual
+from decadapt.model import check_gradient
 from decadapt.scenario import GROWTH_X, GROWTH_Y, coupling_offsets, damping
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+FLOAT_FIELDS = tuple(f.name for f in fields(OscillatorScenario) if f.name != "integrator")
 
 
 class TestDefaults:
@@ -32,6 +40,12 @@ class TestDefaults:
             OscillatorScenario(lambda_x=0.0)
         with pytest.raises(ValueError):
             OscillatorScenario(gamma_y=-1.0)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OscillatorScenario(**{name: value})
 
     def test_growth_constants(self, oscillator):
         assert (oscillator.loop_x.param.growth_upper,
@@ -84,6 +98,22 @@ class TestBuildOscillator:
     def test_true_parameters_live_in_harness(self, oscillator):
         assert oscillator.theta_true_x == (1.0,)
         assert oscillator.theta_true_y == (1.0,)
+
+
+class TestStoredValidation:
+    """Certification reports the validation each loop ran at construction."""
+
+    @pytest.mark.parametrize("tag", ["x", "y"])
+    def test_matches_fresh_checks(self, oscillator, tag):
+        loop = oscillator.loop_x if tag == "x" else oscillator.loop_y
+        box = loop.spec.box
+        assert loop.goal_grad_error == check_gradient(loop.goal.psi, loop.goal.grad_state, box)
+        assert loop.alpha_grad_error == check_gradient(
+            loop.param.alpha, loop.param.grad_state, box
+        )
+        assert loop.realizability_residual == realizability_residual(
+            loop.potential, loop.goal, loop.param, loop.spec.layout, box
+        )
 
 
 class TestSmallGainProblem:
@@ -173,6 +203,50 @@ class TestScenarioFiles:
         path = tmp_path / "case.cfg"
         path.write_text("[integrator]\nlog_every = 4.0\n")
         assert load_scenario(path).integrator.log_every == 4
+
+    @pytest.mark.parametrize(
+        "section, key, name",
+        [("coupling", "k1", "k1"), ("subsystem.x", "gamma", "gamma_x"),
+         ("subsystem.y", "init1", "y1_0"), ("integrator", "t_final", "t_final")],
+    )
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_rejected(self, tmp_path, section, key, name, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("name", ["reference", "strong-weak", "decoupled"])
+    def test_resave_reproduces_shipped_file(self, tmp_path, name):
+        src = SCENARIO_DIR / f"{name}.cfg"
+        out = tmp_path / f"{name}.cfg"
+        save_scenario(load_scenario(src), out)
+        assert out.read_bytes() == src.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_property(self, tmp_path_factory, data):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+        step = data.draw(st.sampled_from([1e-3, 2e-3, 5e-3, 0.01, 0.25]), "step")
+        integrator = IntegratorConfig(
+            step=step,
+            t_final=step * data.draw(st.integers(1, 100000), "n_steps"),
+            divergence_bound=data.draw(positive, "divergence_bound"),
+            log_every=data.draw(st.integers(1, 1000), "log_every"),
+        )
+        values = {
+            name: data.draw(positive if name.startswith(("lambda", "gamma")) else finite, name)
+            for name in FLOAT_FIELDS
+        }
+        sc = OscillatorScenario(integrator=integrator, **values)
+        path = tmp_path_factory.mktemp("roundtrip") / "case.cfg"
+        save_scenario(sc, path)
+        back = load_scenario(path)
+        for name in FLOAT_FIELDS:
+            assert getattr(back, name) == getattr(sc, name), name
+        for f in fields(IntegratorConfig):
+            assert getattr(back.integrator, f.name) == getattr(sc.integrator, f.name), f.name
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

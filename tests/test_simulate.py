@@ -17,6 +17,7 @@ from decadapt import (
     goal_attainment,
     integrate,
     integrate_loop,
+    integrate_virtual,
     write_trajectory_csv,
     zero_potential,
 )
@@ -44,6 +45,10 @@ class TestIntegratorConfig:
             {"step": 0.4, "t_final": 1.0},
             {"step": 1e-3, "t_final": 1.0, "log_every": 0},
             {"step": 1e-3, "t_final": 1.0, "divergence_bound": 0.0},
+            {"step": 1e-3, "t_final": math.inf},
+            {"step": 1e-3, "t_final": math.nan},
+            {"step": math.inf, "t_final": 1.0},
+            {"step": math.nan, "t_final": 1.0},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -163,6 +168,24 @@ class TestTerminationStatuses:
                               (0.5, 0.0), (0.0,))
         assert traj.status == STATUS_SINGULAR
         assert traj.t[-1] < 2.0
+
+
+class TestInitialData:
+    """Both single-loop integrators reject initial data of the wrong length up front."""
+
+    @pytest.mark.parametrize("estimate0", [(0.1, 0.2), ()])
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    def test_wrong_estimator_length(self, oscillator, integrator, estimate0):
+        with pytest.raises(ValueError, match="initial data must have lengths"):
+            integrator(oscillator.loop_x, (1.0,), zero_disturbance(),
+                       IntegratorConfig(step=1e-3, t_final=0.01), (-1.0, 0.0), estimate0)
+
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    def test_wrong_state_length(self, oscillator, integrator):
+        # the total length matches; the split between state and estimate does not
+        with pytest.raises(ValueError, match="initial data must have lengths"):
+            integrator(oscillator.loop_x, (1.0,), zero_disturbance(),
+                       IntegratorConfig(step=1e-3, t_final=0.01), (-1.0, 0.0, 0.0), ())
 
 
 class TestDisturbances:

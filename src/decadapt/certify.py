@@ -55,10 +55,6 @@ GROWTH_REL_SLACK = 1e-6
 MONITOR_TOL = 1e-6
 STEP_MONOTONE_TOL = 1e-8
 
-# Samples converted to plain floats at a time: keeps the Python objects of
-# one block small instead of materialising the whole sample set as lists.
-_SAMPLE_BLOCK = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class MonotonicityCertificate:
@@ -68,6 +64,80 @@ class MonotonicityCertificate:
     d_hat: float
     d1_hat: float
     n_ratio_samples: int
+
+
+def _column_terms(param: Parametrization, f: Callable, samples) -> tuple:
+    """The f and alpha^T differences of all samples, one call per callable.
+
+    The alpha^T sum runs over the columns left to right, as `_dot` does.
+    Raises TypeError or ValueError when a callable cannot take the columns
+    or a result does not broadcast to one value per sample.
+    """
+    states, thetas, thetas_alt, diffs, times = samples
+    state = tuple(states.T)
+    df = (np.asarray(f(state, tuple(thetas_alt.T), times), dtype=float)
+          - np.asarray(f(state, tuple(thetas.T), times), dtype=float))
+    s = 0.0
+    for a, d in zip(param.alpha(state, times), diffs.T):
+        s = s + np.asarray(a, dtype=float) * d
+    return np.broadcast_to(df, times.shape), np.broadcast_to(s, times.shape)
+
+
+def _walk_terms(param: Parametrization, f: Callable, samples) -> np.ndarray:
+    """The same differences as an (n, 2) array, one plain-float call per sample."""
+    *vectors, times = samples
+    rows = zip(*(zip(*a.T.tolist()) for a in vectors), times.tolist())
+    return np.array([
+        (float(f(state, th_alt, t)) - float(f(state, th, t)), _dot(param.alpha(state, t), diff))
+        for state, th, th_alt, diff, t in rows
+    ])
+
+
+def _first_below(values: np.ndarray, bound: float):
+    """Index of the first smallest non-NaN value if it is below bound, else None."""
+    if values.size:
+        values = np.where(np.isnan(values), math.inf, values)
+        i = int(np.argmin(values))
+        if values[i] < bound:
+            return i
+    return None
+
+
+def _extreme_rows(df: np.ndarray, s: np.ndarray) -> tuple:
+    """(worst sign product row, largest ratio row, smallest ratio row, ratio count).
+
+    Each row is the first occurrence of its extreme, never a NaN, and None
+    when no sample beats the start value (inf, 0, inf) of a strict
+    comparison walk over the samples.
+    """
+    with np.errstate(all="ignore"):  # as plain floats: inf * 0 and overflow are silent
+        prod = df * s
+        rows = np.flatnonzero(np.abs(s) > RATIO_FLOOR)
+        ratio = np.abs(df[rows]) / np.abs(s[rows])
+    up, lo = _first_below(-ratio, 0.0), _first_below(ratio, math.inf)
+    return (_first_below(prod, math.inf), None if up is None else int(rows[up]),
+            None if lo is None else int(rows[lo]), int(rows.size))
+
+
+def _monotonicity_terms(param: Parametrization, f: Callable, samples) -> tuple:
+    """Per-sample differences (df, s) and their `_extreme_rows`.
+
+    The column call serves when it matches the plain-float call bit for bit
+    at row 0 and at every extreme row; otherwise the samples are walked.
+    """
+    try:
+        df, s = _column_terms(param, f, samples)
+    except (TypeError, ValueError):
+        pass
+    else:
+        rows = _extreme_rows(df, s)
+        checked = [0, *(i for i in rows[:3] if i is not None)]
+        got = np.stack((df[checked], s[checked]), axis=1)
+        want = _walk_terms(param, f, [a[checked] for a in samples])
+        if np.array_equal(got.view(np.int64), want.view(np.int64)):
+            return df, s, rows
+    df, s = _walk_terms(param, f, samples).T
+    return df, s, _extreme_rows(df, s)
 
 
 def verify_monotonicity(
@@ -97,10 +167,14 @@ def verify_monotonicity(
     clears the denominator floor.  Raises ValueError when n_samples < 1 and
     DimensionMismatchError when alpha's length differs from theta_box's.
 
-    The samples are walked as plain Python floats: f and param.alpha
-    receive the state and parameter vectors as tuples, so user callables
-    must accept any float sequence (tuple, list or 1-D numpy array), as
-    the integrators already require.
+    f and param.alpha are first called once on the sample columns: state
+    and theta as tuples of 1-D float arrays, one per coordinate, and t as a
+    1-D array; each result must broadcast to one value per sample.  When a
+    callable cannot take arrays (the call raises TypeError or ValueError),
+    or its column results differ bit for bit from a plain-float call at the
+    first sample or at a reported extreme, the samples are walked one by
+    one instead, with the vectors as tuples of plain floats and t as a
+    float.  Both paths give the same certificate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -113,43 +187,8 @@ def verify_monotonicity(
     n_alpha = len(param.alpha(states[0].tolist(), float(times[0, 0])))
     if n_alpha != theta_box.dim:  # _dot below would silently truncate
         raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)
-    diffs = thetas_alt - thetas
-
-    worst_sign = math.inf
-    worst_sign_witness = {}
-    d_hat = 0.0
-    d1_hat = math.inf
-    d_hat_witness = {}
-    d1_hat_witness = {}
-    n_ratio = 0
-    for lo in range(0, n_samples, _SAMPLE_BLOCK):
-        hi = lo + _SAMPLE_BLOCK
-        block = zip(
-            zip(*states[lo:hi].T.tolist()),
-            zip(*thetas[lo:hi].T.tolist()),
-            zip(*thetas_alt[lo:hi].T.tolist()),
-            zip(*diffs[lo:hi].T.tolist()),
-            times[lo:hi, 0].tolist(),
-        )
-        for state, th, th_alt, diff, t in block:
-            df = float(f(state, th_alt, t)) - float(f(state, th, t))
-            s = _dot(param.alpha(state, t), diff)
-            prod = df * s
-            if prod < worst_sign:
-                worst_sign = prod
-                worst_sign_witness = {
-                    "state": list(state), "theta": list(th),
-                    "theta_alt": list(th_alt), "t": t, "product": prod,
-                }
-            if abs(s) > RATIO_FLOOR:
-                n_ratio += 1
-                ratio = abs(df) / abs(s)
-                if ratio > d_hat:
-                    d_hat = ratio
-                    d_hat_witness = {"state": list(state), "ratio": ratio}
-                if ratio < d1_hat:
-                    d1_hat = ratio
-                    d1_hat_witness = {"state": list(state), "ratio": ratio}
+    samples = (states, thetas, thetas_alt, thetas_alt - thetas, times[:, 0])
+    df, s, (i_sign, i_up, i_lo, n_ratio) = _monotonicity_terms(param, f, samples)
 
     if n_ratio == 0:
         entry = CertificateEntry(
@@ -161,6 +200,21 @@ def verify_monotonicity(
             tolerance=SIGN_CONDITION_TOL,
         )
         return MonotonicityCertificate(entry, float("nan"), float("nan"), 0)
+
+    def ratio_witness(i):
+        ratio = abs(float(df[i])) / abs(float(s[i]))
+        return ratio, {"state": states[i].tolist(), "ratio": ratio}
+
+    worst_sign, worst_sign_witness = math.inf, {}
+    if i_sign is not None:
+        worst_sign = float(df[i_sign]) * float(s[i_sign])
+        worst_sign_witness = {
+            "state": states[i_sign].tolist(), "theta": thetas[i_sign].tolist(),
+            "theta_alt": thetas_alt[i_sign].tolist(), "t": float(times[i_sign, 0]),
+            "product": worst_sign,
+        }
+    d_hat, d_hat_witness = (0.0, {}) if i_up is None else ratio_witness(i_up)
+    d1_hat, d1_hat_witness = (math.inf, {}) if i_lo is None else ratio_witness(i_lo)
 
     slack_sign = worst_sign + SIGN_CONDITION_TOL
     slack_upper = d_declared * (1.0 + GROWTH_REL_SLACK) - d_hat

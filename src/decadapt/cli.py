@@ -63,6 +63,22 @@ def _scenario(args) -> OscillatorScenario:
     return replace(sc, **updates) if updates else sc
 
 
+def _checked(convert, ok, need: str):
+    """An argparse type: convert, then reject values failing ok as not `need`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "finite")
+_WINDOW = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", help="'oscillator' or a scenario file path")
     parser.add_argument("--k1", type=float, default=None, help="coupling into the x subsystem")
@@ -198,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_cert)
     p_cert.add_argument("--out", default=None, help="report base path (.txt and .json)")
     p_cert.add_argument("--monotonicity-samples", type=int, default=10000)
-    p_cert.add_argument("--tail-window", type=float, default=5.0)
-    p_cert.add_argument("--tail-threshold", type=float, default=1e-2)
+    p_cert.add_argument("--tail-window", type=_WINDOW, default=5.0)
+    p_cert.add_argument("--tail-threshold", type=_FINITE, default=1e-2)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="grid over couplings: pass/fail and tail errors")
@@ -207,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k1-grid", dest="k1_grid", default="0.1:1.0:4",
                          help="start:stop:count or comma list")
     p_sweep.add_argument("--k2-grid", dest="k2_grid", default="0.1:1.0:4")
-    p_sweep.add_argument("--tail-window", type=float, default=5.0)
-    p_sweep.add_argument("--workers", type=int, default=0, help="0 = one per CPU")
+    p_sweep.add_argument("--tail-window", type=_WINDOW, default=5.0)
+    p_sweep.add_argument("--workers", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0,
+                         help="0 = one per CPU")
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 

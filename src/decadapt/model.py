@@ -12,8 +12,12 @@ symbolic or automatic differentiation anywhere in the package.
 Vector-valued callables may return any sequence of floats (list, tuple or
 1-D numpy array).  Scalar-valued callables must return a plain float.
 Callables must likewise accept states and parameter vectors as any float
-sequence: the integrators and the monotonicity sampler pass lists and
-tuples of plain floats, the finite-difference validators numpy rows.
+sequence: the integrators pass lists and tuples of plain floats, the
+finite-difference validators numpy rows.  The monotonicity sampler calls
+the drift channel and alpha once with tuples of sample-column arrays, and
+walks the samples on plain-float tuples when that call raises TypeError or
+ValueError or its results differ bit for bit from the plain-float call at
+a spot-checked sample.
 """
 
 from __future__ import annotations

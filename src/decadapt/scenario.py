@@ -99,10 +99,15 @@ class OscillatorScenario:
         )
 
 
-def damping(position: float, theta: float, offset: float, wobble: float) -> float:
-    """Nonlinear damping force: linear-in-shifted-position plus a bounded sine."""
+def damping(position: float, theta: float, offset: float, wobble: float, sin=math.sin) -> float:
+    """Nonlinear damping force: linear-in-shifted-position plus a bounded sine.
+
+    The integrators call it on floats with `math.sin`, which is about three
+    times faster there than `np.sin`; the monotonicity certificate passes
+    sin=np.sin to evaluate whole sample columns in one call.
+    """
     s = theta * (position - offset)
-    return s + wobble * math.sin(s)
+    return s + wobble * sin(s)
 
 
 def _shapers(sc: OscillatorScenario) -> tuple:
@@ -242,7 +247,7 @@ def certify_oscillator(
 
     for tag, loop, offset, wobble in loops:
         def drift(state, theta_vec, t, _o=offset, _w=wobble):
-            return state[1] + damping(state[0], theta_vec[0], _o, _w)
+            return state[1] + damping(state[0], theta_vec[0], _o, _w, np.sin)
 
         cert = verify_monotonicity(
             loop.param,

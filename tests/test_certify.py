@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decadapt import (
     DomainBox,
@@ -18,6 +21,7 @@ from decadapt import (
     verify_coupling_bound,
     verify_monotonicity,
 )
+from decadapt import scenario
 from decadapt.certify import (
     GROWTH_REL_SLACK,
     RATIO_FLOOR,
@@ -38,6 +42,7 @@ from decadapt.scenario import (
     MONOTONICITY_THETA_BOX,
     WOBBLE_X,
     WOBBLE_Y,
+    certify_oscillator,
     damping,
 )
 from decadapt.simulate import integrate_loop, zero_disturbance
@@ -206,8 +211,13 @@ def reference_monotonicity(param, f, state_box, theta_box, n_samples,
     return MonotonicityCertificate(entry, d_hat, d1_hat, n_ratio)
 
 
-def oscillator_channel(tag):
-    """Parametrization and drift channel certify_oscillator checks for one loop."""
+@functools.cache
+def oscillator_channel(tag, sin=np.sin):
+    """Parametrization and drift channel certify_oscillator checks for one loop.
+
+    With np.sin the drift takes sample columns, as certify_oscillator's
+    does; with math.sin it takes plain floats only.
+    """
     sc = OscillatorScenario()
     sys = build_oscillator(sc)
     loop, offset, wobble = {
@@ -215,7 +225,7 @@ def oscillator_channel(tag):
     }[tag]
 
     def drift(state, theta_vec, t):
-        return state[1] + damping(state[0], theta_vec[0], offset, wobble)
+        return state[1] + damping(state[0], theta_vec[0], offset, wobble, sin)
 
     return loop.param, drift
 
@@ -231,8 +241,18 @@ def assert_same_certificate(got, want):
         assert math.isnan(got.d_hat) and math.isnan(got.d1_hat)
 
 
+def counting(f):
+    """f with a call counter in its `calls` attribute."""
+    def counted(*args):
+        counted.calls += 1
+        return f(*args)
+
+    counted.calls = 0
+    return counted
+
+
 class TestMonotonicityMatchesRowLoop:
-    """The plain-float sample blocks reproduce the per-row numpy loop."""
+    """The column path and the per-sample walk reproduce the per-row numpy loop."""
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
     @pytest.mark.parametrize("tag", ["x", "y"])
@@ -240,6 +260,34 @@ class TestMonotonicityMatchesRowLoop:
         param, drift = oscillator_channel(tag)
         args = (param, drift, MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
         assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
+
+    @pytest.mark.parametrize("n", [1, 2500])
+    @pytest.mark.parametrize("tag", ["x", "y"])
+    def test_scalar_only_oscillator_channels_exact(self, tag, n):
+        # math.sin rejects arrays: the per-sample walk runs
+        param, drift = oscillator_channel(tag, math.sin)
+        args = (param, drift, MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
+        assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
+
+    def test_mis_broadcasting_drift_is_walked(self):
+        # on columns np.sum adds up the whole sample block into one scalar,
+        # which broadcasts silently; the spot check against the plain-float
+        # call must catch it and walk the samples instead
+        n = 1500
+        f = counting(lambda s, th, t: th[0] * float(np.sum(s)))
+        args = (shifted_alpha(), f, STATE_BOX, THETA_BOX, n)
+        got = verify_monotonicity(*args)
+        assert f.calls > 2 * n
+        assert_same_certificate(got, reference_monotonicity(*args))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_columns_match_walk(self, n, seed):
+        for tag in ("x", "y"):
+            (param, columns), (_, walk) = oscillator_channel(tag), oscillator_channel(tag, math.sin)
+            boxes = (MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
+            assert_same_certificate(verify_monotonicity(param, columns, *boxes, seed=seed),
+                                    verify_monotonicity(param, walk, *boxes, seed=seed))
 
     def test_two_parameter_channel(self):
         param = Parametrization(
@@ -290,6 +338,43 @@ class TestMonotonicityMatchesRowLoop:
         got, want = verify_monotonicity(*args), reference_monotonicity(*args)
         assert got.entry.status == INCONCLUSIVE
         assert_same_certificate(got, want)
+
+
+class TestColumnDrift:
+    def test_damping_on_columns_matches_floats(self):
+        # the certify drift evaluates damping with np.sin on the monotonicity
+        # samples; the golden monotonicity entries rely on it matching the
+        # per-float math.sin calls bit for bit
+        time_box = DomainBox((0.0,), (0.0,))
+        states, thetas, thetas_alt, _ = joint_sample(
+            [MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, MONOTONICITY_THETA_BOX, time_box],
+            100_000,
+        )
+        sc = OscillatorScenario()
+        for offset, wobble in ((sc.offset_x, WOBBLE_X), (sc.offset_y, WOBBLE_Y)):
+            for th in (thetas[:, 0], thetas_alt[:, 0]):
+                got = damping(states[:, 0], th, offset, wobble, np.sin)
+                want = np.array([damping(p, q, offset, wobble)
+                                 for p, q in zip(states[:, 0].tolist(), th.tolist())])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_certify_calls_drift_on_columns(self, monkeypatch):
+        # a silent fall back to the per-sample walk keeps every certificate
+        # right but costs two drift calls per sample; count them
+        drifts = []
+
+        def verify(param, f, *args, **kwargs):
+            drifts.append(counting(f))
+            return verify_monotonicity(param, drifts[-1], *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "verify_monotonicity", verify)
+        sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=0.5))
+        certify_oscillator(sc, n_monotonicity_samples=10_000, tail_window=0.25,
+                           tail_threshold=1e6)
+        assert len(drifts) == 2
+        # two column calls, and two plain-float calls per spot-checked row
+        # (row 0 and at most three extreme rows)
+        assert all(f.calls <= 2 + 2 * 4 for f in drifts)
 
 
 class TestSmallGainLinear:

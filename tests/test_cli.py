@@ -131,6 +131,51 @@ class TestCertifyCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestTailAndWorkerFlags:
+    """Tail and worker flags that cannot be honoured are usage errors before any work."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tail_threshold(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify", "oscillator", "--t-final", "1.0", "--monotonicity-samples", "100",
+                     f"--tail-threshold={value}", "--out", str(tmp_path / "report")])
+        assert exc.value.code == 2
+        assert "--tail-threshold" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    @pytest.mark.parametrize("value", ["-5", "-1", "nan", "inf"])
+    def test_bad_tail_window(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        extra = (["--monotonicity-samples", "100"] if command == "certify"
+                 else ["--k1-grid", "0.1", "--k2-grid", "0.1", "--workers", "1"])
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "oscillator", "--t-final", "1.0", *extra,
+                     f"--tail-window={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tail-window" in err and "zero-size array" not in err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    def test_zero_tail_window_is_valid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "oscillator", "--k1-grid", "0.1", "--k2-grid", "0.1",
+                        "--t-final", "1.0", "--tail-window", "0", "--workers", "1",
+                        "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_negative_workers(self, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "oscillator", "--k1-grid", "0.1", "--k2-grid", "0.1",
+                     "--t-final", "1.0", f"--workers={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_grid_table(self, tmp_path):
         out = tmp_path / "sweep.csv"

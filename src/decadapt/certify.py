@@ -476,6 +476,11 @@ def monitor_tail_convergence(
     is attested only as finite-horizon tail bounds over the trailing
     `window` time units.
     """
+    if not window >= 0:
+        raise ValueError(f"tail window must be >= 0, got {window!r}")
+    if math.isnan(psi_threshold) or math.isnan(mismatch_threshold):
+        raise ValueError(f"tail thresholds must not be NaN, got {psi_threshold!r}, "
+                         f"{mismatch_threshold!r}")
     if traj.status != STATUS_COMPLETED:
         raise ValueError(f"convergence monitor needs a completed trajectory, got {traj.status!r}")
     t = traj.t

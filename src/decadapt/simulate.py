@@ -8,15 +8,18 @@ Every integrator in this module runs the same two pieces: one compiled
 closed-loop kernel per loop (`_compile_loop`), which evaluates the
 certainty-equivalent control law, and one RK4 driver (`_rk4`), which logs
 raw samples of the state and of the kernel's diagnostics on the thinned
-grid.  Loops with one coordinate per block and one parameter get scalar
-forms of both kernels (`_scalar_kernels`), bit-identical to the general
-ones (`_general_kernels`) and several times cheaper per evaluation.  The
-scalar reduced-form kernel behind `integrate_virtual` computes its own
-estimate rate and never calls into the realizable one, so it stays an
-independent oracle for the PI estimator.  Running signal
-norms are computed after the run from the logged samples by trapezoidal
-quadrature (`running_l2`); their quadrature error is folded into the
-tolerances of the checks that consume them.
+grid.  The driver is generated from one template per block layout of the
+state on first use (as `dataclasses` generates `__init__`), with the state
+in float locals and the stages unrolled.  Loops with one coordinate per
+block and one parameter get scalar forms of both kernels
+(`_scalar_kernels`), bit-identical to the general ones
+(`_general_kernels`) and several times cheaper per evaluation.  The scalar
+reduced-form kernel behind `integrate_virtual` computes its own estimate
+rate and never calls into the realizable one, so it stays an independent
+oracle for the PI estimator.  Running signal norms are computed after the
+run from the logged samples by trapezoidal quadrature (`running_l2`);
+their quadrature error is folded into the tolerances of the checks that
+consume them.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -26,6 +29,7 @@ status on the trajectory, never an exception.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -363,69 +367,99 @@ def _scalar_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag
     return rates, virtual_rates
 
 
-def _rk4(rhs_full, y0, t0: float, step: float, n_steps: int, every: int, bound: float):
-    """Fixed-step RK4 shared by every integrator; logs raw samples every `every` steps.
+# The body of every RK4 run, compiled once per block layout by `_rk4`.  Only
+# integers derived from the block sizes are formatted into it.
+_RK4_TEMPLATE = """\
+def run(rhs, y_init, t0, h, n_steps, every, bound):
+    half = 0.5 * h
+    sixth = h / 6.0
+    lo = -bound
+    ({y}) = [float(v) for v in y_init]
+    k1, diag = rhs(t0, {at_y})
+    if len(k1) != {n}:
+        raise ValueError("rhs returned %d rates for a state of length {n}" % len(k1))
+    ({k1}) = k1
+    log = _log_buffer(n_steps, every, h, {n1} + len(diag))
+    log[0] = (t0, {y}*diag)
+    logged = 1
+    status = STATUS_COMPLETED
+    t = t0
+    for k in range(1, n_steps + 1):
+        try:
+            ({k2}), _ = rhs(t + half, {at_k1})
+            ({k3}), _ = rhs(t + half, {at_k2})
+            ({k4}), _ = rhs(t + h, {at_k3})
+            {update}
+            if not ({in_bounds}):
+                status = STATUS_DIVERGED
+                break
+            t = t0 + k * h
+            if k < n_steps or k % every == 0:
+                ({k1}), diag = rhs(t, {at_y})
+                if k % every == 0:
+                    log[logged] = (t, {y}*diag)
+                    logged += 1
+        except ControlSingularityError:
+            status = STATUS_SINGULAR
+            break
+    log = log[:logged]
+    return log[:, 0], log[:, 1:{n1}], log[:, {n1}:], status
+"""
+_RK4_RUNNERS: dict = {}
 
-    rhs_full(t, y) -> (derivative list, diag sequence).  A sample is the
+
+def _rk4(sizes: tuple):
+    """The fixed-step RK4 driver of every integrator, for a state in blocks of `sizes`.
+
+    run(rhs, y0, t0, step, n_steps, every, bound) -> (t, y, diag, status),
+    one row per sample logged every `every` steps.  rhs(t, *blocks) ->
+    (rates, diag) gets the state blocks as fresh lists.  A sample is the
     time, the state and the diag at a grid point; the diag comes from the
     stage-one evaluation the step needs anyway.  The run stops early when a
     state component leaves [-bound, bound] (a NaN does too) or when the
     control law is undefined; an undefined law at the initial point is a
-    caller error and propagates.  Returns (t, y, diag, status), one row per
-    logged sample.
+    caller error and propagates, as does a rate vector of the wrong length.
+    The runner keeps the state in float locals with the stages unrolled; it
+    is generated from `_RK4_TEMPLATE` on first use and cached per layout.
     """
-    h = step
-    half = 0.5 * h
-    sixth = h / 6.0
-    y = [float(v) for v in y0]
+    sizes = tuple(operator.index(m) for m in sizes)
+    if sizes in _RK4_RUNNERS:
+        return _RK4_RUNNERS[sizes]
+    n = sum(sizes)
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
 
-    k1, diag = rhs_full(t0, y)
-    n_logs = n_steps // every + 1
-    t_log = np.empty(n_logs)
-    y_log = np.empty((n_logs, len(y)))
-    diag_log = np.empty((n_logs, len(diag)))
-    logged = 0
+    def blocks(expr):  # one list per block of `expr` over its coordinates i
+        return ", ".join("[" + ", ".join(expr.format(i=i) for i in range(a, a + m)) + "]"
+                         for a, m in zip(starts, sizes))
 
-    def log(t, y, diag):
-        nonlocal logged
-        t_log[logged] = t
-        y_log[logged] = y
-        diag_log[logged] = diag
-        logged += 1
+    def names(prefix):  # "y0, y1, " for prefix y
+        return "".join(f"{prefix}{i}, " for i in range(n))
 
-    log(t0, y, diag)
-    status = STATUS_COMPLETED
-    for k in range(n_steps):
-        t = t0 + k * h
-        try:
-            if k:
-                k1, diag = rhs_full(t, y)
-                if k % every == 0:
-                    log(t, y, diag)
-            k2, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k1)])
-            k3, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k2)])
-            k4, _ = rhs_full(t + h, [a + h * b for a, b in zip(y, k3)])
-        except ControlSingularityError:
-            status = STATUS_SINGULAR
-            break
-        y = [a + sixth * (b + 2.0 * (c + d) + e)
-             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-        for v in y:
-            if not -bound <= v <= bound:
-                status = STATUS_DIVERGED
-                break
-        if status == STATUS_DIVERGED:
-            break
-    else:
-        if n_steps % every == 0:
-            tf = t0 + n_steps * h
-            try:
-                _, diag = rhs_full(tf, y)
-            except ControlSingularityError:
-                status = STATUS_SINGULAR
-            else:
-                log(tf, y, diag)
-    return t_log[:logged], y_log[:logged], diag_log[:logged], status
+    source = _RK4_TEMPLATE.format(
+        n=n, n1=n + 1, y=names("y"),
+        k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
+        at_y=blocks("y{i}"), at_k1=blocks("y{i} + half * k1_{i}"),
+        at_k2=blocks("y{i} + half * k2_{i}"), at_k3=blocks("y{i} + h * k3_{i}"),
+        update="\n            ".join(
+            f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"
+            for i in range(n)),
+        in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)) or "True",
+    )
+    namespace = {}
+    exec(compile(source, f"<rk4 driver {sizes}>", "exec"), globals(), namespace)
+    _RK4_RUNNERS[sizes] = namespace["run"]
+    return namespace["run"]
+
+
+def _log_buffer(n_steps: int, every: int, step: float, width: int):
+    """Empty log of a run, one row of `width` per sample; too large for memory is a ValueError."""
+    rows = n_steps // every + 1
+    try:
+        return np.empty((rows, width))
+    except MemoryError:
+        raise ValueError(f"t_final = {n_steps * step:g}, step = {step:g} and log_every = "
+                         f"{every} ask for a log of {rows} rows, more than fits in memory"
+                         ) from None
 
 
 def rk4_path(rhs: Callable, y0, t0: float, step: float, n_steps: int) -> tuple:
@@ -436,7 +470,8 @@ def rk4_path(rhs: Callable, y0, t0: float, step: float, n_steps: int) -> tuple:
     state still ends the path); the entry point exists for probing
     integrator accuracy directly.
     """
-    times, states, _, _ = _rk4(lambda t, y: (rhs(t, y), ()), y0, t0, step, n_steps, 1, math.inf)
+    run = _rk4((len(y0),))
+    times, states, _, _ = run(lambda t, y: (rhs(t, y), ()), y0, t0, step, n_steps, 1, math.inf)
     return times, states
 
 
@@ -475,15 +510,13 @@ def integrate(
     ax, bx = n_x, n_x + d_x
     ay = bx + n_y
 
-    def rhs_full(t, aug):
-        x = aug[:ax]
-        y = aug[bx:ay]
-        xd, diag_x = rates_x(x, aug[ax:bx], t, into_x2(y, t))
-        yd, diag_y = rates_y(y, aug[ay:], t, into_y2(x, t))
+    def rhs_full(t, x, theta_i_x, y, theta_i_y):
+        xd, diag_x = rates_x(x, theta_i_x, t, into_x2(y, t))
+        yd, diag_y = rates_y(y, theta_i_y, t, into_y2(x, t))
         return xd + yd, diag_x + diag_y
 
-    t, aug, diag, status = _rk4(rhs_full, aug0, t0, cfg.step, cfg.n_steps, cfg.log_every,
-                                cfg.divergence_bound)
+    t, aug, diag, status = _rk4(sys.dims)(rhs_full, aug0, t0, cfg.step, cfg.n_steps,
+                                          cfg.log_every, cfg.divergence_bound)
     split = 4 + d_x
     loops = {
         "x": _loop_record(t, aug[:, :ax], aug[:, ax:bx], diag[:, :split], status),
@@ -501,14 +534,15 @@ def _run_single(kernel, loop: AdaptiveLoopSpec, disturbance: Disturbance, cfg: I
         raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
                          f"got {len(state0)} and {len(est0)}")
     direction = disturbance.resolve_direction(loop.spec.layout.p)
+    d0, one = direction[0], len(direction) == 1  # p = 1 needs no comprehension
     signal = disturbance.signal
 
-    def rhs_full(t, z):
+    def rhs_full(t, state, est):
         s = signal(t)
-        return kernel(z[:n], z[n:], t, [s * dv for dv in direction])
+        return kernel(state, est, t, [s * d0] if one else [s * dv for dv in direction])
 
-    t, z, diag, status = _rk4(rhs_full, state0 + est0, t0, cfg.step, cfg.n_steps, cfg.log_every,
-                              cfg.divergence_bound)
+    t, z, diag, status = _rk4((n, d))(rhs_full, state0 + est0, t0, cfg.step, cfg.n_steps,
+                                      cfg.log_every, cfg.divergence_bound)
     return t, z[:, :n], z[:, n:], diag, status
 
 

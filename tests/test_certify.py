@@ -554,6 +554,34 @@ class TestConvergenceMonitor:
             monitor_tail_convergence(traj, 0.5, 1.0, 1.0)
 
 
+class TestTailArguments:
+    """A tail window or threshold that cannot be honoured is a ValueError naming it."""
+
+    @pytest.mark.parametrize("window", [-5.0, math.nan])
+    def test_bad_window(self, coupled_traj, window):
+        with pytest.raises(ValueError, match="window"):
+            monitor_tail_convergence(coupled_traj, window, 1e-2, 1e-2)
+
+    @pytest.mark.parametrize("thresholds", [(math.nan, 1e-2), (1e-2, math.nan)])
+    def test_nan_threshold(self, coupled_traj, thresholds):
+        with pytest.raises(ValueError, match="threshold"):
+            monitor_tail_convergence(coupled_traj, 1.0, *thresholds)
+
+    def test_zero_window_is_valid(self, coupled_traj):
+        entries = monitor_tail_convergence(coupled_traj, 0.0, 1e-2, 1e-2)
+        assert all(e.witness["from_t"] == coupled_traj.t_end for e in entries)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"tail_window": -5.0}, "window"),
+        ({"tail_window": math.nan}, "window"),
+        ({"tail_threshold": math.nan}, "threshold"),
+    ])
+    def test_certify_oscillator(self, kwargs, name):
+        sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=1.0))
+        with pytest.raises(ValueError, match=name):
+            certify_oscillator(sc, n_monotonicity_samples=100, **kwargs)
+
+
 class TestReportConventions:
     def test_entry_validation(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,24 @@ class TestTailAndWorkerFlags:
         assert not out.exists()
 
 
+class TestOversizedRun:
+    """A horizon whose log cannot be allocated is a usage error, not a MemoryError."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("sweep", ["--workers", "1", "--k1-grid", "0.1", "--k2-grid", "0.1"]),
+    ])
+    def test_exits_two(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "oscillator", "--t-final", "1e9", *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for name in ("t_final", "step", "log_every", "1000000000001 rows"):
+            assert name in err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_grid_table(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -6,6 +6,7 @@ scipy's `qmc.Halton(scramble=True)` where scipy is installed, and against
 rows recorded with `repr()` from the scipy-backed sampler where it is not.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -111,11 +112,23 @@ class TestSupersetProperty:
         assert same_bits(large[:count], small)
 
 
-def test_import_leaves_scipy_unloaded():
-    code = "import sys, decadapt; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@functools.cache
+def packages_loaded_by_import() -> frozenset:
+    """Top-level packages a fresh interpreter holds after `import decadapt`."""
+    code = "import sys, decadapt; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    assert proc.stdout.strip() == "[]"
+    return frozenset(proc.stdout.split())
+
+
+def test_import_leaves_scipy_unloaded():
+    assert "scipy" not in packages_loaded_by_import()
+
+
+@pytest.mark.parametrize("package", ["concurrent", "multiprocessing"])
+def test_import_leaves_process_pool_unloaded(package):
+    # the sweep's pool belongs to the CLI; importing the library must not pay for it
+    assert package not in packages_loaded_by_import()

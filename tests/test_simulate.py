@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decadapt import (
     AdaptiveLoopSpec,
@@ -21,10 +23,12 @@ from decadapt import (
     write_trajectory_csv,
     zero_potential,
 )
+from decadapt.controller import ControlSingularityError
 from decadapt.simulate import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_SINGULAR,
+    _rk4,
     exponential_disturbance,
     first_attainment_time,
     pulse_disturbance,
@@ -68,6 +72,168 @@ class TestRk4Core:
         e_fine = abs(rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 0.05, 20)[1][-1, 0]
                      - math.exp(-1.0))
         assert e_coarse / e_fine >= 14.0
+
+
+    @pytest.mark.parametrize("rates", [
+        lambda t, y: [-y[0]],
+        lambda t, y: [-y[0], -y[1], 0.0],
+    ])
+    def test_wrong_length_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match=rf"{len(rates(0.0, [1.0, 2.0]))} rates .* length 2"):
+            rk4_path(rates, [1.0, 2.0], 0.0, 0.1, 3)
+
+    def test_rates_changing_length_mid_run_rejected(self):
+        with pytest.raises(ValueError):
+            rk4_path(lambda t, y: [-y[0]] * (1 if t > 0.15 else 2), [1.0, 2.0], 0.0, 0.1, 3)
+
+
+def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
+    """The list-comprehension RK4 driver the generated one replaced, kept as the reference."""
+    h = step
+    half = 0.5 * h
+    sixth = h / 6.0
+    y = [float(v) for v in y0]
+
+    k1, diag = rhs_full(t0, y)
+    n_logs = n_steps // every + 1
+    t_log = np.empty(n_logs)
+    y_log = np.empty((n_logs, len(y)))
+    diag_log = np.empty((n_logs, len(diag)))
+    logged = 0
+
+    def log(t, y, diag):
+        nonlocal logged
+        t_log[logged] = t
+        y_log[logged] = y
+        diag_log[logged] = diag
+        logged += 1
+
+    log(t0, y, diag)
+    status = STATUS_COMPLETED
+    for k in range(n_steps):
+        t = t0 + k * h
+        try:
+            if k:
+                k1, diag = rhs_full(t, y)
+                if k % every == 0:
+                    log(t, y, diag)
+            k2, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k1)])
+            k3, _ = rhs_full(t + half, [a + half * b for a, b in zip(y, k2)])
+            k4, _ = rhs_full(t + h, [a + h * b for a, b in zip(y, k3)])
+        except ControlSingularityError:
+            status = STATUS_SINGULAR
+            break
+        y = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+        for v in y:
+            if not -bound <= v <= bound:
+                status = STATUS_DIVERGED
+                break
+        if status == STATUS_DIVERGED:
+            break
+    else:
+        if n_steps % every == 0:
+            tf = t0 + n_steps * h
+            try:
+                _, diag = rhs_full(tf, y)
+            except ControlSingularityError:
+                status = STATUS_SINGULAR
+            else:
+                log(tf, y, diag)
+    return t_log[:logged], y_log[:logged], diag_log[:logged], status
+
+
+def field(coeffs, n_diag, nan_after, singular_call):
+    """A smooth rhs(t, y) -> (rates, diag) with an optional NaN or singularity trigger.
+
+    Rates mix a linear growth term, a tanh coupling to the next coordinate,
+    a cos forcing and a quadratic term that can blow up; from time
+    nan_after on they are NaN, and call number singular_call (0 = the
+    initial point) raises ControlSingularityError.
+    """
+    calls = [0]
+
+    def rhs(t, y):
+        call, calls[0] = calls[0], calls[0] + 1
+        if call == singular_call:
+            raise ControlSingularityError(y, t, 0.0, subsystem="probe")
+        rates = [g * v + a * math.tanh(y[(i + 1) % len(y)]) + b * math.cos(t) - c * v * v
+                 for i, (v, (g, a, b, c)) in enumerate(zip(y, coeffs))]
+        if t >= nan_after:
+            rates[-1] = math.nan
+        return rates, tuple(sum(y) * j - t for j in range(n_diag))
+
+    return rhs
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestGeneratedDriver:
+    """The generated per-layout driver reproduces the reference driver bit for bit."""
+
+    @staticmethod
+    def both(sizes, coeffs, y0, n_diag, n_steps, every, bound, nan_after=math.inf,
+             singular_call=-1, t0=0.0, step=0.05):
+        want = reference_rk4(field(coeffs, n_diag, nan_after, singular_call), y0, t0, step,
+                             n_steps, every, bound)
+        flat = field(coeffs, n_diag, nan_after, singular_call)
+
+        def blocks_rhs(t, *blocks):
+            assert [len(b) for b in blocks] == list(sizes)
+            assert all(type(b) is list for b in blocks)
+            return flat(t, [v for b in blocks for v in b])
+
+        got = _rk4(sizes)(blocks_rhs, y0, t0, step, n_steps, every, bound)
+        return got, want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+           n_diag=st.integers(0, 3), n_steps=st.integers(1, 40), every=st.integers(1, 9),
+           stop=st.sampled_from(["none", "diverge", "nan", "singular"]))
+    def test_matches_reference(self, data, sizes, n_diag, n_steps, every, stop):
+        n = sum(sizes)
+        small = st.floats(-2.0, 2.0, allow_nan=False)
+        coeffs = data.draw(st.lists(st.tuples(st.floats(-1.0, 4.0), small, small,
+                                              st.floats(0.0, 0.5)), min_size=n, max_size=n))
+        y0 = data.draw(st.lists(small, min_size=n, max_size=n))
+        bound, nan_after, singular_call = math.inf, math.inf, -1
+        if stop == "diverge":
+            bound = data.draw(st.floats(2.0, 6.0))
+        elif stop == "nan":
+            nan_after = data.draw(st.floats(0.0, 0.05 * n_steps))
+        elif stop == "singular":
+            singular_call = data.draw(st.integers(1, 4 * n_steps + 1))
+        (t, y, diag, status), want = self.both(sizes, coeffs, y0, n_diag, n_steps, every,
+                                               bound, nan_after, singular_call)
+        assert status == want[3]
+        for got_part, want_part in zip((t, y, diag), want[:3]):
+            assert same_bits(got_part, want_part)
+
+    @pytest.mark.parametrize("every", [1, 2, 5, 10])
+    def test_singular_at_final_point(self, every):
+        # call 0 is the initial point and 10 steps make 39 more; call 40 is the final point
+        (t, y, diag, status), want = self.both((2, 1), [(0.5, 0.3, -0.2, 0.1)] * 3,
+                                               [0.1, -0.0, 1.0], 2, 10, every, math.inf,
+                                               singular_call=40)
+        assert status == want[3] == STATUS_SINGULAR
+        assert t[-1] == want[0][-1] == 0.05 * (10 - every)
+        assert all(same_bits(a, b) for a, b in zip((t, y, diag), want[:3]))
+
+    def test_singular_at_initial_point_propagates(self):
+        for run in (lambda rhs: reference_rk4(rhs, [1.0], 0.0, 0.1, 3, 1, math.inf),
+                    lambda rhs: _rk4((1,))(rhs, [1.0], 0.0, 0.1, 3, 1, math.inf)):
+            with pytest.raises(ControlSingularityError):
+                run(field([(1.0, 0.0, 0.0, 0.0)], 1, math.inf, 0))
+
+    def test_float64_initial_data_become_floats(self):
+        seen = []
+        _rk4((2,))(lambda t, y: (seen.append(y) or [0.0, 0.0], ()),
+                   list(np.array([1.0, 2.0])), 0.0, 0.1, 1, 1, math.inf)
+        assert all(type(v) is float for y in seen for v in y)
 
 
 class TestRunningNorms:

@@ -42,6 +42,7 @@ __all__ = [
     "SmallGainProblem",
     "check_poincare",
     "check_small_gain",
+    "check_tail_arguments",
     "monitor_loop_bounds",
     "monitor_tail_convergence",
     "realizability_residual",
@@ -463,6 +464,15 @@ def verify_coupling_bound(
     )
 
 
+def check_tail_arguments(window: float, psi_threshold: float, mismatch_threshold: float) -> None:
+    """Reject a tail window or threshold that cannot be honoured, naming it."""
+    if not window >= 0:
+        raise ValueError(f"tail window must be >= 0, got {window!r}")
+    if math.isnan(psi_threshold) or math.isnan(mismatch_threshold):
+        raise ValueError(f"tail thresholds must not be NaN, got {psi_threshold!r}, "
+                         f"{mismatch_threshold!r}")
+
+
 def monitor_tail_convergence(
     traj,
     window: float,
@@ -476,11 +486,7 @@ def monitor_tail_convergence(
     is attested only as finite-horizon tail bounds over the trailing
     `window` time units.
     """
-    if not window >= 0:
-        raise ValueError(f"tail window must be >= 0, got {window!r}")
-    if math.isnan(psi_threshold) or math.isnan(mismatch_threshold):
-        raise ValueError(f"tail thresholds must not be NaN, got {psi_threshold!r}, "
-                         f"{mismatch_threshold!r}")
+    check_tail_arguments(window, psi_threshold, mismatch_threshold)
     if traj.status != STATUS_COMPLETED:
         raise ValueError(f"convergence monitor needs a completed trajectory, got {traj.status!r}")
     t = traj.t

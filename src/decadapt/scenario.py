@@ -33,6 +33,7 @@ from .certify import (
     CertificateReport,
     SmallGainProblem,
     check_small_gain,
+    check_tail_arguments,
     monitor_loop_bounds,
     monitor_tail_convergence,
     verify_coupling_bound,
@@ -225,8 +226,10 @@ def certify_oscillator(
 
     Returns (CertificateReport, Trajectory or None).  The trajectory is None
     when the simulation aborted; the report then carries a failing
-    simulation-status entry instead of the runtime monitors.
+    simulation-status entry instead of the runtime monitors, so the tail
+    arguments are checked first.
     """
+    check_tail_arguments(tail_window, tail_threshold, tail_threshold)
     sys = build_oscillator(sc)
     report = CertificateReport()
     loops = (("x", sys.loop_x, sc.offset_x, WOBBLE_X), ("y", sys.loop_y, sc.offset_y, WOBBLE_Y))

@@ -8,18 +8,14 @@ Every integrator in this module runs the same two pieces: one compiled
 closed-loop kernel per loop (`_compile_loop`), which evaluates the
 certainty-equivalent control law, and one RK4 driver (`_rk4`), which logs
 raw samples of the state and of the kernel's diagnostics on the thinned
-grid.  The driver is generated from one template per block layout of the
-state on first use (as `dataclasses` generates `__init__`), with the state
-in float locals and the stages unrolled.  Loops with one coordinate per
-block and one parameter get scalar forms of both kernels
-(`_scalar_kernels`), bit-identical to the general ones
-(`_general_kernels`) and several times cheaper per evaluation.  The scalar
-reduced-form kernel behind `integrate_virtual` computes its own estimate
-rate and never calls into the realizable one, so it stays an independent
-oracle for the PI estimator.  Running signal norms are computed after the
-run from the logged samples by trapezoidal quadrature (`running_l2`);
-their quadrature error is folded into the tolerances of the checks that
-consume them.
+grid.  Both are generated from templates on first use (as `dataclasses`
+generates `__init__`): the driver once per block layout of the state, with
+the state in float locals and the stages unrolled, and the kernel once per
+(q, p, d) loop layout, with every callable result unpacked to its declared
+length and every dot product written out.  Running signal norms are
+computed after the run from the logged samples by trapezoidal quadrature
+(`running_l2`); their quadrature error is folded into the tolerances of the
+checks that consume them.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -28,6 +24,7 @@ status on the trajectory, never an exception.
 
 from __future__ import annotations
 
+import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -38,7 +35,6 @@ import numpy as np
 from .adaptation import AdaptiveLoopSpec
 from .controller import DEFAULT_CONTROL_CONFIG, ControlLawConfig, ControlSingularityError
 from .interconnect import CoupledClosedLoop
-from .model import _dot
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -204,167 +200,118 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawCon
     - virtual_rates(state, theta_hat, t, inject2) ->
       (state_dot + theta_hat_dot, (psi, u)) is the reduced update law
       gain @ ((psi_dot + phi) * alpha), with psi_dot the chain-rule
-      derivative along the closed loop.  It keeps its own estimator
-      arithmetic so that it stays an independent oracle for `rates`.
+      derivative along the closed loop.
 
     inject2 is the additive second-block contribution (coupling or an
-    exogenous disturbance).  Loops with q = p = d = 1 get the scalar pair
-    of `_scalar_kernels`, any other layout the general pair of
-    `_general_kernels`; both pairs compute the same bits.  In either pair
-    the virtual kernel shares with `rates` at most the evaluation of the
-    control input and the true plant rate, never the PI estimate or its
-    integral-state rate, which is what keeps it an independent oracle.
+    exogenous disturbance).  Both closures come from `_KERNEL_TEMPLATE`,
+    generated once per (q, p, d) layout; they share only the text of the
+    control input and the plant rate, so `virtual_rates` stays an
+    independent oracle for the PI estimator.  A callable output of the
+    wrong length is a ValueError.
     """
-    theta_true = tuple(float(v) for v in theta_true)
-    floor = control_cfg.singularity_floor
-    if (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim) == (1, 1, 1):
-        return _scalar_kernels(loop, theta_true, floor, tag)
-    return _general_kernels(loop, theta_true, floor, tag)
+    layout = (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim)
+    kernels = _generate("kernels", layout, _kernel_source)
+    return kernels(loop, tuple(float(v) for v in theta_true), control_cfg.singularity_floor, tag)
 
 
-def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
-    """(rates, virtual_rates) of `_compile_loop` for any layout.
-
-    Both closures run one shared evaluation of the certainty-equivalent
-    control input and the true plant rate (`closed_loop`).  The arithmetic
-    matches the reference operations in `controller` and `adaptation` term
-    for term; the closures only share sub-expressions.
-    """
-    spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
-    q = spec.layout.q
-    gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
-    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
-    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
-    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
-    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
-    phi = shaper.phi
-
-    def closed_loop(state, psi, theta_hat, t, inject2):
-        """Control input at the estimate theta_hat and the true plant rate.
-
-        Returns (grad, dpsidt, phi, u, f1, g1, state_dot, mismatch), with
-        mismatch the true drift of the goal function minus the estimated one.
-        """
-        grad = grad_fn(state, t)
-        gq = grad[:q]
-        gp = grad[q:]
-        f1v = f1_fn(state, t)
-        g1v = g1_fn(state)
-        g2v = g2_fn(state)
-        lf1 = _dot(gq, f1v)
-        drift_hat = lf1 + _dot(gp, f2_fn(state, theta_hat, t))
-        gain_u = _dot(gq, g1v) + _dot(gp, g2v)
-        if abs(gain_u) < floor:
-            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
-        phiv = phi(psi, t)
-        dpsidt = dpsidt_fn(state, t)
-        u = (-drift_hat - phiv - dpsidt) / gain_u
-
-        f2v = f2_fn(state, theta_true, t)
-        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
-        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
-        drift_true = lf1 + _dot(gp, f2v)
-        return grad, dpsidt, phiv, u, f1v, g1v, state_dot, drift_true - drift_hat
-
-    def rates(state, theta_i, t, inject2):
-        psi = psi_fn(state, t)
-        alpha = alpha_fn(state, t)
-        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, pot_fn(state, t), theta_i)]
-        theta_hat = [_dot(row, v) for row in gamma_rows]
-        grad, _, phiv, u, f1v, g1v, state_dot, mismatch = closed_loop(
-            state, psi, theta_hat, t, inject2
-        )
-
-        theta_i_dot = []
-        for a, da, dadt, dp, dpdt in zip(alpha, dalpha_fn(state, t), dalphadt_fn(state, t),
-                                         dpot_fn(state, t), dpotdt_fn(state, t)):
-            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
-            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
-            theta_i_dot.append(phiv * a + corr)
-        return state_dot + theta_i_dot, (psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
-
-    def virtual_rates(state, theta_hat, t, inject2):
-        psi = psi_fn(state, t)
-        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
-        psi_dot = dpsidt + _dot(grad, state_dot)
-        w = psi_dot + phiv
-        incr = [w * a for a in alpha_fn(state, t)]
-        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
-
-    return rates, virtual_rates
-
-
-def _scalar_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
-    """(rates, virtual_rates) of `_compile_loop` for a loop with q = p = d = 1.
-
-    Each closure performs the same operations in the same order as its
-    general counterpart in `_general_kernels`, with the one-term dot
-    products written out as `0.0 + a * b` (what `_dot` computes for length
-    one) and the two-term one as `(0.0 + a1 * b1) + a2 * b2`, so the results
-    are bit-identical; they skip the per-call slicing, list building and
-    `_dot` calls that dominate the run time of small loops.  The closures
-    share no code: each evaluates the control input and the plant rate
-    inline, and `virtual_rates` forms its estimate rate
-    `0.0 + gamma * (w * a)` without the PI estimate or its integral state.
-    """
+# The closed-loop kernels of one loop layout.  Every callable result is
+# unpacked into float locals and every dot product is written out in
+# `model._dot`'s order, so the arithmetic is that of the reference operations
+# in `controller` and `adaptation`, term for term.  {control} is
+# `_CONTROL_TEMPLATE`: the control input at theta_hat and the plant rate s.
+_KERNEL_TEMPLATE = """\
+def kernels(loop, theta_true, floor, tag):
     spec, goal, param, pot = loop.spec, loop.goal, loop.param, loop.potential
     psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
     alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
     pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
     f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
     phi = loop.shaper.phi
-    gamma = float(np.atleast_2d(loop.gain)[0, 0])
+    ({gain}) = np.atleast_2d(loop.gain).tolist()
 
     def rates(state, theta_i, t, inject2):
         psi = psi_fn(state, t)
-        (a,) = alpha_fn(state, t)
-        theta_hat = 0.0 + gamma * (psi * a - pot_fn(state, t)[0] + theta_i[0])
-        gq, gp = grad_fn(state, t)
-        (f1,) = f1_fn(state, t)
-        (g1,) = g1_fn(state)
-        (g2,) = g2_fn(state)
-        lf1 = 0.0 + gq * f1
-        drift_hat = lf1 + (0.0 + gp * f2_fn(state, (theta_hat,), t)[0])
-        gain_u = (0.0 + gq * g1) + (0.0 + gp * g2)
-        if abs(gain_u) < floor:
-            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
-        phiv = phi(psi, t)
-        u = (-drift_hat - phiv - dpsidt_fn(state, t)) / gain_u
-
-        (f2,) = f2_fn(state, theta_true, t)
-        (inj,) = inject2
-        mismatch = lf1 + (0.0 + gp * f2) - drift_hat
-
-        (da,) = dalpha_fn(state, t)
-        (dp,) = dpot_fn(state, t)
-        da1, dp1 = da[0], dp[0]
-        corr = dpotdt_fn(state, t)[0] - psi * (dalphadt_fn(state, t)[0] + (0.0 + da1 * f1)) \
-            + (0.0 + dp1 * f1)
-        corr -= (psi * (0.0 + da1 * g1) - (0.0 + dp1 * g1)) * u
-        return ([f1 + g1 * u, f2 + inj + g2 * u, phiv * a + corr],
-                (psi, u, mismatch, 0.0 + gp * inj, theta_hat))
+        ({a}) = alpha_fn(state, t)
+        ({pv}) = pot_fn(state, t)
+        ({ti}) = theta_i
+        {v}
+        {th_eqs}
+        theta_hat = ({th})
+{control}
+        ({da}) = dalpha_fn(state, t)
+        ({dadt}) = dalphadt_fn(state, t)
+        ({dp}) = dpot_fn(state, t)
+        ({dpdt}) = dpotdt_fn(state, t)
+        return ([{s}{theta_i_dot}],
+                (psi, u, lf1 + {gp_f2} - drift_hat, {gp_inj}, {th}))
 
     def virtual_rates(state, theta_hat, t, inject2):
         psi = psi_fn(state, t)
-        gq, gp = grad_fn(state, t)
-        (f1,) = f1_fn(state, t)
-        (g1,) = g1_fn(state)
-        (g2,) = g2_fn(state)
-        drift_hat = (0.0 + gq * f1) + (0.0 + gp * f2_fn(state, theta_hat, t)[0])
-        gain_u = (0.0 + gq * g1) + (0.0 + gp * g2)
+{control}
+        w = dpsidt + {grad_s} + phiv
+        ({a}) = alpha_fn(state, t)
+        return [{s}{theta_hat_dot}], (psi, u)
+
+    return rates, virtual_rates
+"""
+_CONTROL_TEMPLATE = """\
+        ({gq}{gp}) = grad_fn(state, t)
+        ({f1}) = f1_fn(state, t)
+        ({g1}) = g1_fn(state)
+        ({g2}) = g2_fn(state)
+        lf1 = {gq_f1}
+        ({fh}) = f2_fn(state, theta_hat, t)
+        drift_hat = lf1 + {gp_fh}
+        gain_u = {gq_g1} + {gp_g2}
         if abs(gain_u) < floor:
             raise ControlSingularityError(state, t, gain_u, subsystem=tag)
         phiv = phi(psi, t)
         dpsidt = dpsidt_fn(state, t)
         u = (-drift_hat - phiv - dpsidt) / gain_u
+        ({f2}) = f2_fn(state, theta_true, t)
+        ({inj}) = inject2
+        {s_eqs}"""
 
-        s1 = f1 + g1 * u
-        s2 = f2_fn(state, theta_true, t)[0] + inject2[0] + g2 * u
-        w = dpsidt + ((0.0 + gq * s1) + gp * s2) + phiv
-        (a,) = alpha_fn(state, t)
-        return [s1, s2, 0.0 + gamma * (w * a)], (psi, u)
 
-    return rates, virtual_rates
+def _kernel_source(q: int, p: int, d: int) -> str:
+    """Source of the (rates, virtual_rates) factory for blocks of q and p and d parameters."""
+    n = q + p
+    lines = "\n        ".join  # statements of a kernel body, one per line
+
+    def seq(prefix, m):  # ["a0", "a1"] for prefix a
+        return [f"{prefix}{i}" for i in range(m)]
+
+    def tup(items):  # "a0, a1, " for items a0, a1; "(a0, ), (a1, ), " for rows
+        return "".join(f"{x}, " if isinstance(x, str) else f"({tup(x)}), " for x in items)
+
+    def dot(a, b):  # `_dot(a, b)` written out: ((0.0 + a0 * (b0)) + a1 * (b1))
+        s = "0.0"
+        for x, y in zip(a, b):
+            s = f"({s} + {x} * ({y}))"
+        return s
+
+    gq, gp, f1, g1, g2 = seq("gq", q), seq("gp", p), seq("f1_", q), seq("g1_", q), seq("g2_", p)
+    fh, f2, inj, s = seq("fh", p), seq("f2_", p), seq("inj", p), seq("s", n)
+    a, pv, ti, v, th = seq("a", d), seq("pv", d), seq("ti", d), seq("v", d), seq("th", d)
+    gain = [seq(f"G{r}_", d) for r in range(d)]
+    da, dp = [seq(f"da{j}_", n) for j in range(d)], [seq(f"dp{j}_", n) for j in range(d)]
+    fields = dict(
+        gq=tup(gq), gp=tup(gp), f1=tup(f1), g1=tup(g1), g2=tup(g2), fh=tup(fh), f2=tup(f2),
+        inj=tup(inj), gq_f1=dot(gq, f1), gp_fh=dot(gp, fh), gq_g1=dot(gq, g1), gp_g2=dot(gp, g2),
+        s_eqs=lines([f"s{i} = f1_{i} + g1_{i} * u" for i in range(q)]
+                    + [f"s{q + i} = f2_{i} + inj{i} + g2_{i} * u" for i in range(p)]),
+        gain=tup(gain), a=tup(a), pv=tup(pv), ti=tup(ti), th=tup(th), s=tup(s),
+        v=lines(f"v{j} = psi * a{j} - pv{j} + ti{j}" for j in range(d)),
+        th_eqs=lines(f"th{r} = {dot(gain[r], v)}" for r in range(d)),
+        da=tup(da), dadt=tup(seq("dadt", d)), dp=tup(dp), dpdt=tup(seq("dpdt", d)),
+        theta_i_dot=tup(
+            f"phiv * a{j} + (dpdt{j} - psi * (dadt{j} + {dot(da[j][:q], f1)}) "
+            f"+ {dot(dp[j][:q], f1)} - (psi * {dot(da[j][:q], g1)} - {dot(dp[j][:q], g1)}) * u)"
+            for j in range(d)),
+        gp_f2=dot(gp, f2), gp_inj=dot(gp, inj), grad_s=dot(gq + gp, s),
+        theta_hat_dot=tup(dot(gain[r], [f"w * a{j}" for j in range(d)]) for r in range(d)),
+    )
+    return _KERNEL_TEMPLATE.format(control=_CONTROL_TEMPLATE.format(**fields), **fields)
 
 
 # The body of every RK4 run, compiled once per block layout by `_rk4`.  Only
@@ -405,7 +352,6 @@ def run(rhs, y_init, t0, h, n_steps, every, bound):
     log = log[:logged]
     return log[:, 0], log[:, 1:{n1}], log[:, {n1}:], status
 """
-_RK4_RUNNERS: dict = {}
 
 
 def _rk4(sizes: tuple):
@@ -419,12 +365,14 @@ def _rk4(sizes: tuple):
     state component leaves [-bound, bound] (a NaN does too) or when the
     control law is undefined; an undefined law at the initial point is a
     caller error and propagates, as does a rate vector of the wrong length.
-    The runner keeps the state in float locals with the stages unrolled; it
-    is generated from `_RK4_TEMPLATE` on first use and cached per layout.
+    The runner, generated from `_RK4_TEMPLATE` once per layout, keeps the
+    state in float locals with the stages unrolled.
     """
-    sizes = tuple(operator.index(m) for m in sizes)
-    if sizes in _RK4_RUNNERS:
-        return _RK4_RUNNERS[sizes]
+    return _generate("run", sizes, _rk4_source)
+
+
+def _rk4_source(*sizes: int) -> str:
+    """Source of the RK4 runner for a state in blocks of `sizes`."""
     n = sum(sizes)
     starts = [sum(sizes[:j]) for j in range(len(sizes))]
 
@@ -435,7 +383,7 @@ def _rk4(sizes: tuple):
     def names(prefix):  # "y0, y1, " for prefix y
         return "".join(f"{prefix}{i}, " for i in range(n))
 
-    source = _RK4_TEMPLATE.format(
+    return _RK4_TEMPLATE.format(
         n=n, n1=n + 1, y=names("y"),
         k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
         at_y=blocks("y{i}"), at_k1=blocks("y{i} + half * k1_{i}"),
@@ -445,18 +393,34 @@ def _rk4(sizes: tuple):
             for i in range(n)),
         in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)) or "True",
     )
-    namespace = {}
-    exec(compile(source, f"<rk4 driver {sizes}>", "exec"), globals(), namespace)
-    _RK4_RUNNERS[sizes] = namespace["run"]
-    return namespace["run"]
+
+
+_GENERATED: dict = {}
+
+
+def _generate(name: str, layout: tuple, source_of: Callable[..., str]):
+    """Function `name` of source_of(*layout), compiled on first use and cached per layout.
+
+    Only the integers of the layout reach the generated source.  It is
+    registered with `linecache`, so tracebacks through it show its lines.
+    """
+    layout = tuple(operator.index(m) for m in layout)
+    filename = f"<generated {name} {layout}>"
+    if filename not in _GENERATED:
+        source = source_of(*layout)
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        _GENERATED[filename] = namespace[name]
+    return _GENERATED[filename]
 
 
 def _log_buffer(n_steps: int, every: int, step: float, width: int):
-    """Empty log of a run, one row of `width` per sample; too large for memory is a ValueError."""
+    """Empty log of a run, one row of `width` per sample; too large for numpy is a ValueError."""
     rows = n_steps // every + 1
     try:
         return np.empty((rows, width))
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise ValueError(f"t_final = {n_steps * step:g}, step = {step:g} and log_every = "
                          f"{every} ask for a log of {rows} rows, more than fits in memory"
                          ) from None

@@ -575,9 +575,16 @@ class TestTailArguments:
         ({"tail_window": -5.0}, "window"),
         ({"tail_window": math.nan}, "window"),
         ({"tail_threshold": math.nan}, "threshold"),
+        # a bound the run leaves at once: the run aborts before the tail monitor
+        ({"tail_window": -5.0, "divergence_bound": 1.5}, "window"),
+        ({"tail_window": math.nan, "divergence_bound": 1.5}, "window"),
+        ({"tail_threshold": math.nan, "divergence_bound": 1.5}, "threshold"),
     ])
     def test_certify_oscillator(self, kwargs, name):
-        sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=1.0))
+        kwargs = dict(kwargs)
+        integrator = IntegratorConfig(step=1e-3, t_final=1.0,
+                                      divergence_bound=kwargs.pop("divergence_bound", 1e6))
+        sc = OscillatorScenario(integrator=integrator)
         with pytest.raises(ValueError, match=name):
             certify_oscillator(sc, n_monotonicity_samples=100, **kwargs)
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from decadapt import OscillatorScenario, save_scenario
 from decadapt.cli import (
@@ -180,16 +186,20 @@ class TestOversizedRun:
     """A horizon whose log cannot be allocated is a usage error, not a MemoryError."""
 
     @pytest.mark.parametrize("command, extra", [
-        ("simulate", []),
-        ("sweep", ["--workers", "1", "--k1-grid", "0.1", "--k2-grid", "0.1"]),
+        ("simulate", ["--t-final", "1e9"]),
+        ("sweep", ["--t-final", "1e9", "--workers", "1", "--k1-grid", "0.1", "--k2-grid", "0.1"]),
+        # beyond numpy's largest array dimension: a ValueError, not a MemoryError
+        ("simulate", ["--t-final", "1", "--dt", "1e-300"]),
     ])
     def test_exits_two(self, tmp_path, capsys, command, extra):
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, "oscillator", "--t-final", "1e9", *extra, "--out", str(out)])
+            run_cli([command, "oscillator", *extra, "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        for name in ("t_final", "step", "log_every", "1000000000001 rows"):
+        flags = dict(zip(extra[::2], extra[1::2]))
+        rows = round(float(flags["--t-final"]) / float(flags.get("--dt", "1e-3"))) + 1
+        for name in ("t_final", "step", "log_every", f"{rows} rows"):
             assert name in err
         assert not out.exists()
 
@@ -299,3 +309,99 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "certify" in proc.stdout
+
+
+def _either(valid, invalid: list):
+    """A flag value as (text, is_valid): from `valid` twice as often as one of `invalid`."""
+    valid = valid.map(lambda v: (str(v), True))
+    return st.one_of(valid, valid, st.sampled_from(invalid).map(lambda v: (v, False)))
+
+
+_FLOATS = st.floats(-1.0, 1.0).map(repr)
+_NON_FINITE = ["nan", "inf", "-inf"]
+_GRIDS = _either(
+    st.one_of(st.lists(_FLOATS, min_size=1, max_size=2).map(",".join),
+              st.tuples(_FLOATS, _FLOATS, st.integers(1, 2)).map(
+                  lambda g: f"{g[0]}:{g[1]}:{g[2]}")),
+    ["", ",", "a", "1:2", "1:2:0", "1:2:-1", "1:2:1.5", "nan", "0.1,inf", "1e400"],
+)
+_OPTIONAL = {
+    "--log-every": _either(st.integers(1, 50), ["0", "-3", "1.5", "x"]),
+    "--k1": _either(_FLOATS, _NON_FINITE),
+    "--k2": _either(_FLOATS, _NON_FINITE),
+    "--lambda-x": _either(st.floats(0.5, 4.0).map(repr), ["0", "-1", *_NON_FINITE]),
+    "--lambda-y": _either(st.floats(0.5, 4.0).map(repr), ["0", "-1", *_NON_FINITE]),
+}
+_TAIL_WINDOW = _either(st.floats(0.0, 5.0).map(repr), ["-1", *_NON_FINITE])
+_BY_COMMAND = {
+    "simulate": {},
+    "certify": {
+        "--tail-window": _TAIL_WINDOW,
+        "--tail-threshold": _either(st.floats(1e-3, 1.0).map(repr), _NON_FINITE),
+    },
+    "sweep": {"--tail-window": _TAIL_WINDOW},
+}
+
+
+@st.composite
+def _horizon(draw):
+    """(--t-final, --dt) texts and whether they are valid; at most 2 000 steps when valid."""
+    step = draw(st.sampled_from([1e-3, 2e-3, 5e-3, 1e-2]))
+    n = draw(st.integers(1, 2000))
+    t_final = n * step
+    kind = draw(st.sampled_from(["ok"] * 4 + ["t_final", "step", "no-divide", "step-exceeds"]))
+    if kind == "t_final":
+        return draw(st.sampled_from(["0", "-1", *_NON_FINITE])), repr(step), False
+    if kind == "step":
+        return repr(t_final), draw(st.sampled_from(["0", "-0.001", *_NON_FINITE])), False
+    if kind == "no-divide":
+        return repr(t_final), repr(t_final / (n + 0.5)), False
+    if kind == "step-exceeds":
+        return repr(t_final), repr(2.0 * t_final), False
+    return repr(t_final), repr(step), True
+
+
+class TestCliFuzz:
+    """Random overrides through run_cli end in an exit code, never in a traceback.
+
+    Every outcome is a return code or SystemExit in {0, 1, 2, 3}, and a
+    value that cannot be honoured never exits 0.  Valid draws stay at most
+    2 000 steps, 100 monotonicity samples and a 2 x 2 sweep on one worker,
+    and no draw asks for a log too large to allocate.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        command = data.draw(st.sampled_from(sorted(_BY_COMMAND)))
+        t_final, step, valid = data.draw(_horizon())
+        flags = [f"--t-final={t_final}", f"--dt={step}"]
+        options = {**_OPTIONAL, **_BY_COMMAND[command]}
+        for flag in data.draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+            text, ok = data.draw(options[flag])
+            flags.append(f"{flag}={text}")
+            valid = valid and ok
+        if command == "certify":
+            text, ok = data.draw(_either(st.integers(1, 100), ["0", "-5"]))
+            flags.append(f"--monotonicity-samples={text}")
+            valid = valid and ok
+        with tempfile.TemporaryDirectory() as out_dir:
+            out = Path(out_dir) / "out.csv"
+            if command == "sweep":
+                for flag in ("--k1-grid", "--k2-grid"):
+                    text, ok = data.draw(_GRIDS)
+                    flags.append(f"{flag}={text}")
+                    valid = valid and ok
+                flags.append("--workers=1")
+            if command != "certify":
+                flags.append(f"--out={out}")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = run_cli([command, "oscillator", *flags])
+                except SystemExit as exc:
+                    code = exc.code
+        event(f"{command} {'valid' if valid else 'invalid'} exit {code}")
+        assert code in (0, 1, 2, 3), (flags, code)
+        if not valid:
+            assert code != 0, flags

@@ -6,12 +6,16 @@ here as an inequality, so a refactor that claims bit-identical states is
 held to it.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import tests.test_adaptation as adaptation_tests
+import tests.test_simulate as simulate_tests
 from decadapt import (
+    Disturbance,
     IntegratorConfig,
     build_oscillator,
     integrate,
@@ -80,6 +84,26 @@ VIRTUAL_PULSE_Y = {
         (0.1604829124137347,), -0.8397477764717802),
     7: ("completed", 286, 1.995, (-0.3424428254863164, -0.5001715201085096),
         (0.1530322620758519,), -0.8426143455948261),
+}
+
+
+# loop -> ((status, samples, state, theta_i, theta_hat) of integrate_loop,
+#          (status, samples, state, theta_hat, psi) of integrate_virtual) at
+# the last logged row of the two test loops with more than one coordinate
+# per block or parameter; step 1e-3, horizon 2
+LAYOUTS = {
+    "matrix-gain": (
+        ("completed", 2001, (0.23080718436173764, -0.48944234563362815),
+         (0.13693039217524874, 0.16782742940068837), (0.05257666024905244, -0.6122776061988012)),
+        ("completed", 2001, (0.2308071843617368, -0.4894423456336297),
+         (0.052576660249051645, -0.6122776061988037), -0.2586351612718929),
+    ),
+    "no-first-block": (
+        ("completed", 2001, (0.9486830984864112, 0.28846254740142846),
+         (0.21504196207243037,), (0.25664728269909104,)),
+        ("completed", 2001, (0.9486830984864392, 0.2884625474014417),
+         (0.2566472826990729,), 0.2884625474014417),
+    ),
 }
 
 
@@ -156,3 +180,27 @@ def test_monotonicity_entries(name):
     got = {e.name: (e.status, e.margin, e.witness)
            for e in report.entries if e.name.startswith("monotonicity")}
     assert got == MONOTONICITY[name]
+
+
+def _layout_runs(name):
+    """integrate_loop and integrate_virtual on one of the LAYOUTS loops, from rest estimates."""
+    if name == "matrix-gain":
+        loop, theta = adaptation_tests.TestMatrixGainLoop.build(), (0.8, 1.2)
+        state0, ti0, dist = (0.5, -0.2), (0.0, 0.0), exponential_disturbance(0.5, 1.0)
+    else:
+        loop, theta = simulate_tests.TestNoFirstBlock.build_loop(), (0.9,)
+        state0, ti0 = (0.4, -0.1), (0.0,)
+        dist = Disturbance(signal=lambda t: 0.5 * math.exp(-t), direction=(0.3, 0.7))
+    cfg = IntegratorConfig(step=1e-3, t_final=2.0)
+    real = integrate_loop(loop, theta, dist, cfg, state0, ti0)
+    th0 = parameter_estimate(loop, state0, 0.0, ti0)
+    virt = integrate_virtual(loop, theta, dist, cfg, state0, th0)
+    return ((real.status, real.t.shape[0], _row(real.state), _row(real.theta_i),
+             _row(real.theta_hat)),
+            (virt.status, virt.t.shape[0], _row(virt.state), _row(virt.theta_hat),
+             float(virt.psi[-1])))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_layout_final_rows(name):
+    assert _layout_runs(name) == LAYOUTS[name]

@@ -5,8 +5,9 @@ The integrators never call `controller.control`, `adaptation.parameter_estimate`
 per-loop closure instead.  These properties pin that closure to the
 reference operations at random points of the domain box, so the two
 implementations of the closed-loop law cannot drift apart.  A further
-property pins the scalar kernels used for q = p = d = 1 loops to the
-general ones bit for bit.
+property pins the kernels generated per loop layout bit for bit to
+`_general_kernels`, the hand-written general kernel pair they replaced,
+kept here verbatim as the reference.
 """
 
 import functools
@@ -29,8 +30,10 @@ from decadapt import (
     parameter_estimate,
     virtual_estimate_rate,
 )
-from decadapt.controller import DEFAULT_CONTROL_CONFIG, control
-from decadapt.simulate import _compile_loop, _general_kernels, _scalar_kernels
+from decadapt.adaptation import AdaptiveLoopSpec
+from decadapt.controller import DEFAULT_CONTROL_CONFIG, ControlSingularityError, control
+from decadapt.model import _dot
+from decadapt.simulate import _compile_loop
 
 REL_TOL = 1e-12
 VALUES = st.floats(-5.0, 5.0)
@@ -179,20 +182,93 @@ def _assert_same_bits(got, want):
         assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
 
 
-@pytest.mark.parametrize("name", ("oscillator-x", "oscillator-y"))
+# The general kernel pair the generated kernels replaced, verbatim.
+def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
+    """(rates, virtual_rates) of `_compile_loop` for any layout.
+
+    Both closures run one shared evaluation of the certainty-equivalent
+    control input and the true plant rate (`closed_loop`).  The arithmetic
+    matches the reference operations in `controller` and `adaptation` term
+    for term; the closures only share sub-expressions.
+    """
+    spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
+    q = spec.layout.q
+    gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
+    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
+    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
+    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
+    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
+    phi = shaper.phi
+
+    def closed_loop(state, psi, theta_hat, t, inject2):
+        """Control input at the estimate theta_hat and the true plant rate.
+
+        Returns (grad, dpsidt, phi, u, f1, g1, state_dot, mismatch), with
+        mismatch the true drift of the goal function minus the estimated one.
+        """
+        grad = grad_fn(state, t)
+        gq = grad[:q]
+        gp = grad[q:]
+        f1v = f1_fn(state, t)
+        g1v = g1_fn(state)
+        g2v = g2_fn(state)
+        lf1 = _dot(gq, f1v)
+        drift_hat = lf1 + _dot(gp, f2_fn(state, theta_hat, t))
+        gain_u = _dot(gq, g1v) + _dot(gp, g2v)
+        if abs(gain_u) < floor:
+            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
+        phiv = phi(psi, t)
+        dpsidt = dpsidt_fn(state, t)
+        u = (-drift_hat - phiv - dpsidt) / gain_u
+
+        f2v = f2_fn(state, theta_true, t)
+        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
+        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
+        drift_true = lf1 + _dot(gp, f2v)
+        return grad, dpsidt, phiv, u, f1v, g1v, state_dot, drift_true - drift_hat
+
+    def rates(state, theta_i, t, inject2):
+        psi = psi_fn(state, t)
+        alpha = alpha_fn(state, t)
+        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, pot_fn(state, t), theta_i)]
+        theta_hat = [_dot(row, v) for row in gamma_rows]
+        grad, _, phiv, u, f1v, g1v, state_dot, mismatch = closed_loop(
+            state, psi, theta_hat, t, inject2
+        )
+
+        theta_i_dot = []
+        for a, da, dadt, dp, dpdt in zip(alpha, dalpha_fn(state, t), dalphadt_fn(state, t),
+                                         dpot_fn(state, t), dpotdt_fn(state, t)):
+            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
+            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
+            theta_i_dot.append(phiv * a + corr)
+        return state_dot + theta_i_dot, (psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
+
+    def virtual_rates(state, theta_hat, t, inject2):
+        psi = psi_fn(state, t)
+        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
+        psi_dot = dpsidt + _dot(grad, state_dot)
+        w = psi_dot + phiv
+        incr = [w * a for a in alpha_fn(state, t)]
+        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
+
+    return rates, virtual_rates
+
+
+@pytest.mark.parametrize("name", LOOP_NAMES)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_scalar_kernels_match_general_bitwise(name, data):
+def test_generated_kernels_match_general_bitwise(name, data):
     loop, theta = _loop(name)
     box = loop.spec.box
     state = tuple(data.draw(_values(lo, hi)) for lo, hi in zip(box.lower, box.upper))
-    estimate = (data.draw(_values(-5.0, 5.0)),)
-    inject = (data.draw(_values(-5.0, 5.0)),)
+    estimate = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.param_dim))
+    inject = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.layout.p))
     t = data.draw(TIMES)
     floor = DEFAULT_CONTROL_CONFIG.singularity_floor
-    scalar = _scalar_kernels(loop, theta, floor, "x")
-    general = _general_kernels(loop, theta, floor, "x")
-    for kernel, reference in zip(scalar, general):
+    generated = _compile_loop(loop, theta, DEFAULT_CONTROL_CONFIG, "x")
+    general = _general_kernels(loop, tuple(float(v) for v in theta), floor, "x")
+    for kernel, reference in zip(generated, general):
         deriv, diag = kernel(state, estimate, t, inject)
         ref_deriv, ref_diag = reference(state, estimate, t, inject)
         _assert_same_bits(deriv, ref_deriv)

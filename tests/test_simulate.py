@@ -1,12 +1,17 @@
 import math
+import traceback
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tests.test_adaptation as adaptation_tests
 from decadapt import (
     AdaptiveLoopSpec,
+    CoupledClosedLoop,
+    Coupling,
     DomainBox,
     GoalFunction,
     IntegratorConfig,
@@ -437,6 +442,51 @@ class TestNoFirstBlock:
         assert np.abs(traj.state).max() < 3.0
         # the goal gradient projects out the first injection coordinate
         np.testing.assert_allclose(traj.eps, 0.7 * np.exp(-traj.t), atol=1e-14)
+
+
+class TestWrongLengthOutputs:
+    """A callable output of the wrong length is a ValueError on every loop layout."""
+
+    CFG = IntegratorConfig(step=1e-3, t_final=0.1)
+
+    @staticmethod
+    def matrix_gain_loop(**fields):
+        """The q = p = 1, d = 2 loop with some of its plant fields replaced."""
+        loop = adaptation_tests.TestMatrixGainLoop.build()
+        return replace(loop, spec=replace(loop.spec, **fields))
+
+    def run(self, integrator, loop):
+        return integrator(loop, (0.8, 1.2), zero_disturbance(), self.CFG, (0.5, -0.2),
+                          (0.0, 0.0))
+
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    @pytest.mark.parametrize("fields", [
+        {"f2": lambda s, th, t: (0.1, 7.0)},
+        {"f2": lambda s, th, t: ()},
+        {"g2": lambda s: (1.0, 1.0)},
+    ], ids=["f2-long", "f2-short", "g2-long"])
+    def test_loop_output(self, integrator, fields):
+        with pytest.raises(ValueError, match="unpack"):
+            self.run(integrator, self.matrix_gain_loop(**fields))
+
+    def test_coupled_injection(self, oscillator):
+        sys = CoupledClosedLoop(
+            loop_x=adaptation_tests.TestMatrixGainLoop.build(), loop_y=oscillator.loop_y,
+            coupling=Coupling(into_x2=lambda y, t: (0.1 * y[0], 0.0),
+                              into_y2=lambda x, t: (0.0,)),
+            theta_true_x=(0.8, 1.2), theta_true_y=oscillator.theta_true_y,
+        )
+        with pytest.raises(ValueError, match="unpack"):
+            integrate(sys, self.CFG, [0.5, -0.2, 0.0, 0.0, 1.0, 0.0, -2.0])
+
+    def test_traceback_shows_generated_lines(self):
+        with pytest.raises(ValueError) as exc:
+            self.run(integrate_loop, self.matrix_gain_loop(f2=lambda s, th, t: (0.1, 7.0)))
+        text = "".join(traceback.format_exception(exc.value))
+        assert 'File "<generated kernels (1, 1, 2)>"' in text
+        assert "(fh0, ) = f2_fn(state, theta_hat, t)" in text
+        assert 'File "<generated run (2, 2)>"' in text
+        assert "k1, diag = rhs(t0, [y0, y1], [y2, y3])" in text
 
 
 class TestGoalAttainment:

@@ -25,7 +25,11 @@ from .model import (
     Parametrization,
     SubsystemSpec,
     TargetShaper,
+    _evaluate_samples,
+    _moved,
+    _worst,
     check_gradient,
+    check_time_derivative,
     fd_state_partial,
 )
 from .report import CertificateEntry, entry_from_margin
@@ -84,17 +88,17 @@ def realizability_residual(
     seed: int = DEFAULT_SAMPLE_SEED,
     time_value: float = 0.0,
 ) -> float:
-    """Worst absolute violation of the realizability identity on box samples."""
-    q = layout.q
-    worst = 0.0
-    for row in box.sample(n_points, seed=seed):
-        psi = goal.psi(row, time_value)
-        ga = np.asarray(param.grad_state(row, time_value), dtype=float)
-        gp = np.asarray(potential.grad_state(row, time_value), dtype=float)
-        res = np.max(np.abs(gp[:, q:] - psi * ga[:, q:]))
-        if res > worst:
-            worst = float(res)
-    return worst
+    """Worst absolute violation of the realizability identity on box samples.
+
+    A non-finite violation is the worst, inf.
+    """
+    def terms(state, t):
+        psi = goal.psi(state, t)
+        ga, gp = param.grad_state(state, t), potential.grad_state(state, t)
+        return [b[j] - psi * a[j] for a, b in zip(ga, gp) for j in range(layout.q, layout.n)]
+
+    samples = (box.sample(n_points, seed=seed), np.full(n_points, float(time_value)))
+    return _evaluate_samples(terms, samples, _worst)[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +107,12 @@ class AdaptiveLoopSpec:
 
     Construction validates the pieces against each other: the adaptation
     gain matrix must be symmetric positive definite, analytic gradients of
-    the goal function and parametrization must match finite differences on
-    the subsystem's domain box, and the auxiliary potential must satisfy
-    the realizability identity there.  The worst relative gradient errors
-    and the realizability residual found are kept, so certification
-    reports them without sampling the box again.
+    the goal function and parametrization (and their time partials, for t
+    in [0, 1]) must match finite differences on the subsystem's domain box,
+    and the auxiliary potential must satisfy the realizability identity
+    there.  The worst relative gradient errors and the realizability
+    residual found are kept, so certification reports them without
+    sampling the box again.
     """
 
     spec: SubsystemSpec
@@ -142,6 +147,8 @@ class AdaptiveLoopSpec:
                            check_gradient(self.goal.psi, self.goal.grad_state, box))
         object.__setattr__(self, "alpha_grad_error",
                            check_gradient(self.param.alpha, self.param.grad_state, box))
+        check_time_derivative(self.goal.psi, self.goal.d_time, box)
+        check_time_derivative(self.param.alpha, self.param.d_time, box)
         res = realizability_residual(self.potential, self.goal, self.param, self.spec.layout, box)
         if res > REALIZABILITY_TOL:
             raise ValueError(
@@ -349,34 +356,23 @@ def check_poincare(
     an entry, not raised.
     """
     q, p = layout.q, layout.p
-    worst = 0.0
-    witness = {}
+    pts = box.sample(n_samples, seed=seed)
 
-    def field_component(i):
-        def comp(state, t):
-            gs = np.asarray(param.grad_state(state, t), dtype=float)
-            return goal.psi(state, t) * gs[i, q:]
+    def field(state, t):  # psi times the second-block alpha partials, component-major
+        psi = goal.psi(state, t)
+        return [psi * g[q + k] for g in param.grad_state(state, t) for k in range(p)]
 
-        return comp
+    def terms(state, h, t):
+        jac = [[(a - b) / (2.0 * hl) for a, b in zip(field(_moved(state, q + l, hl), t),
+                                                     field(_moved(state, q + l, -hl), t))]
+               for l, hl in enumerate(h)]  # jac[l][i * p + k]: d(field_ik) / d(x_{q+l})
+        return [jac[l][i * p + k] - jac[k][i * p + l]
+                for i in range(param.dim) for k in range(p) for l in range(p)]
 
-    for row in box.sample(n_samples, seed=seed):
-        row = row.astype(float)
-        for i in range(param.dim):
-            comp = field_component(i)
-            jac = np.empty((p, p))
-            for l in range(p):
-                h = fd_step * max(1.0, abs(row[q + l]))
-                plus = row.copy()
-                plus[q + l] += h
-                minus = row.copy()
-                minus[q + l] -= h
-                jac[:, l] = (comp(plus, time_value) - comp(minus, time_value)) / (2.0 * h)
-            res = float(np.max(np.abs(jac - jac.T)))
-            if res > worst:
-                worst = res
-                witness = {
-                    "state": row.tolist(),
-                    "component": i,
-                    "residual": res,
-                }
+    steps = fd_step * np.maximum(1.0, np.abs(pts[:, q:]))
+    samples = (pts, steps, np.full(n_samples, float(time_value)))
+    worst, at = _evaluate_samples(terms, samples, _worst)[1]
+    witness = {} if at is None else {
+        "state": pts[at[0]].tolist(), "component": at[1] // (p * p), "residual": worst,
+    }
     return entry_from_margin("poincare-symmetry", tol - worst, witness, tol)

@@ -25,6 +25,7 @@ from .model import (
     GainRangeError,
     Parametrization,
     _dot,
+    _evaluate_samples,
     joint_sample,
 )
 from .report import (
@@ -67,33 +68,6 @@ class MonotonicityCertificate:
     n_ratio_samples: int
 
 
-def _column_terms(param: Parametrization, f: Callable, samples) -> tuple:
-    """The f and alpha^T differences of all samples, one call per callable.
-
-    The alpha^T sum runs over the columns left to right, as `_dot` does.
-    Raises TypeError or ValueError when a callable cannot take the columns
-    or a result does not broadcast to one value per sample.
-    """
-    states, thetas, thetas_alt, diffs, times = samples
-    state = tuple(states.T)
-    df = (np.asarray(f(state, tuple(thetas_alt.T), times), dtype=float)
-          - np.asarray(f(state, tuple(thetas.T), times), dtype=float))
-    s = 0.0
-    for a, d in zip(param.alpha(state, times), diffs.T):
-        s = s + np.asarray(a, dtype=float) * d
-    return np.broadcast_to(df, times.shape), np.broadcast_to(s, times.shape)
-
-
-def _walk_terms(param: Parametrization, f: Callable, samples) -> np.ndarray:
-    """The same differences as an (n, 2) array, one plain-float call per sample."""
-    *vectors, times = samples
-    rows = zip(*(zip(*a.T.tolist()) for a in vectors), times.tolist())
-    return np.array([
-        (float(f(state, th_alt, t)) - float(f(state, th, t)), _dot(param.alpha(state, t), diff))
-        for state, th, th_alt, diff, t in rows
-    ])
-
-
 def _first_below(values: np.ndarray, bound: float):
     """Index of the first smallest non-NaN value if it is below bound, else None."""
     if values.size:
@@ -104,41 +78,22 @@ def _first_below(values: np.ndarray, bound: float):
     return None
 
 
-def _extreme_rows(df: np.ndarray, s: np.ndarray) -> tuple:
-    """(worst sign product row, largest ratio row, smallest ratio row, ratio count).
+def _extreme_rows(values: np.ndarray) -> tuple:
+    """((worst sign product row, largest ratio row, smallest ratio row, ratio count), rows).
 
-    Each row is the first occurrence of its extreme, never a NaN, and None
-    when no sample beats the start value (inf, 0, inf) of a strict
-    comparison walk over the samples.
+    `values` holds the f and alpha^T differences of every sample.  Each row
+    is the first occurrence of its extreme, never a NaN, and None when no
+    sample beats the start value (inf, 0, inf) of a strict comparison walk
+    over the samples; `rows` lists the rows that are not None.
     """
-    with np.errstate(all="ignore"):  # as plain floats: inf * 0 and overflow are silent
-        prod = df * s
-        rows = np.flatnonzero(np.abs(s) > RATIO_FLOOR)
-        ratio = np.abs(df[rows]) / np.abs(s[rows])
+    df, s = values
+    prod = df * s
+    rows = np.flatnonzero(np.abs(s) > RATIO_FLOOR)
+    ratio = np.abs(df[rows]) / np.abs(s[rows])
     up, lo = _first_below(-ratio, 0.0), _first_below(ratio, math.inf)
-    return (_first_below(prod, math.inf), None if up is None else int(rows[up]),
-            None if lo is None else int(rows[lo]), int(rows.size))
-
-
-def _monotonicity_terms(param: Parametrization, f: Callable, samples) -> tuple:
-    """Per-sample differences (df, s) and their `_extreme_rows`.
-
-    The column call serves when it matches the plain-float call bit for bit
-    at row 0 and at every extreme row; otherwise the samples are walked.
-    """
-    try:
-        df, s = _column_terms(param, f, samples)
-    except (TypeError, ValueError):
-        pass
-    else:
-        rows = _extreme_rows(df, s)
-        checked = [0, *(i for i in rows[:3] if i is not None)]
-        got = np.stack((df[checked], s[checked]), axis=1)
-        want = _walk_terms(param, f, [a[checked] for a in samples])
-        if np.array_equal(got.view(np.int64), want.view(np.int64)):
-            return df, s, rows
-    df, s = _walk_terms(param, f, samples).T
-    return df, s, _extreme_rows(df, s)
+    found = (_first_below(prod, math.inf), None if up is None else int(rows[up]),
+             None if lo is None else int(rows[lo]))
+    return (*found, int(rows.size)), [i for i in found if i is not None]
 
 
 def verify_monotonicity(
@@ -168,14 +123,10 @@ def verify_monotonicity(
     clears the denominator floor.  Raises ValueError when n_samples < 1 and
     DimensionMismatchError when alpha's length differs from theta_box's.
 
-    f and param.alpha are first called once on the sample columns: state
-    and theta as tuples of 1-D float arrays, one per coordinate, and t as a
-    1-D array; each result must broadcast to one value per sample.  When a
-    callable cannot take arrays (the call raises TypeError or ValueError),
-    or its column results differ bit for bit from a plain-float call at the
-    first sample or at a reported extreme, the samples are walked one by
-    one instead, with the vectors as tuples of plain floats and t as a
-    float.  Both paths give the same certificate.
+    f and param.alpha are first called once on the sample columns (state
+    and theta as tuples of 1-D arrays, t a 1-D array), and on plain floats
+    per sample when that fails or differs bit for bit at the first sample or
+    a reported extreme, as every sampled check in `decadapt.model` does.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -188,8 +139,12 @@ def verify_monotonicity(
     n_alpha = len(param.alpha(states[0].tolist(), float(times[0, 0])))
     if n_alpha != theta_box.dim:  # _dot below would silently truncate
         raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)
-    samples = (states, thetas, thetas_alt, thetas_alt - thetas, times[:, 0])
-    df, s, (i_sign, i_up, i_lo, n_ratio) = _monotonicity_terms(param, f, samples)
+
+    def terms(state, theta, theta_alt, diff, t):
+        return f(state, theta_alt, t) - f(state, theta, t), _dot(param.alpha(state, t), diff)
+
+    (df, s), (i_sign, i_up, i_lo, n_ratio) = _evaluate_samples(
+        terms, (states, thetas, thetas_alt, thetas_alt - thetas, times[:, 0]), _extreme_rows)
 
     if n_ratio == 0:
         entry = CertificateEntry(

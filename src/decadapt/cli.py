@@ -159,6 +159,8 @@ def _sweep_cell(payload) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
+    if args.k1 is not None or args.k2 is not None:
+        raise ValueError("sweep takes its couplings from --k1-grid and --k2-grid, not --k1/--k2")
     base = _scenario(args)
     cells = [
         (replace(base, k1=k1, k2=k2), args.tail_window)

@@ -12,12 +12,12 @@ symbolic or automatic differentiation anywhere in the package.
 Vector-valued callables may return any sequence of floats (list, tuple or
 1-D numpy array).  Scalar-valued callables must return a plain float.
 Callables must likewise accept states and parameter vectors as any float
-sequence: the integrators pass lists and tuples of plain floats, the
-finite-difference validators numpy rows.  The monotonicity sampler calls
-the drift channel and alpha once with tuples of sample-column arrays, and
-walks the samples on plain-float tuples when that call raises TypeError or
-ValueError or its results differ bit for bit from the plain-float call at
-a spot-checked sample.
+sequence: the integrators pass lists and tuples of plain floats.  Every
+sampled check (gradients, time partials, realizability, the Poincare
+symmetry and the monotonicity certificate) first calls its callables once
+with tuples of sample-column arrays, and walks the samples on plain-float
+tuples when that call raises TypeError or ValueError or its results differ
+bit for bit from the plain-float call at a spot-checked sample.
 """
 
 from __future__ import annotations
@@ -168,19 +168,12 @@ class DomainBox:
         return len(self.lower)
 
     def sample(self, count: int, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
-        """Quasi-random points in the box, shape (count, dim).
+        """Quasi-random points in the box, shape (count, dim): `joint_sample` of it alone.
 
-        Uses the in-repo Owen-scrambled Halton sequence, which reproduces
-        ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)`` bit for bit:
-        for a fixed seed the first N points of a larger draw coincide with an
+        For a fixed seed the first N points of a larger draw coincide with an
         N-point draw, so sample sets grow monotonically with `count`.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        unit = _scrambled_halton(self.dim, count, seed)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return lo + unit * (hi - lo)
+        return joint_sample([self], count, seed)[0]
 
 
 def joint_sample(boxes: Sequence[DomainBox], count: int, seed: int = DEFAULT_SAMPLE_SEED):
@@ -444,6 +437,89 @@ def fd_state_partial(fn: Callable, state: np.ndarray, j: int, t: float, h: float
     return (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12.0 * h)
 
 
+def _evaluate_samples(terms: Callable, samples, reduce: Callable) -> tuple:
+    """(values, result) of a sampled check, on the sample columns when they agree.
+
+    `samples` hold one row per sample: a 2-D array is a vector, passed to
+    `terms` as a tuple of coordinates.  `terms` is called once on the
+    columns, each result broadcast to one value per sample; `reduce(values)`
+    returns (result, rows).  The columns serve when they equal, bit for bit,
+    the plain-float call at row 0 and at every reported row; otherwise, or
+    when the column call raises TypeError or ValueError, the samples are
+    walked.  Floating-point warnings are silenced: non-finite values fail.
+    """
+    def walk(picked):  # one plain-float call per sample, vectors as tuples
+        rows = zip(*(a.tolist() if a.ndim == 1 else map(tuple, a.tolist()) for a in picked))
+        return np.array([[float(v) for v in terms(*row)] for row in rows]).T
+
+    n = len(samples[0])
+    with np.errstate(all="ignore"):
+        try:
+            values = np.array([
+                np.broadcast_to(np.asarray(v, dtype=float), (n,))
+                for v in terms(*(tuple(a.T) if a.ndim == 2 else a for a in samples))
+            ])
+        except (TypeError, ValueError):
+            pass
+        else:
+            result, rows = reduce(values)
+            checked = [0, *rows]
+            walked = walk([a[checked] for a in samples])
+            if np.array_equal(values[:, checked].view(np.int64), walked.view(np.int64)):
+                return values, result
+        values = walk(samples)
+        return values, reduce(values)[0]
+
+
+def _worst(values: np.ndarray) -> tuple:
+    """((largest magnitude, its first (sample, term) or None), rows) of (terms, samples).
+
+    A NaN counts as inf, the worst; nothing above 0 gives ((0.0, None), []).
+    """
+    flat = np.where(np.isnan(values), math.inf, np.abs(values)).T.ravel()
+    k = int(np.argmax(flat))
+    if flat[k] > 0:
+        return (float(flat[k]), divmod(k, len(values))), [k // len(values)]
+    return (0.0, None), []
+
+
+def _moved(point: tuple, j: int, offset) -> tuple:
+    return point[:j] + (point[j] + offset,) + point[j + 1:]
+
+
+def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.ndarray,
+                coords, rel_tol: float, abs_tol: float) -> tuple:
+    """Worst relative error of analytic partials against five-point differences.
+
+    fn(state, t) is differenced along `coords`, indices into (*state, t), with
+    step 1e-3 max(1, |coordinate|); `partial` returns the analytic partials
+    over `coords` as a gradient (scalar fn) or a Jacobian.  The relative
+    scale floors at abs_tol / rel_tol.  Returns (worst, (sample, i, j) or None).
+    """
+    n, start = points.shape[1], (tuple(points[0].tolist()), float(times[0]))
+    vector, first = np.ndim(fn(*start)) > 0, partial(*start)
+    jacobian = np.ndim(first) == 2
+    k = len(first) if jacobian else 1
+    steps = 1e-3 * np.maximum(1.0, np.abs(np.column_stack((points, times))[:, coords]))
+
+    def terms(state, h, t):
+        g, point = partial(state, t), (*state, t)
+        out = [g[i][c] if jacobian else g[c] for c in range(len(coords)) for i in range(k)]
+        for hj, j in zip(h, coords):
+            moved = [_moved(point, j, offset) for offset in (2 * hj, hj, -hj, -2 * hj)]
+            vals = [fn(p[:n], p[n]) for p in moved]
+            vals = [[v[i] for i in range(k)] if vector else [v] for v in vals]
+            out += [(-v0 + 8 * v1 - 8 * v2 + v3) / (12.0 * hj) for v0, v1, v2, v3 in zip(*vals)]
+        return out
+
+    def reduce(values):
+        a, fd = np.split(values, 2)
+        return _worst((a - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(a)), abs_tol / rel_tol))
+
+    worst, at = _evaluate_samples(terms, (points, steps, times), reduce)[1]
+    return worst, None if at is None else (at[0], at[1] % k, coords[at[1] // k])
+
+
 def check_gradient(
     fn: Callable,
     grad_fn: Callable,
@@ -461,29 +537,18 @@ def check_gradient(
     matching gradient (length n) or Jacobian (out_dim, n).  Returns the worst
     relative error over quasi-random box points, where the relative scale
     floors at abs_tol / rel_tol so that near-zero partials are judged
-    absolutely.  Raises GradientCheckError beyond tolerance unless
-    raise_on_fail is cleared (certification drivers turn the result into a
-    report entry instead).
+    absolutely; a non-finite error is the worst, inf.  Raises
+    GradientCheckError beyond tolerance unless raise_on_fail is cleared
+    (certification drivers turn the result into a report entry instead).
     """
     pts = box.sample(n_points, seed=seed)
-    worst = 0.0
-    worst_at = None
-    for row in pts:
-        analytic = np.atleast_2d(np.asarray(grad_fn(row, time_value), dtype=float))
-        for j in range(box.dim):
-            h = 1e-3 * max(1.0, abs(row[j]))
-            fd = np.atleast_1d(fd_state_partial(fn, row, j, time_value, h))
-            for i in range(analytic.shape[0]):
-                scale = max(abs(fd[i]), abs(analytic[i, j]), abs_tol / rel_tol)
-                err = abs(analytic[i, j] - fd[i]) / scale
-                if err > worst:
-                    worst = err
-                    worst_at = (row.copy(), i, j)
+    worst, at = _five_point(fn, grad_fn, pts, np.full(n_points, float(time_value)),
+                            list(range(box.dim)), rel_tol, abs_tol)
     if worst > rel_tol and raise_on_fail:
-        row, i, j = worst_at
+        row, i, j = at
         raise GradientCheckError(
             f"analytic partial ({i},{j}) disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {rel_tol:.1e}) at state {row.tolist()}"
+            f"error {worst:.3e} (tolerance {rel_tol:.1e}) at state {pts[row].tolist()}"
         )
     return worst
 
@@ -502,25 +567,18 @@ def check_time_derivative(
     seed: int = DEFAULT_SAMPLE_SEED,
     time_range: tuple = (0.0, 1.0),
 ) -> float:
-    """Same check as `check_gradient` for the partial with respect to time."""
+    """Same check as `check_gradient` for the partial with respect to time.
+
+    Times are evenly spaced over `time_range`, with step 1e-3 max(1, |t|).
+    """
     pts = box.sample(n_points, seed=seed)
-    ts = np.linspace(time_range[0], time_range[1], n_points)
-    worst = 0.0
-    h = 1e-3
-    for row, t in zip(pts, ts):
-        analytic = np.atleast_1d(np.asarray(dt_fn(row, t), dtype=float))
-        fd = (
-            -np.asarray(fn(row, t + 2 * h), dtype=float)
-            + 8 * np.asarray(fn(row, t + h), dtype=float)
-            - 8 * np.asarray(fn(row, t - h), dtype=float)
-            + np.asarray(fn(row, t - 2 * h), dtype=float)
-        ) / (12.0 * h)
-        fd = np.atleast_1d(fd)
-        for i, (a, b) in enumerate(zip(analytic, fd)):
-            scale = max(abs(a), abs(b), abs_tol / rel_tol)
-            err = abs(a - b) / scale
-            if err > worst:
-                worst = err
+    times = np.linspace(time_range[0], time_range[1], n_points)
+    vector = np.ndim(dt_fn(tuple(pts[0].tolist()), float(times[0]))) == 1
+
+    def partial(state, t):  # as a gradient or Jacobian with t the only coordinate
+        return [[v] for v in dt_fn(state, t)] if vector else [dt_fn(state, t)]
+
+    worst, _ = _five_point(fn, partial, pts, times, [box.dim], rel_tol, abs_tol)
     if worst > rel_tol:
         raise GradientCheckError(
             f"analytic time partial disagrees with finite differences by relative "

@@ -35,6 +35,7 @@ import numpy as np
 from .adaptation import AdaptiveLoopSpec
 from .controller import DEFAULT_CONTROL_CONFIG, ControlLawConfig, ControlSingularityError
 from .interconnect import CoupledClosedLoop
+from .model import DimensionMismatchError
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -206,12 +207,15 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawCon
     exogenous disturbance).  Both closures come from `_KERNEL_TEMPLATE`,
     generated once per (q, p, d) layout; they share only the text of the
     control input and the plant rate, so `virtual_rates` stays an
-    independent oracle for the PI estimator.  A callable output of the
-    wrong length is a ValueError.
+    independent oracle for the PI estimator.  A theta_true or a callable
+    output of the wrong length is a ValueError.
     """
+    theta_true = tuple(float(v) for v in theta_true)
+    if len(theta_true) != loop.spec.param_dim:
+        raise DimensionMismatchError("theta_true", loop.spec.param_dim, len(theta_true))
     layout = (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim)
     kernels = _generate("kernels", layout, _kernel_source)
-    return kernels(loop, tuple(float(v) for v in theta_true), control_cfg.singularity_floor, tag)
+    return kernels(loop, theta_true, control_cfg.singularity_floor, tag)
 
 
 # The closed-loop kernels of one loop layout.  Every callable result is

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from decadapt.adaptation import (
     realizability_residual,
 )
 from decadapt.controller import control
+from decadapt.model import GradientCheckError
 from tests.test_model import GOAL, make_damping_spec
 
 
@@ -218,6 +220,47 @@ class TestAdaptiveLoopValidation:
                 spec=spec, goal=GOAL, shaper=TargetShaper.linear(1.0), param=param,
                 potential=zero_potential(1, 2), gain=np.array([[1.0]]),
             )
+
+
+    def test_wrong_goal_time_partial_rejected(self):
+        # psi varies with t, but d_time declares it constant
+        loop = make_loop()
+        goal = GoalFunction(
+            psi=lambda s, t: s[0] + s[1] + math.sin(t),
+            grad_state=lambda s, t: (1.0, 1.0),
+            d_time=lambda s, t: 0.0,
+        )
+        with pytest.raises(GradientCheckError, match="time partial"):
+            replace(loop, goal=goal)
+
+    def test_wrong_alpha_time_partial_rejected(self):
+        loop = make_loop()
+        param = replace(loop.param, alpha=lambda s, t: (s[0] - 1.0 + 0.5 * t,))
+        with pytest.raises(GradientCheckError, match="time partial"):
+            replace(loop, param=param)
+        # the right partial constructs
+        replace(loop, param=replace(param, d_time=lambda s, t: (0.5,)))
+
+    def test_time_varying_goal_with_right_partial_constructs(self):
+        loop = make_loop()
+        goal = GoalFunction(
+            psi=lambda s, t: s[0] + s[1] + math.sin(t),
+            grad_state=lambda s, t: (1.0, 1.0),
+            d_time=lambda s, t: math.cos(t),
+        )
+        assert replace(loop, goal=goal).goal_grad_error <= 1e-5
+
+    def test_nan_potential_gradient_rejected(self):
+        loop = make_loop()
+        pot = AuxiliaryPotential(
+            value=lambda s, t: (0.0,),
+            grad_state=lambda s, t: ((0.0, float("nan")),),
+            d_time=lambda s, t: (0.0,),
+        )
+        args = (pot, loop.goal, loop.param, loop.spec.layout, loop.spec.box)
+        assert realizability_residual(*args) == math.inf
+        with pytest.raises(ValueError, match="realizability"):
+            replace(loop, potential=pot)
 
 
 class TestAdaptiveSimpson:
@@ -486,3 +529,19 @@ class TestPoincare:
         entry = check_poincare(goal, param, layout, box)
         assert not entry.passed
         assert entry.witness["residual"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_alpha_gradient_fails(self, bad):
+        layout = PartitionLayout(q=1, p=1)
+        box = DomainBox((-2.0, -2.0), (2.0, 2.0))
+        param = Parametrization(
+            alpha=lambda s, t: (s[0] - 1.0,),
+            grad_state=lambda s, t: ((1.0, bad),),
+            d_time=lambda s, t: (0.0,),
+            dim=1, growth_upper=1.5, growth_lower=0.5,
+        )
+        entry = check_poincare(GOAL, param, layout, box)
+        assert not entry.passed
+        assert entry.margin == -math.inf
+        assert entry.witness["residual"] == math.inf
+        assert entry.witness["state"] == box.sample(50)[0].tolist()

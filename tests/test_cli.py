@@ -171,6 +171,19 @@ class TestTailAndWorkerFlags:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("flags", [["--k1", "0.9"], ["--k2", "0.9"],
+                                       ["--k1", "0.9", "--k2", "0.9"]])
+    def test_sweep_rejects_single_couplings(self, tmp_path, capsys, flags):
+        # the grid sets both couplings of every cell: --k1/--k2 would be ignored
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "oscillator", *flags, "--k1-grid", "0.1", "--k2-grid", "0.1",
+                     "--t-final", "1", "--workers", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--k1-grid" in err and "--k2-grid" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-3", "-1"])
     def test_negative_workers(self, tmp_path, capsys, value):
         out = tmp_path / "sweep.csv"
@@ -380,7 +393,8 @@ class TestCliFuzz:
         for flag in data.draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
             text, ok = data.draw(options[flag])
             flags.append(f"{flag}={text}")
-            valid = valid and ok
+            # the sweep grid sets both couplings: --k1/--k2 cannot be honoured there
+            valid = valid and ok and not (command == "sweep" and flag in ("--k1", "--k2"))
         if command == "certify":
             text, ok = data.draw(_either(st.integers(1, 100), ["0", "-5"]))
             flags.append(f"--monotonicity-samples={text}")

@@ -222,6 +222,52 @@ class TestGradientChecks:
         )
         assert worst <= 1e-5
 
+    def test_rejects_wrong_time_partial(self):
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0))
+        with pytest.raises(GradientCheckError, match="time partial"):
+            check_time_derivative(lambda s, t: s[0] + s[1] + math.sin(t), lambda s, t: 0.0, box)
+
+    def test_vector_time_partial(self):
+        box = DomainBox((-1.0,), (1.0,))
+        worst = check_time_derivative(
+            lambda s, t: (s[0] * t, t * t), lambda s, t: (s[0], 2.0 * t), box
+        )
+        assert worst <= 1e-5
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteGradients:
+    """A non-finite value is the worst error, never skipped, and warns nothing."""
+
+    BOX = DomainBox((-2.0, -2.0), (2.0, 2.0))
+
+    @pytest.mark.parametrize("partial", [NAN, INF, -INF])
+    def test_non_finite_partial_fails(self, partial):
+        args = (lambda s, t: s[0] ** 2 + s[1], lambda s, t: (partial, 1.0), self.BOX)
+        with pytest.raises(GradientCheckError, match="relative error inf"):
+            check_gradient(*args)
+        assert check_gradient(*args, raise_on_fail=False) == INF
+
+    def test_nan_valued_function_fails(self):
+        with pytest.raises(GradientCheckError, match="relative error inf"):
+            check_gradient(lambda s, t: NAN, lambda s, t: (0.0, 0.0), self.BOX)
+
+    def test_nan_time_partial_fails(self):
+        with pytest.raises(GradientCheckError, match="relative error inf"):
+            check_time_derivative(lambda s, t: s[0], lambda s, t: NAN, self.BOX)
+
+    def test_first_non_finite_sample_is_the_witness(self):
+        # finite errors everywhere except a NaN partial on part of the box
+        def grad(s, t):
+            return (NAN if s[0] > 1.0 else 2.0 * s[0], 1.0)
+
+        first = next(row for row in self.BOX.sample(100) if row[0] > 1.0)
+        with pytest.raises(GradientCheckError) as exc:
+            check_gradient(lambda s, t: s[0] ** 2 + s[1], grad, self.BOX)
+        assert str(first.tolist()) in str(exc.value)
+
 
 class TestGainDescriptor:
     def test_linear_evaluation(self):

@@ -469,6 +469,22 @@ class TestWrongLengthOutputs:
         with pytest.raises(ValueError, match="unpack"):
             self.run(integrator, self.matrix_gain_loop(**fields))
 
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    @pytest.mark.parametrize("theta_true", [(1.0, 5.0, 7.0), ()], ids=["long", "empty"])
+    def test_theta_true_length_scalar_loop(self, integrator, oscillator, theta_true):
+        # a long theta_true ran with its first entry only
+        with pytest.raises(ValueError, match=f"theta_true: expected length 1, "
+                                             f"got {len(theta_true)}"):
+            integrator(oscillator.loop_x, theta_true, zero_disturbance(), self.CFG,
+                       (-1.0, 0.0), (-1.0,))
+
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    @pytest.mark.parametrize("theta_true", [(0.8,), (0.8, 1.2, 3.0)], ids=["short", "long"])
+    def test_theta_true_length_matrix_gain_loop(self, integrator, theta_true):
+        with pytest.raises(ValueError, match=f"expected length 2, got {len(theta_true)}"):
+            integrator(self.matrix_gain_loop(), theta_true, zero_disturbance(), self.CFG,
+                       (0.5, -0.2), (0.0, 0.0))
+
     def test_coupled_injection(self, oscillator):
         sys = CoupledClosedLoop(
             loop_x=adaptation_tests.TestMatrixGainLoop.build(), loop_y=oscillator.loop_y,

@@ -18,7 +18,7 @@ from .model import (
     input_gain,
     lie_derivative,
 )
-from .controller import ControlLawConfig, ControlSingularityError, control, goal_error_rate
+from .controller import ControlSingularityError, control, goal_error_rate
 from .adaptation import (
     AdaptiveLoopSpec,
     AuxiliaryPotential,

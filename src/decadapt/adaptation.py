@@ -38,7 +38,9 @@ REALIZABILITY_TOL = 1e-7
 REALIZABILITY_POINTS = 200
 SINGLE_COORD_TOL = 1e-9
 POINCARE_TOL = 1e-6
+POINCARE_FD_STEP = 1e-4
 QUADRATURE_ABS_TOL = 1e-10
+POTENTIAL_CHECK_POINTS = 50
 GAMMA_SYMMETRY_TOL = 1e-12
 
 
@@ -249,9 +251,6 @@ def build_potential_single_coordinate(
     layout,
     box: DomainBox,
     coord_index: int,
-    abs_tol: float = QUADRATURE_ABS_TOL,
-    n_check_points: int = 50,
-    seed: int = DEFAULT_SAMPLE_SEED,
 ) -> AuxiliaryPotential:
     """Construct the potential by quadrature along one second-block coordinate.
 
@@ -269,32 +268,37 @@ def build_potential_single_coordinate(
     differences.
 
     Raises PotentialConstructionError when some other second-block
-    coordinate carries a nonzero partial; run `check_poincare` to see
-    whether a potential can exist at all.
+    coordinate carries a partial above 1e-9 (a NaN counts as inf) at t = 0
+    on 50 box samples; run `check_poincare` to see whether a potential can
+    exist at all.  The samples go through the evaluator of every sampled
+    check, `model._evaluate_samples`.
     """
     q, p, n = layout.q, layout.p, layout.n
     if not 0 <= coord_index < p:
         raise ValueError(f"coord_index must be in [0, {p}), got {coord_index}")
     k = q + coord_index
     d = param.dim
+    others = [j for j in range(q, n) if j != k]
+    m = len(others) * (1 + d)
 
-    pts = box.sample(n_check_points, seed=seed)
-    alpha_dep = 0.0
-    for row in pts:
-        gpsi = np.asarray(goal.grad_state(row, 0.0), dtype=float)
-        galpha = np.asarray(param.grad_state(row, 0.0), dtype=float)
-        for j in range(q, n):
-            if j == k:
-                continue
-            off = max(abs(gpsi[j]), float(np.max(np.abs(galpha[:, j]))))
-            if off > SINGLE_COORD_TOL:
-                raise PotentialConstructionError(
-                    f"second-block coordinate {j - q} carries partials up to {off:.3e}; "
-                    "the single-coordinate construction does not apply. Run "
-                    "check_poincare to test whether any potential exists."
-                )
-        alpha_dep = max(alpha_dep, float(np.max(np.abs(galpha[:, k]))))
+    def terms(state, t):  # the off-coordinate partials of psi and alpha, then alpha's along k
+        gpsi, galpha = goal.grad_state(state, t), param.grad_state(state, t)
+        return ([gpsi[j] for j in others] + [g[j] for g in galpha for j in others]
+                + [g[k] for g in galpha])
 
+    def reduce(values):  # ((worst off partial, its (sample, term) or None, worst along k), rows)
+        (off, at), rows = _worst(values[:m]) if m else ((0.0, None), [])
+        (dep, _), dep_rows = _worst(values[m:])
+        return (off, at, dep), rows + dep_rows
+
+    samples = (box.sample(POTENTIAL_CHECK_POINTS), np.zeros(POTENTIAL_CHECK_POINTS))
+    off, at, alpha_dep = _evaluate_samples(terms, samples, reduce)[1]
+    if off > SINGLE_COORD_TOL:
+        raise PotentialConstructionError(
+            f"second-block coordinate {others[at[1] % len(others)] - q} carries partials up "
+            f"to {off:.3e}; the single-coordinate construction does not apply. Run "
+            "check_poincare to test whether any potential exists."
+        )
     if alpha_dep <= SINGLE_COORD_TOL:
         return zero_potential(d, n)
 
@@ -312,9 +316,8 @@ def build_potential_single_coordinate(
 
     def value(state, t):
         upper = float(state[k])
-        return np.array(
-            [_adaptive_simpson(integrand(state, t, i), lower_k, upper, abs_tol) for i in range(d)]
-        )
+        return np.array([_adaptive_simpson(integrand(state, t, i), lower_k, upper,
+                                           QUADRATURE_ABS_TOL) for i in range(d)])
 
     def grad_state(state, t):
         out = np.zeros((d, n))
@@ -341,10 +344,8 @@ def check_poincare(
     layout,
     box: DomainBox,
     n_samples: int = 50,
-    tol: float = POINCARE_TOL,
     seed: int = DEFAULT_SAMPLE_SEED,
     time_value: float = 0.0,
-    fd_step: float = 1e-4,
 ) -> CertificateEntry:
     """Test existence of an auxiliary potential via mixed-partial symmetry.
 
@@ -352,8 +353,9 @@ def check_poincare(
     of the field psi * (second-block gradient of that component) must be
     symmetric; by the Poincare lemma this is necessary and sufficient for a
     potential to exist locally.  Second-order terms are formed by central
-    differences of the analytic first derivatives.  Failure is reported as
-    an entry, not raised.
+    differences of the analytic first derivatives, with step
+    1e-4 max(1, |coordinate|).  An asymmetry above POINCARE_TOL is reported
+    as a failing entry, not raised.
     """
     q, p = layout.q, layout.p
     pts = box.sample(n_samples, seed=seed)
@@ -369,10 +371,10 @@ def check_poincare(
         return [jac[l][i * p + k] - jac[k][i * p + l]
                 for i in range(param.dim) for k in range(p) for l in range(p)]
 
-    steps = fd_step * np.maximum(1.0, np.abs(pts[:, q:]))
+    steps = POINCARE_FD_STEP * np.maximum(1.0, np.abs(pts[:, q:]))
     samples = (pts, steps, np.full(n_samples, float(time_value)))
     worst, at = _evaluate_samples(terms, samples, _worst)[1]
     witness = {} if at is None else {
         "state": pts[at[0]].tolist(), "component": at[1] // (p * p), "residual": worst,
     }
-    return entry_from_margin("poincare-symmetry", tol - worst, witness, tol)
+    return entry_from_margin("poincare-symmetry", POINCARE_TOL - worst, witness, POINCARE_TOL)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +56,8 @@ RATIO_FLOOR = 1e-9
 GROWTH_REL_SLACK = 1e-6
 MONITOR_TOL = 1e-6
 STEP_MONOTONE_TOL = 1e-8
+SCAN_LOWER = 1e-6
+SCAN_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +104,6 @@ def verify_monotonicity(
     state_box: DomainBox,
     theta_box: DomainBox,
     n_samples: int = 1000,
-    declared_upper: Optional[float] = None,
-    declared_lower: Optional[float] = None,
     seed: int = DEFAULT_SAMPLE_SEED,
     time_range: tuple = (0.0, 0.0),
 ) -> MonotonicityCertificate:
@@ -118,8 +118,8 @@ def verify_monotonicity(
     and the lower only shrink with n_samples.
 
     Passes when the sign condition holds everywhere and the estimates stay
-    within the declared constants (default: the parametrization's) up to
-    relative slack 1e-6.  Returns an inconclusive entry when no sample
+    within the parametrization's declared growth constants up to relative
+    slack 1e-6.  Returns an inconclusive entry when no sample
     clears the denominator floor.  Raises ValueError when n_samples < 1 and
     DimensionMismatchError when alpha's length differs from theta_box's.
 
@@ -130,8 +130,6 @@ def verify_monotonicity(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    d_declared = param.growth_upper if declared_upper is None else declared_upper
-    d1_declared = param.growth_lower if declared_lower is None else declared_lower
     time_box = DomainBox((time_range[0],), (time_range[1],))
     states, thetas, thetas_alt, times = joint_sample(
         [state_box, theta_box, theta_box, time_box], n_samples, seed=seed
@@ -173,8 +171,8 @@ def verify_monotonicity(
     d1_hat, d1_hat_witness = (math.inf, {}) if i_lo is None else ratio_witness(i_lo)
 
     slack_sign = worst_sign + SIGN_CONDITION_TOL
-    slack_upper = d_declared * (1.0 + GROWTH_REL_SLACK) - d_hat
-    slack_lower = d1_hat - d1_declared * (1.0 - GROWTH_REL_SLACK)
+    slack_upper = param.growth_upper * (1.0 + GROWTH_REL_SLACK) - d_hat
+    slack_lower = d1_hat - param.growth_lower * (1.0 - GROWTH_REL_SLACK)
     margin = min(slack_sign, slack_upper, slack_lower)
     if margin == slack_sign:
         witness = worst_sign_witness
@@ -197,7 +195,6 @@ def monitor_loop_bounds(
     loop: AdaptiveLoopSpec,
     theta_true,
     tol: float = MONITOR_TOL,
-    step_tol: float = STEP_MONOTONE_TOL,
 ) -> list:
     """Check the closed-loop adaptation bounds along one logged trajectory.
 
@@ -212,7 +209,7 @@ def monitor_loop_bounds(
       within tol;
     - parameter-error-monotone (only when eps vanishes identically): half
       the weighted squared parameter error never grows by more than
-      step_tol per logged step.
+      STEP_MONOTONE_TOL per logged step.
 
     Reported margins are tolerance-adjusted slacks (minimum over T).
     """
@@ -259,7 +256,8 @@ def monitor_loop_bounds(
             worst = 0.0
             witness = {"note": "single sample"}
         entries.append(
-            entry_from_margin("parameter-error-monotone", step_tol - worst, witness, step_tol)
+            entry_from_margin("parameter-error-monotone", STEP_MONOTONE_TOL - worst, witness,
+                              STEP_MONOTONE_TOL)
         )
     return entries
 
@@ -271,9 +269,10 @@ class SmallGainProblem:
     gain_x22 / gain_y22 are the declared energy-to-energy gains of the two
     target dynamics; beta_x / beta_y the declared coupling growth bounds;
     ratio_x / ratio_y the declared growth-constant ratios (upper over
-    lower, hence >= 1).  For non-linear gains the condition is scanned over
-    amplitudes in [max(delta_bar, delta_floor), delta_max] with a finite
-    family of linear probes (1 + delta) * identity, delta > 0.
+    lower, hence >= 1), all finite.  For non-linear gains the condition is
+    scanned over 64 logarithmically spaced amplitudes in [1e-6, delta_max]
+    with the finite family of linear probes (1 + delta) * identity, delta in
+    probe_deltas (at least one, each > 0).
     """
 
     gain_x22: GainDescriptor
@@ -284,19 +283,17 @@ class SmallGainProblem:
     ratio_y: float
     probe_deltas: tuple = (1e-6, 1e-3, 1e-2, 0.1, 0.5)
     delta_max: float = 1e3
-    delta_bar: float = 0.0
-    delta_floor: float = 1e-6
-    scan_points: int = 64
 
     def __post_init__(self):
-        if self.beta_x < 0 or self.beta_y < 0:
-            raise ValueError("coupling bounds must be >= 0")
-        if self.ratio_x < 1 or self.ratio_y < 1:
-            raise ValueError("growth ratios must be >= 1")
-        if any(d <= 0 for d in self.probe_deltas):
-            raise ValueError("probe deltas must be > 0 (probes must exceed identity)")
-        if not self.delta_max > 0:
-            raise ValueError("delta_max must be > 0")
+        if not (0 <= self.beta_x < math.inf and 0 <= self.beta_y < math.inf):
+            raise ValueError("coupling bounds must be finite and >= 0")
+        if not (1 <= self.ratio_x < math.inf and 1 <= self.ratio_y < math.inf):
+            raise ValueError("growth ratios must be finite and >= 1")
+        if not self.probe_deltas or not all(0 < d < math.inf for d in self.probe_deltas):
+            raise ValueError("probe deltas must be one or more finite values > 0 "
+                             "(probes must exceed identity)")
+        if not self.delta_max > SCAN_LOWER:
+            raise ValueError(f"delta_max must exceed the scan lower end {SCAN_LOWER}")
 
 
 def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
@@ -330,10 +327,7 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
             strict=True,
         )
 
-    lo = max(prob.delta_bar, prob.delta_floor)
-    if lo >= prob.delta_max:
-        raise ValueError("delta_max must exceed the scan lower end")
-    deltas = np.geomspace(lo, prob.delta_max, prob.scan_points)
+    deltas = np.geomspace(SCAN_LOWER, prob.delta_max, SCAN_POINTS)
 
     def composed(delta, d1, d2, d3):
         s = (prob.ratio_x + 1.0) * delta
@@ -385,18 +379,17 @@ def verify_coupling_bound(
     beta: float,
     mode: str = "l2",
     offset: float = 0.0,
-    tol: float = MONITOR_TOL,
 ) -> CertificateEntry:
     """Check a declared coupling growth bound along a coupled trajectory.
 
     channel is "into_x" or "into_y", naming the goal-error equation the
     disturbance enters; the comparison signal is the goal error of the
     loop that generates the channel (the partner).  Pointwise mode checks
-    |h(t)| <= beta |psi_partner(t)| + tol at every sample; l2 mode checks
-    the running norms, |h| <= beta |psi_partner| + offset + tol, at every
-    logged horizon.  Couplings that depend on partner state rather than on
-    its goal error generally fail the pointwise form and satisfy only the
-    l2 form with a nonzero offset.
+    |h(t)| <= beta |psi_partner(t)| + MONITOR_TOL at every sample; l2 mode
+    checks the running norms, |h| <= beta |psi_partner| + offset +
+    MONITOR_TOL, at every logged horizon.  Couplings that depend on partner
+    state rather than on its goal error generally fail the pointwise form
+    and satisfy only the l2 form with a nonzero offset.
     """
     if channel == "into_x":
         into, src = traj.loops["x"], traj.loops["y"]
@@ -406,16 +399,17 @@ def verify_coupling_bound(
         raise ValueError("channel must be 'into_x' or 'into_y'")
 
     if mode == "pointwise":
-        slack = beta * np.abs(src.psi) + tol - np.abs(into.eps)
+        slack = beta * np.abs(src.psi) + MONITOR_TOL - np.abs(into.eps)
         name = f"coupling-bound-pointwise-{channel}"
     elif mode == "l2":
-        slack = beta * src.l2_psi + offset + tol - into.l2_eps
+        slack = beta * src.l2_psi + offset + MONITOR_TOL - into.l2_eps
         name = f"coupling-bound-l2-{channel}"
     else:
         raise ValueError("mode must be 'pointwise' or 'l2'")
     i = int(np.argmin(slack))
     return entry_from_margin(
-        name, float(slack[i]), {"t": float(traj.t[i]), "beta": beta, "offset": offset}, tol
+        name, float(slack[i]), {"t": float(traj.t[i]), "beta": beta, "offset": offset},
+        MONITOR_TOL,
     )
 
 

@@ -4,34 +4,18 @@ The control input cancels the estimated drift of the goal function and
 installs the target dynamics; by construction it reads only this
 subsystem's state, so decentralization is structural.  The law divides by
 the input gain of the goal function, which the surrounding theory assumes
-invertible everywhere; where that fails numerically the controller aborts
-with a diagnostic instead of regularizing, because a silently modified
-input would invalidate every runtime certificate downstream.
+invertible everywhere; where its magnitude falls below the fixed floor
+SINGULARITY_FLOOR the controller aborts with a diagnostic instead of
+regularizing, because a silently modified input would invalidate every
+runtime certificate downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import GoalFunction, SubsystemSpec, TargetShaper, goal_drift, input_gain
 
-
-@dataclass(frozen=True, eq=False)
-class ControlLawConfig:
-    """Numerical guard for the control law.
-
-    singularity_floor: minimum admissible magnitude of the goal function's
-    input gain; below it the law is considered undefined at that point.
-    """
-
-    singularity_floor: float = 1e-9
-
-    def __post_init__(self):
-        if self.singularity_floor <= 0:
-            raise ValueError("singularity_floor must be > 0")
-
-
-DEFAULT_CONTROL_CONFIG = ControlLawConfig()
+# Smallest admissible |input gain| of the goal function; below it the law is undefined.
+SINGULARITY_FLOOR = 1e-9
 
 
 class ControlSingularityError(RuntimeError):
@@ -56,7 +40,6 @@ def control(
     state,
     theta_hat,
     t: float,
-    cfg: ControlLawConfig = DEFAULT_CONTROL_CONFIG,
 ) -> float:
     """Certainty-equivalent control input at one point.
 
@@ -64,10 +47,10 @@ def control(
     so that with a perfect estimate the closed-loop goal error follows the
     target dynamics exactly.
 
-    Raises ControlSingularityError when |input gain| < cfg.singularity_floor.
+    Raises ControlSingularityError when |input gain| < SINGULARITY_FLOOR.
     """
     gain = input_gain(spec, goal, state, t)
-    if abs(gain) < cfg.singularity_floor:
+    if abs(gain) < SINGULARITY_FLOOR:
         raise ControlSingularityError(state, t, gain)
     drift = goal_drift(spec, goal, state, theta_hat, t)
     psi = goal.psi(state, t)
@@ -83,7 +66,6 @@ def goal_error_rate(
     theta_hat,
     t: float,
     eps: float = 0.0,
-    cfg: ControlLawConfig = DEFAULT_CONTROL_CONFIG,
 ) -> float:
     """Closed-loop rate of change of the goal function.
 
@@ -93,7 +75,7 @@ def goal_error_rate(
     loop whenever the control law is defined; the control precondition is
     enforced here so singularities propagate instead of being masked.
     """
-    control(spec, goal, shaper, state, theta_hat, t, cfg)
+    control(spec, goal, shaper, state, theta_hat, t)
     psi = goal.psi(state, t)
     return (
         goal_drift(spec, goal, state, theta, t)

@@ -14,10 +14,11 @@ Vector-valued callables may return any sequence of floats (list, tuple or
 Callables must likewise accept states and parameter vectors as any float
 sequence: the integrators pass lists and tuples of plain floats.  Every
 sampled check (gradients, time partials, realizability, the Poincare
-symmetry and the monotonicity certificate) first calls its callables once
-with tuples of sample-column arrays, and walks the samples on plain-float
-tuples when that call raises TypeError or ValueError or its results differ
-bit for bit from the plain-float call at a spot-checked sample.
+symmetry, the monotonicity certificate and the potential builder's scan)
+first calls its callables once with tuples of sample-column arrays, and
+walks the samples on plain-float tuples when that call raises TypeError or
+ValueError or its results differ bit for bit from the plain-float call at
+a spot-checked sample.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ class GainDescriptor:
 
     Linear: value -> offset + slope * value, offset >= 0, slope >= 0.
     Tabulated: piecewise-linear through monotone (input, output) samples;
-    inputs strictly increasing starting at 0, outputs non-decreasing.
+    inputs strictly increasing starting at 0, outputs non-decreasing.  Every
+    declared number must be finite.
     Evaluation outside the tabulated range raises GainRangeError, which
     certification checks surface as an inconclusive outcome.
     """
@@ -301,12 +303,14 @@ class GainDescriptor:
 
     def __post_init__(self):
         if self.kind == "linear":
-            if self.offset < 0 or self.slope < 0:
-                raise ValueError("linear gain requires offset >= 0 and slope >= 0")
+            if not (0 <= self.offset < math.inf and 0 <= self.slope < math.inf):
+                raise ValueError("linear gain requires finite offset >= 0 and slope >= 0")
         elif self.kind == "tabulated":
             pts = tuple((float(a), float(b)) for a, b in self.table)
             if not pts:
                 raise ValueError("tabulated gain requires at least one sample")
+            if not all(math.isfinite(v) for pt in pts for v in pt):
+                raise ValueError(f"tabulated gain samples must be finite, got {pts}")
             if pts[0][0] != 0.0:
                 raise ValueError("tabulated gain must start at input 0")
             for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
@@ -488,13 +492,14 @@ def _moved(point: tuple, j: int, offset) -> tuple:
 
 
 def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.ndarray,
-                coords, rel_tol: float, abs_tol: float) -> tuple:
+                coords) -> tuple:
     """Worst relative error of analytic partials against five-point differences.
 
     fn(state, t) is differenced along `coords`, indices into (*state, t), with
     step 1e-3 max(1, |coordinate|); `partial` returns the analytic partials
     over `coords` as a gradient (scalar fn) or a Jacobian.  The relative
-    scale floors at abs_tol / rel_tol.  Returns (worst, (sample, i, j) or None).
+    scale floors at GRAD_ABS_TOL / GRAD_REL_TOL, so that partials below it
+    are judged absolutely.  Returns (worst, (sample, i, j) or None).
     """
     n, start = points.shape[1], (tuple(points[0].tolist()), float(times[0]))
     vector, first = np.ndim(fn(*start)) > 0, partial(*start)
@@ -514,7 +519,8 @@ def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.n
 
     def reduce(values):
         a, fd = np.split(values, 2)
-        return _worst((a - fd) / np.maximum(np.maximum(np.abs(fd), np.abs(a)), abs_tol / rel_tol))
+        scale = np.maximum(np.maximum(np.abs(fd), np.abs(a)), GRAD_ABS_TOL / GRAD_REL_TOL)
+        return _worst((a - fd) / scale)
 
     worst, at = _evaluate_samples(terms, (points, steps, times), reduce)[1]
     return worst, None if at is None else (at[0], at[1] % k, coords[at[1] // k])
@@ -525,8 +531,6 @@ def check_gradient(
     grad_fn: Callable,
     box: DomainBox,
     n_points: int = GRAD_SAMPLE_POINTS,
-    rel_tol: float = GRAD_REL_TOL,
-    abs_tol: float = GRAD_ABS_TOL,
     seed: int = DEFAULT_SAMPLE_SEED,
     time_value: float = 0.0,
     raise_on_fail: bool = True,
@@ -536,19 +540,19 @@ def check_gradient(
     `fn(state, t)` may be scalar or vector valued; `grad_fn` must return the
     matching gradient (length n) or Jacobian (out_dim, n).  Returns the worst
     relative error over quasi-random box points, where the relative scale
-    floors at abs_tol / rel_tol so that near-zero partials are judged
-    absolutely; a non-finite error is the worst, inf.  Raises
-    GradientCheckError beyond tolerance unless raise_on_fail is cleared
+    floors at GRAD_ABS_TOL / GRAD_REL_TOL so that near-zero partials are
+    judged absolutely; a non-finite error is the worst, inf.  Raises
+    GradientCheckError beyond GRAD_REL_TOL unless raise_on_fail is cleared
     (certification drivers turn the result into a report entry instead).
     """
     pts = box.sample(n_points, seed=seed)
     worst, at = _five_point(fn, grad_fn, pts, np.full(n_points, float(time_value)),
-                            list(range(box.dim)), rel_tol, abs_tol)
-    if worst > rel_tol and raise_on_fail:
+                            list(range(box.dim)))
+    if worst > GRAD_REL_TOL and raise_on_fail:
         row, i, j = at
         raise GradientCheckError(
             f"analytic partial ({i},{j}) disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {rel_tol:.1e}) at state {pts[row].tolist()}"
+            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e}) at state {pts[row].tolist()}"
         )
     return worst
 
@@ -562,8 +566,6 @@ def check_time_derivative(
     dt_fn: Callable,
     box: DomainBox,
     n_points: int = GRAD_SAMPLE_POINTS,
-    rel_tol: float = GRAD_REL_TOL,
-    abs_tol: float = GRAD_ABS_TOL,
     seed: int = DEFAULT_SAMPLE_SEED,
     time_range: tuple = (0.0, 1.0),
 ) -> float:
@@ -578,10 +580,10 @@ def check_time_derivative(
     def partial(state, t):  # as a gradient or Jacobian with t the only coordinate
         return [[v] for v in dt_fn(state, t)] if vector else [dt_fn(state, t)]
 
-    worst, _ = _five_point(fn, partial, pts, times, [box.dim], rel_tol, abs_tol)
-    if worst > rel_tol:
+    worst, _ = _five_point(fn, partial, pts, times, [box.dim])
+    if worst > GRAD_REL_TOL:
         raise GradientCheckError(
             f"analytic time partial disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {rel_tol:.1e})"
+            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e})"
         )
     return worst

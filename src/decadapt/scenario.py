@@ -29,7 +29,6 @@ import numpy as np
 
 from .adaptation import REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare, zero_potential
 from .certify import (
-    MONITOR_TOL,
     CertificateReport,
     SmallGainProblem,
     check_small_gain,
@@ -57,6 +56,7 @@ GROWTH_Y = (1.6, 0.4)
 WOBBLE_X = 0.5
 WOBBLE_Y = 0.6
 STATE_BOX = DomainBox((-5.0, -5.0), (5.0, 5.0))
+LOOP_MONITOR_TOL = 1e-4  # tolerance of the adaptation-bound monitors in certify
 
 MONOTONICITY_STATE_BOX = DomainBox((-3.0, -3.0), (3.0, 3.0))
 MONOTONICITY_THETA_BOX = DomainBox((0.2,), (2.0,))
@@ -218,7 +218,6 @@ def _renamed(entry: CertificateEntry, suffix: str) -> CertificateEntry:
 def certify_oscillator(
     sc: OscillatorScenario,
     n_monotonicity_samples: int = 10000,
-    monitor_tol: float = 1e-4,
     tail_window: float = 5.0,
     tail_threshold: float = 1e-2,
 ) -> tuple:
@@ -276,12 +275,11 @@ def certify_oscillator(
         return report, None
 
     for tag, loop, theta in (("x", sys.loop_x, sys.theta_true_x), ("y", sys.loop_y, sys.theta_true_y)):
-        for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=monitor_tol):
+        for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=LOOP_MONITOR_TOL):
             report.add(_renamed(entry, tag))
     off_x, off_y = coupling_offsets(sc)
     for channel, k, offset in (("into_x", sc.k1, off_x), ("into_y", sc.k2, off_y)):
-        report.add(verify_coupling_bound(traj, channel, abs(k), mode="l2", offset=offset,
-                                         tol=MONITOR_TOL))
+        report.add(verify_coupling_bound(traj, channel, abs(k), mode="l2", offset=offset))
     report.extend(
         monitor_tail_convergence(traj, tail_window, tail_threshold, tail_threshold)
     )

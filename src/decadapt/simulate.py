@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adaptation import AdaptiveLoopSpec
-from .controller import DEFAULT_CONTROL_CONFIG, ControlLawConfig, ControlSingularityError
+from .controller import SINGULARITY_FLOOR, ControlSingularityError
 from .interconnect import CoupledClosedLoop
 from .model import DimensionMismatchError
 
@@ -190,7 +190,7 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawConfig, tag: str):
+def _compile_loop(loop: AdaptiveLoopSpec, theta_true, tag: str):
     """Bind one loop's callables into fast per-point rate evaluators.
 
     Returns (rates, virtual_rates):
@@ -215,7 +215,7 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, control_cfg: ControlLawCon
         raise DimensionMismatchError("theta_true", loop.spec.param_dim, len(theta_true))
     layout = (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim)
     kernels = _generate("kernels", layout, _kernel_source)
-    return kernels(loop, theta_true, control_cfg.singularity_floor, tag)
+    return kernels(loop, theta_true, SINGULARITY_FLOOR, tag)
 
 
 # The closed-loop kernels of one loop layout.  Every callable result is
@@ -460,7 +460,6 @@ def integrate(
     cfg: IntegratorConfig,
     aug0,
     t0: float = 0.0,
-    control_cfg: ControlLawConfig = DEFAULT_CONTROL_CONFIG,
 ) -> Trajectory:
     """Simulate the coupled closed loop from an augmented initial state.
 
@@ -471,8 +470,8 @@ def integrate(
     n_x, d_x, n_y, _ = sys.dims
     aug0 = np.asarray(aug0, dtype=float)
     sys.split_state(aug0)  # rejects a wrong length
-    rates_x, _ = _compile_loop(sys.loop_x, sys.theta_true_x, control_cfg, "x")
-    rates_y, _ = _compile_loop(sys.loop_y, sys.theta_true_y, control_cfg, "y")
+    rates_x, _ = _compile_loop(sys.loop_x, sys.theta_true_x, "x")
+    rates_y, _ = _compile_loop(sys.loop_y, sys.theta_true_y, "y")
     into_x2 = sys.coupling.into_x2
     into_y2 = sys.coupling.into_y2
     ax, bx = n_x, n_x + d_x
@@ -522,7 +521,6 @@ def integrate_loop(
     state0,
     theta_i0,
     t0: float = 0.0,
-    control_cfg: ControlLawConfig = DEFAULT_CONTROL_CONFIG,
 ) -> LoopTrajectory:
     """Simulate a single adaptive loop under an exogenous disturbance.
 
@@ -530,7 +528,7 @@ def integrate_loop(
     coupled run whose coupling vanishes, so the two produce bit-identical
     subsystem trajectories on the same grid.
     """
-    rates, _ = _compile_loop(loop, theta_true, control_cfg, "loop")
+    rates, _ = _compile_loop(loop, theta_true, "loop")
     return _loop_record(*_run_single(rates, loop, disturbance, cfg, state0, theta_i0, t0))
 
 
@@ -553,7 +551,6 @@ def integrate_virtual(
     state0,
     theta_hat0,
     t0: float = 0.0,
-    control_cfg: ControlLawConfig = DEFAULT_CONTROL_CONFIG,
 ) -> VirtualTrajectory:
     """Integrate the reduced update law as an oracle for the realizable one.
 
@@ -563,7 +560,7 @@ def integrate_virtual(
     realizable online; from consistent initial data it must reproduce the
     estimates of `integrate_loop` up to integration error.
     """
-    _, virtual_rates = _compile_loop(loop, theta_true, control_cfg, "virtual")
+    _, virtual_rates = _compile_loop(loop, theta_true, "virtual")
     t, state, theta_hat, diag, status = _run_single(virtual_rates, loop, disturbance, cfg,
                                                     state0, theta_hat0, t0)
     return VirtualTrajectory(t=t, state=state, theta_hat=theta_hat, psi=diag[:, 0],

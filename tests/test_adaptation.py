@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -347,6 +348,38 @@ class TestPotentialConstruction:
         )
         with pytest.raises(PotentialConstructionError, match="check_poincare"):
             build_potential_single_coordinate(goal, param, layout, box, coord_index=1)
+
+    def test_nan_off_coordinate_partial_rejected(self):
+        # NaN > tol is false, so a NaN partial along coordinate 0 must count as inf
+        layout = PartitionLayout(q=0, p=2)
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0))
+        goal = GoalFunction(psi=lambda s, t: s[1], grad_state=lambda s, t: (math.nan, 1.0),
+                            d_time=lambda s, t: 0.0)
+        param = Parametrization(
+            alpha=lambda s, t: (s[1],),
+            grad_state=lambda s, t: ((0.0, 1.0),),
+            d_time=lambda s, t: (0.0,),
+            dim=1, growth_upper=1.0, growth_lower=1.0,
+        )
+        with pytest.raises(PotentialConstructionError,
+                           match="coordinate 0 carries partials up to inf"):
+            build_potential_single_coordinate(goal, param, layout, box, coord_index=1)
+
+    def test_error_names_worst_off_coordinate_partial(self):
+        layout = PartitionLayout(q=1, p=2)
+        box = DomainBox((-1.0, -1.0, -2.0), (1.0, 1.0, 2.0))
+        goal = GoalFunction(psi=lambda s, t: s[1], grad_state=lambda s, t: (0.0, 1.0, 0.0),
+                            d_time=lambda s, t: 0.0)
+        param = Parametrization(  # alpha = s1 + s2^2 / 2: the partial along s2 is s2
+            alpha=lambda s, t: (s[1] + 0.5 * s[2] * s[2],),
+            grad_state=lambda s, t: ((0.0, 1.0, s[2]),),
+            d_time=lambda s, t: (0.0,),
+            dim=1, growth_upper=1.0, growth_lower=1.0,
+        )
+        worst = float(np.max(np.abs(box.sample(50)[:, 2])))
+        with pytest.raises(PotentialConstructionError,
+                           match=re.escape(f"coordinate 1 carries partials up to {worst:.3e}")):
+            build_potential_single_coordinate(goal, param, layout, box, coord_index=0)
 
 
 class TestMatrixGainLoop:

@@ -462,6 +462,18 @@ class TestSmallGainScanned:
                 probe_deltas=(0.0,),
             )
 
+    @pytest.mark.parametrize("change", [
+        {"beta_x": math.nan}, {"beta_y": math.inf}, {"ratio_x": math.nan}, {"ratio_y": math.inf},
+        {"probe_deltas": ()}, {"probe_deltas": (math.nan,)}, {"delta_max": math.nan},
+        {"delta_max": 1e-6},
+    ])
+    def test_problem_rejects_non_finite_or_empty(self, change):
+        data = dict(gain_x22=GainDescriptor.linear(0.0, 0.5),
+                    gain_y22=GainDescriptor.linear(0.0, 0.5),
+                    beta_x=0.1, beta_y=0.1, ratio_x=1.0, ratio_y=1.0)
+        with pytest.raises(ValueError):
+            SmallGainProblem(**{**data, **change})
+
 
 class TestLoopBoundMonitor:
     def test_matched_start_trivial_bounds(self, oscillator):

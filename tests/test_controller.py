@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from decadapt import (
-    ControlLawConfig,
     ControlSingularityError,
     DomainBox,
     GoalFunction,
@@ -17,6 +16,7 @@ from decadapt import (
     goal_error_rate,
     parameter_estimate,
 )
+from decadapt.controller import SINGULARITY_FLOOR
 from tests.test_model import GOAL, make_damping_spec
 
 SHAPER = TargetShaper.linear(2.0)
@@ -50,20 +50,23 @@ class TestControl:
         assert exc.value.t == 3.0
         assert exc.value.state == (0.5, 0.5)
 
-    def test_configurable_floor(self):
-        spec = SubsystemSpec(
+    @staticmethod
+    def input_gain_spec(gain):
+        return SubsystemSpec(
             layout=PartitionLayout(q=1, p=1),
             f1=lambda s, t: (0.0,),
             f2=lambda s, th, t: (0.0,),
             g1=lambda s: (0.0,),
-            g2=lambda s: (1e-6,),
+            g2=lambda s: (gain,),
             param_dim=1,
             box=DomainBox((-1.0, -1.0), (1.0, 1.0)),
         )
-        control(spec, GOAL, SHAPER, (0.0, 0.0), (1.0,), 0.0)  # above default floor
+
+    def test_fixed_floor(self):
+        assert SINGULARITY_FLOOR == 1e-9
+        control(self.input_gain_spec(1e-6), GOAL, SHAPER, (0.0, 0.0), (1.0,), 0.0)  # above
         with pytest.raises(ControlSingularityError):
-            control(spec, GOAL, SHAPER, (0.0, 0.0), (1.0,), 0.0,
-                    ControlLawConfig(singularity_floor=1e-3))
+            control(self.input_gain_spec(1e-10), GOAL, SHAPER, (0.0, 0.0), (1.0,), 0.0)
 
 
 class TestGoalErrorRate:
@@ -125,4 +128,4 @@ class TestClosedLoopConsistency:
         import inspect
 
         params = list(inspect.signature(control).parameters)
-        assert params == ["spec", "goal", "shaper", "state", "theta_hat", "t", "cfg"]
+        assert params == ["spec", "goal", "shaper", "state", "theta_hat", "t"]

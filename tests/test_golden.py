@@ -107,22 +107,94 @@ LAYOUTS = {
 }
 
 
-# monotonicity-growth entries of certify_oscillator at 10^4 samples:
-# (status, margin, witness).  The three shipped scenarios share the offsets
-# and damping wobbles the check depends on, so their entries coincide.
-_MONO_X = ("pass", 3.1263286728611223e-10, {
+# Every entry of certify_oscillator on the shipped scenarios at horizon 0.5,
+# 10^4 monotonicity samples, tail window 0.25 and tail threshold 1e6, in
+# report order: (name, status, margin, witness, tolerance).  The checks on
+# the loops' own maps depend only on the offsets, damping wobbles and boxes,
+# which the three scenarios share, so their first ten entries coincide.
+_MONO_X = ("monotonicity-growth-x", "pass", 3.1263286728611223e-10, {
     "state": [0.9982951324312515, -0.13117373127108944], "theta": [1.5306324123753892],
     "theta_alt": [1.5376160093224627], "t": 0.0, "product": 2.1263286728611224e-10,
     "d_hat": 1.4999999680954414, "d1_hat": 0.5000640070321414, "n_ratio_samples": 10000,
-})
-_MONO_Y = ("pass", 3.2680835944802043e-10, {
+}, 1e-10)
+_MONO_Y = ("monotonicity-growth-y", "pass", 3.2680835944802043e-10, {
     "state": [0.9982951324312515, -0.13117373127108944], "theta": [1.5306324123753892],
     "theta_alt": [1.5376160093224627], "t": 0.0, "product": 2.268083594480204e-10,
     "d_hat": 1.5999999617157932, "d1_hat": 0.40007680843854193, "n_ratio_samples": 10000,
-})
-MONOTONICITY = {
-    name: {"monotonicity-growth-x": _MONO_X, "monotonicity-growth-y": _MONO_Y}
-    for name in ("reference", "strong-weak", "decoupled")
+}, 1e-10)
+_CHECKS = [
+    entry
+    for tag in "xy"
+    for entry in (
+        (f"gradient-goal-{tag}", "pass", 9.999999295896559e-06,
+         {"worst_rel_error": 7.041034422167785e-13}, 1e-05),
+        (f"gradient-parametrization-{tag}", "pass", 9.999777955395076e-06,
+         {"worst_rel_error": 2.220446049250313e-10}, 1e-05),
+        (f"realizability-{tag}", "pass", 1e-07, {"residual": 0.0}, 1e-07),
+        (f"poincare-symmetry-{tag}", "pass", 1e-06, {}, 1e-06),
+    )
+] + [_MONO_X, _MONO_Y]
+_TAIL = {"window": 0.25, "from_t": 0.25}
+REPORT = {
+    "reference": _CHECKS + [
+        ("small-gain", "pass", 0.19999999999999984,
+         {"regime": "linear", "loop_product": 0.8000000000000002}, 0.0),
+        ("mismatch-energy-bound-x", "pass", 0.0001, {"t": 0.0, "lhs": 0.0, "rhs": 0.0001}, 0.0001),
+        ("parameter-error-bound-x", "pass", 0.0001, {"t": 0.0, "lhs": 0.0, "rhs": 0.0001}, 0.0001),
+        ("mismatch-energy-bound-y", "pass", 2.683381572999748,
+         {"t": 0.0, "lhs": 0.0, "rhs": 2.683381572999748}, 0.0001),
+        ("parameter-error-bound-y", "pass", 9.999999999976694e-05,
+         {"t": 0.0, "lhs": 9.0, "rhs": 9.0001}, 0.0001),
+        ("coupling-bound-l2-into_x", "pass", 0.1843087486946257,
+         {"t": 0.5, "beta": 0.4, "offset": 0.282842712474619}, 1e-06),
+        ("coupling-bound-l2-into_y", "pass", 0.19404605135815373,
+         {"t": 0.5, "beta": 0.4, "offset": 0.282842712474619}, 1e-06),
+        ("tail-psi-x", "pass", 999999.4434411994, {"tail_sup": 0.5565588006669785, **_TAIL}, 0.0),
+        ("tail-psi-y", "pass", 999999.4927101764, {"tail_sup": 0.5072898236528773, **_TAIL}, 0.0),
+        ("tail-mismatch-x", "pass", 999999.7056784048,
+         {"tail_sup": 0.29432159526315615, **_TAIL}, 0.0),
+        ("tail-mismatch-y", "pass", 999999.050353618,
+         {"tail_sup": 0.9496463820405198, **_TAIL}, 0.0),
+    ],
+    "strong-weak": _CHECKS + [
+        ("small-gain", "pass", 0.5, {"regime": "linear", "loop_product": 0.5}, 0.0),
+        ("mismatch-energy-bound-x", "pass", 0.0001, {"t": 0.0, "lhs": 0.0, "rhs": 0.0001}, 0.0001),
+        ("parameter-error-bound-x", "pass", 0.0001, {"t": 0.0, "lhs": 0.0, "rhs": 0.0001}, 0.0001),
+        ("mismatch-energy-bound-y", "pass", 2.6623880599539564,
+         {"t": 0.5, "lhs": 0.2826894812026856, "rhs": 2.945077541156642}, 0.0001),
+        ("parameter-error-bound-y", "pass", 9.999999999976694e-05,
+         {"t": 0.0, "lhs": 9.0, "rhs": 9.0001}, 0.0001),
+        ("coupling-bound-l2-into_x", "pass", 0.4840714884831061,
+         {"t": 0.5, "beta": 1.0, "offset": 0.7071067811865475}, 1e-06),
+        ("coupling-bound-l2-into_y", "pass", 0.045759842436159104,
+         {"t": 0.5, "beta": 0.1, "offset": 0.07071067811865475}, 1e-06),
+        ("tail-psi-x", "pass", 999999.5147362751, {"tail_sup": 0.48526372494557835, **_TAIL}, 0.0),
+        ("tail-psi-y", "pass", 999999.4321641711, {"tail_sup": 0.5678358289158784, **_TAIL}, 0.0),
+        ("tail-mismatch-x", "pass", 999999.2282771947,
+         {"tail_sup": 0.7717228053117039, **_TAIL}, 0.0),
+        ("tail-mismatch-y", "pass", 999999.1595848459,
+         {"tail_sup": 0.8404151540745879, **_TAIL}, 0.0),
+    ],
+    "decoupled": _CHECKS + [
+        ("small-gain", "pass", 1.0, {"regime": "linear", "loop_product": 0.0}, 0.0),
+        ("mismatch-energy-bound-x", "pass", 9.999999998049923e-05,
+         {"t": 0.5, "lhs": 1.9500768300255874e-14, "rhs": 0.0001}, 0.0001),
+        ("parameter-error-bound-x", "pass", 0.0001, {"t": 0.0, "lhs": 0.0, "rhs": 0.0001}, 0.0001),
+        ("parameter-error-monotone-x", "pass", 1e-08,
+         {"t": 0.066, "increase": 1.2646426386824346e-29}, 1e-08),
+        ("mismatch-energy-bound-y", "pass", 2.4133997455267724,
+         {"t": 0.5, "lhs": 0.2699818274729756, "rhs": 2.683381572999748}, 0.0001),
+        ("parameter-error-bound-y", "pass", 9.999999999976694e-05,
+         {"t": 0.0, "lhs": 9.0, "rhs": 9.0001}, 0.0001),
+        ("parameter-error-monotone-y", "pass", 1e-08, {"t": 0.001, "increase": 0.0}, 1e-08),
+        ("coupling-bound-l2-into_x", "pass", 1e-06, {"t": 0.0, "beta": 0.0, "offset": 0.0}, 1e-06),
+        ("coupling-bound-l2-into_y", "pass", 1e-06, {"t": 0.0, "beta": 0.0, "offset": 0.0}, 1e-06),
+        ("tail-psi-x", "pass", 999999.3934693403, {"tail_sup": 0.6065306597126976, **_TAIL}, 0.0),
+        ("tail-psi-y", "pass", 999999.4121049116, {"tail_sup": 0.5878950884102208, **_TAIL}, 0.0),
+        ("tail-mismatch-x", "pass", 1000000.0, {"tail_sup": 4.929390229335695e-14, **_TAIL}, 0.0),
+        ("tail-mismatch-y", "pass", 999999.1961905787,
+         {"tail_sup": 0.8038094212117958, **_TAIL}, 0.0),
+    ],
 }
 
 
@@ -171,15 +243,14 @@ def test_virtual_pulse_final_row(every):
     assert got == VIRTUAL_PULSE_Y[every]
 
 
-@pytest.mark.parametrize("name", sorted(MONOTONICITY))
-def test_monotonicity_entries(name):
+@pytest.mark.parametrize("name", sorted(REPORT))
+def test_report_entries(name):
     sc = load_scenario(SCENARIOS / f"{name}.cfg")
     sc = replace(sc, integrator=IntegratorConfig(step=1e-3, t_final=0.5))
     report, _ = certify_oscillator(sc, n_monotonicity_samples=10000, tail_window=0.25,
                                    tail_threshold=1e6)
-    got = {e.name: (e.status, e.margin, e.witness)
-           for e in report.entries if e.name.startswith("monotonicity")}
-    assert got == MONOTONICITY[name]
+    got = [(e.name, e.status, e.margin, e.witness, e.tolerance) for e in report.entries]
+    assert got == REPORT[name]
 
 
 def _layout_runs(name):

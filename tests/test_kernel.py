@@ -31,7 +31,7 @@ from decadapt import (
     virtual_estimate_rate,
 )
 from decadapt.adaptation import AdaptiveLoopSpec
-from decadapt.controller import DEFAULT_CONTROL_CONFIG, ControlSingularityError, control
+from decadapt.controller import SINGULARITY_FLOOR, ControlSingularityError, control
 from decadapt.model import _dot
 from decadapt.simulate import _compile_loop
 
@@ -88,7 +88,7 @@ def _reference_state_rate(loop, theta, state, t, inject, u):
 
 def _realizable(loop, theta, tag):
     """Kernel rates as (derivative, psi, u, mismatch, eps, theta_hat)."""
-    rates, _ = _compile_loop(loop, theta, DEFAULT_CONTROL_CONFIG, tag)
+    rates, _ = _compile_loop(loop, theta, tag)
 
     def evaluate(state, theta_i, t, inject):
         deriv, (psi, u, mismatch, eps, *theta_hat) = rates(state, theta_i, t, inject)
@@ -149,7 +149,7 @@ def test_virtual_rates_match_reference(name, data):
     loop, theta = _loop(name)
     state, _, t, inject = _draw_point(data, loop)
     theta_hat = tuple(data.draw(VALUES) for _ in range(loop.spec.param_dim))
-    _, virtual_rates = _compile_loop(loop, theta, DEFAULT_CONTROL_CONFIG, "virtual")
+    _, virtual_rates = _compile_loop(loop, theta, "virtual")
     deriv, (psi, u) = virtual_rates(state, theta_hat, t, inject)
 
     ref_u = control(loop.spec, loop.goal, loop.shaper, state, theta_hat, t)
@@ -265,9 +265,8 @@ def test_generated_kernels_match_general_bitwise(name, data):
     estimate = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.param_dim))
     inject = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.layout.p))
     t = data.draw(TIMES)
-    floor = DEFAULT_CONTROL_CONFIG.singularity_floor
-    generated = _compile_loop(loop, theta, DEFAULT_CONTROL_CONFIG, "x")
-    general = _general_kernels(loop, tuple(float(v) for v in theta), floor, "x")
+    generated = _compile_loop(loop, theta, "x")
+    general = _general_kernels(loop, tuple(float(v) for v in theta), SINGULARITY_FLOOR, "x")
     for kernel, reference in zip(generated, general):
         deriv, diag = kernel(state, estimate, t, inject)
         ref_deriv, ref_diag = reference(state, estimate, t, inject)

@@ -298,6 +298,24 @@ class TestGainDescriptor:
         with pytest.raises(ValueError):
             GainDescriptor.tabulated([(0.0, 1.0), (1.0, 0.5)])
 
+    @pytest.mark.parametrize("offset, slope", [
+        (math.nan, 0.5), (0.0, math.nan), (math.inf, 0.5), (0.0, math.inf), (math.nan, math.nan),
+    ])
+    def test_linear_rejects_non_finite(self, offset, slope):
+        with pytest.raises(ValueError, match="finite"):
+            GainDescriptor.linear(offset, slope)
+
+    @pytest.mark.parametrize("table", [
+        [(0.0, 0.0), (1e-3, 0.0), (1.0, math.nan), (1000.0, 1.0)],  # min() would skip the NaN
+        [(0.0, math.nan), (1.0, 1.0)],
+        [(0.0, 0.0), (math.nan, 1.0)],
+        [(0.0, 0.0), (1.0, math.inf)],
+        [(0.0, 0.0), (math.inf, 1.0)],
+    ])
+    def test_tabulated_rejects_non_finite(self, table):
+        with pytest.raises(ValueError, match="finite"):
+            GainDescriptor.tabulated(table)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6))
     def test_tabulated_evaluation_monotone(self, increments):

@@ -84,12 +84,15 @@ def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
     Reproduces ``scipy.stats.qmc.Halton(dim, scramble=True, seed=seed)
     .random(count)`` bit for bit: the same digit permutations drawn from one
     ``default_rng(seed)``, base by base, and the same digit sum in the same
-    order.  Digits that are zero for every index add the constant
-    ``perm[0] * b2r`` one by one; folding them into one sum would round
-    differently.
+    order.  The sums are built as a table over ``index mod span``, one digit
+    per level: the entry for digit k of the index and lower digits j is the
+    entry j of the previous level plus the scrambled digit k.  So each point
+    is the same left-to-right chain of additions, from 0.0 over its digits,
+    as a digit-by-digit sum, without dividing the indices.  Digits that are
+    zero for every index add the constant ``perm[0] * b2r`` one by one;
+    folding them into one sum would round differently.
     """
     rng = np.random.default_rng(seed)
-    index = np.arange(count)
     columns = []
     for base in _first_primes(dim):
         # One permutation per digit with base**-k > 2**-54 (Owen 2017, Alg. 1).
@@ -98,15 +101,11 @@ def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
         perms = rng.permuted(
             np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0), axis=1
         )
-        acc = np.zeros(count)
-        quotient = index
-        span = 1
+        acc = np.zeros(min(count, 1))
         b2r = 1.0 / base
         for perm in perms.tolist():
-            if span < count:
-                quotient, digit = np.divmod(quotient, base)
-                acc += np.multiply(perm, b2r)[digit]
-                span *= base
+            if acc.size < count:
+                acc = (acc[None, :] + np.multiply(perm, b2r)[:, None]).ravel()[:count]
             else:
                 acc += perm[0] * b2r
             b2r /= base

@@ -4,15 +4,14 @@ Classical fourth-order Runge-Kutta on a fixed grid: certificate monitors
 and the realizable-versus-virtual equivalence tests need a deterministic,
 shared time grid, so reproducibility outranks solver efficiency here.
 
-Every integrator in this module runs the same two pieces: one compiled
-closed-loop kernel per loop (`_compile_loop`), which evaluates the
-certainty-equivalent control law, and one RK4 driver (`_rk4`), which logs
-raw samples of the state and of the kernel's diagnostics on the thinned
-grid.  Both are generated from templates on first use (as `dataclasses`
-generates `__init__`): the driver once per block layout of the state, with
-the state in float locals and the stages unrolled, and the kernel once per
-(q, p, d) loop layout, with every callable result unpacked to its declared
-length and every dot product written out.  Running signal norms are
+Every integrator runs one RK4 runner, generated on first use (as
+`dataclasses` generates `__init__`) once per run kind and layout
+(`_runner`): `_RK4_TEMPLATE` with the state in float locals, the stages
+unrolled, and each stage evaluation written out as the closed-loop law of
+its loops (`_loop_body`), with every callable result unpacked to its
+declared length and every dot product written out.  It logs raw samples of
+the state and of the law's diagnostics on the thinned grid.  `_compile_loop`
+builds the same law text into per-point functions.  Running signal norms are
 computed after the run from the logged samples by trapezoidal quadrature
 (`running_l2`); their quadrature error is folded into the tolerances of the
 checks that consume them.
@@ -24,10 +23,12 @@ status on the trajectory, never an exception.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import operator
 from dataclasses import dataclass
+from textwrap import indent
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,11 +180,12 @@ class Trajectory:
 
 
 def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running L2 norm of a sampled signal by trapezoidal quadrature."""
+    """Running L2 norm of a sampled signal by trapezoidal quadrature; inf once it overflows."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
-    sq = v * v
-    increments = 0.5 * (sq[1:] + sq[:-1]) * np.diff(t)
+    with np.errstate(over="ignore"):
+        sq = v * v
+        increments = 0.5 * (sq[1:] + sq[:-1]) * np.diff(t)
     out = np.empty_like(t)
     out[0] = 0.0
     np.cumsum(increments, out=out[1:])
@@ -191,7 +193,7 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _compile_loop(loop: AdaptiveLoopSpec, theta_true, tag: str):
-    """Bind one loop's callables into fast per-point rate evaluators.
+    """Bind one loop's callables into per-point rate evaluators.
 
     Returns (rates, virtual_rates):
 
@@ -204,197 +206,249 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, tag: str):
       derivative along the closed loop.
 
     inject2 is the additive second-block contribution (coupling or an
-    exogenous disturbance).  Both closures come from `_KERNEL_TEMPLATE`,
-    generated once per (q, p, d) layout; they share only the text of the
+    exogenous disturbance).  The closures are the loop bodies that the
+    runners write into their stages (`_loop_body`).  They share only the
     control input and the plant rate, so `virtual_rates` stays an
-    independent oracle for the PI estimator.  A theta_true or a callable
-    output of the wrong length is a ValueError.
+    independent oracle.  A wrong-length theta_true or output is a ValueError.
     """
+    layout, theta_true = _checked(loop, theta_true)
+    return _generate("kernels", layout, _kernel_source)(loop, theta_true, SINGULARITY_FLOOR, tag)
+
+
+def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
+    """((q, p, d) of the loop, theta_true as floats); a wrong theta_true length is a ValueError."""
     theta_true = tuple(float(v) for v in theta_true)
     if len(theta_true) != loop.spec.param_dim:
         raise DimensionMismatchError("theta_true", loop.spec.param_dim, len(theta_true))
-    layout = (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim)
-    kernels = _generate("kernels", layout, _kernel_source)
-    return kernels(loop, theta_true, SINGULARITY_FLOOR, tag)
+    return (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim), theta_true
 
 
-# The closed-loop kernels of one loop layout.  Every callable result is
-# unpacked into float locals and every dot product is written out in
-# `model._dot`'s order, so the arithmetic is that of the reference operations
-# in `controller` and `adaptation`, term for term.  {control} is
-# `_CONTROL_TEMPLATE`: the control input at theta_hat and the plant rate s.
+# The callables and gain rows of the loop {P}loop, bound to locals with its prefix {P}.
+_BIND_TEMPLATE = """\
+{P}goal, {P}param, {P}pot, {P}spec = {P}loop.goal, {P}loop.param, {P}loop.potential, {P}loop.spec
+{P}psi_fn, {P}grad_fn, {P}dpsidt_fn = {P}goal.psi, {P}goal.grad_state, {P}goal.d_time
+{P}alpha_fn, {P}dalpha_fn, {P}dalphadt_fn = {P}param.alpha, {P}param.grad_state, {P}param.d_time
+{P}pot_fn, {P}dpot_fn, {P}dpotdt_fn = {P}pot.value, {P}pot.grad_state, {P}pot.d_time
+{P}f1_fn, {P}f2_fn, {P}g1_fn, {P}g2_fn = {P}spec.f1, {P}spec.f2, {P}spec.g1, {P}spec.g2
+{P}phi = {P}loop.shaper.phi
+({gain}) = np.atleast_2d({P}loop.gain).tolist()"""
+# One evaluation of the closed-loop law of one loop layout.  Callable results
+# are unpacked into float locals and dot products written out in `model._dot`'s
+# order: the arithmetic of `controller` and `adaptation`, term for term.
+# {control} is `_CONTROL_TEMPLATE`: the control input at the estimate and the
+# state rates.  Locals carry the loop's prefix {P}.
 _KERNEL_TEMPLATE = """\
-def kernels(loop, theta_true, floor, tag):
-    spec, goal, param, pot = loop.spec, loop.goal, loop.param, loop.potential
-    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
-    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
-    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
-    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
-    phi = loop.shaper.phi
-    ({gain}) = np.atleast_2d(loop.gain).tolist()
-
-    def rates(state, theta_i, t, inject2):
-        psi = psi_fn(state, t)
-        ({a}) = alpha_fn(state, t)
-        ({pv}) = pot_fn(state, t)
-        ({ti}) = theta_i
-        {v}
-        {th_eqs}
-        theta_hat = ({th})
+{P}psi = {P}psi_fn({P}state, {t})
+({a}) = {P}alpha_fn({P}state, {t})
+({pv}) = {P}pot_fn({P}state, {t})
+({ti}) = {est}
+{v_eqs}
+{th_eqs}
+{P}theta_hat = ({th})
 {control}
-        ({da}) = dalpha_fn(state, t)
-        ({dadt}) = dalphadt_fn(state, t)
-        ({dp}) = dpot_fn(state, t)
-        ({dpdt}) = dpotdt_fn(state, t)
-        return ([{s}{theta_i_dot}],
-                (psi, u, lf1 + {gp_f2} - drift_hat, {gp_inj}, {th}))
-
-    def virtual_rates(state, theta_hat, t, inject2):
-        psi = psi_fn(state, t)
+({da}) = {P}dalpha_fn({P}state, {t})
+({dadt}) = {P}dalphadt_fn({P}state, {t})
+({dp}) = {P}dpot_fn({P}state, {t})
+({dpdt}) = {P}dpotdt_fn({P}state, {t})
+{theta_i_dot}"""
+# The reduced-form oracle: the estimate {est} is itself a state.
+_VIRTUAL_TEMPLATE = """\
+{P}psi = {P}psi_fn({P}state, {t})
 {control}
-        w = dpsidt + {grad_s} + phiv
-        ({a}) = alpha_fn(state, t)
-        return [{s}{theta_hat_dot}], (psi, u)
-
-    return rates, virtual_rates
-"""
+{P}w = {P}dpsidt + {grad_s} + {P}phiv
+({a}) = {P}alpha_fn({P}state, {t})
+{theta_hat_dot}"""
 _CONTROL_TEMPLATE = """\
-        ({gq}{gp}) = grad_fn(state, t)
-        ({f1}) = f1_fn(state, t)
-        ({g1}) = g1_fn(state)
-        ({g2}) = g2_fn(state)
-        lf1 = {gq_f1}
-        ({fh}) = f2_fn(state, theta_hat, t)
-        drift_hat = lf1 + {gp_fh}
-        gain_u = {gq_g1} + {gp_g2}
-        if abs(gain_u) < floor:
-            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
-        phiv = phi(psi, t)
-        dpsidt = dpsidt_fn(state, t)
-        u = (-drift_hat - phiv - dpsidt) / gain_u
-        ({f2}) = f2_fn(state, theta_true, t)
-        ({inj}) = inject2
-        {s_eqs}"""
+({gq}{gp}) = {P}grad_fn({P}state, {t})
+({f1_}) = {P}f1_fn({P}state, {t})
+({g1_}) = {P}g1_fn({P}state)
+({g2_}) = {P}g2_fn({P}state)
+{P}lf1 = {gq_f1}
+({fh}) = {P}f2_fn({P}state, {theta_hat}, {t})
+{P}drift_hat = {P}lf1 + {gp_fh}
+{P}gain_u = {gq_g1} + {gp_g2}
+if abs({P}gain_u) < floor:
+    raise ControlSingularityError({P}state, {t}, {P}gain_u, subsystem={P}tag)
+{P}phiv = {P}phi({P}psi, {t})
+{P}dpsidt = {P}dpsidt_fn({P}state, {t})
+{P}u = (-{P}drift_hat - {P}phiv - {P}dpsidt) / {P}gain_u
+({f2_}) = {P}f2_fn({P}state, {P}theta_true, {t})
+({inj}) = {inject}
+{s_eqs}"""
+
+
+def _names(prefix: str, m: int) -> list:  # ["a0", "a1"] for prefix a
+    return [f"{prefix}{i}" for i in range(m)]
+
+
+def _tup(items) -> str:  # "a0, a1, " for items a0, a1; "(a0, ), (a1, ), " for rows
+    return "".join(f"{x}, " if isinstance(x, str) else f"({_tup(x)}), " for x in items)
+
+
+def _dot(a, b) -> str:  # `model._dot(a, b)` written out: ((0.0 + a0 * (b0)) + a1 * (b1))
+    return functools.reduce(lambda s, xy: f"({s} + {xy[0]} * ({xy[1]}))", zip(a, b), "0.0")
+
+
+def _loop_body(layout, P: str, est: str, inject: str, rates: list, t="t", virtual=False):
+    """(bind, body, diag) source of a (q, p, d) loop whose locals carry the prefix P.
+
+    The body evaluates the loop at the state list {P}state, the time `t`,
+    the estimator `est` (integral state, or the estimate if `virtual`) and
+    the injection `inject`, and assigns the n state and d estimator rates to
+    the locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or
+    (psi, u).
+    """
+    q, p, d = layout
+    n, psi, u, s, lines = q + p, P + "psi", P + "u", rates[:q + p], "\n".join
+    names = {x: _names(P + x, m) for x, m in zip(
+        ("gq", "gp", "f1_", "g1_", "g2_", "fh", "f2_", "inj", "a", "pv", "ti", "v", "th", "dadt",
+         "dpdt"), (q, p, q, q, p, p, p, p) + (d,) * 7)}
+    gq, gp, f1, g1, g2, fh, f2, inj, a, pv, ti, v, th, dadt, dpdt = names.values()
+    gain = [_names(f"{P}G{r}_", d) for r in range(d)]
+    da, dp = ([_names(f"{P}{x}{j}_", n) for j in range(d)] for x in ("da", "dp"))
+    fields = dict(
+        {x: _tup(seq) for x, seq in names.items()}, P=P, t=t, est=est, inject=inject,
+        theta_hat=est if virtual else P + "theta_hat", da=_tup(da), dp=_tup(dp),
+        gq_f1=_dot(gq, f1), gp_fh=_dot(gp, fh), gq_g1=_dot(gq, g1), gp_g2=_dot(gp, g2),
+        s_eqs=lines([f"{s[i]} = {f1[i]} + {g1[i]} * {u}" for i in range(q)]
+                    + [f"{s[q + i]} = {f2[i]} + {inj[i]} + {g2[i]} * {u}" for i in range(p)]),
+    )
+    fields["control"] = _CONTROL_TEMPLATE.format(**fields)
+    bind = _BIND_TEMPLATE.format(P=P, gain=_tup(gain))
+    if virtual:
+        return bind, _VIRTUAL_TEMPLATE.format(grad_s=_dot(gq + gp, s), theta_hat_dot=lines(
+            f"{rates[n + r]} = {_dot(gain[r], [f'{P}w * {x}' for x in a])}" for r in range(d)),
+            **fields), [psi, u]
+    return bind, _KERNEL_TEMPLATE.format(
+        v_eqs=lines(f"{v[j]} = {psi} * {a[j]} - {pv[j]} + {ti[j]}" for j in range(d)),
+        th_eqs=lines(f"{th[r]} = {_dot(gain[r], v)}" for r in range(d)),
+        theta_i_dot=lines(
+            f"{rates[n + j]} = {P}phiv * {a[j]} + ({dpdt[j]} - {psi} * ({dadt[j]} + "
+            f"{_dot(da[j][:q], f1)}) + {_dot(dp[j][:q], f1)} - ({psi} * {_dot(da[j][:q], g1)}"
+            f" - {_dot(dp[j][:q], g1)}) * {u})" for j in range(d)), **fields,
+    ), [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj), *th]
 
 
 def _kernel_source(q: int, p: int, d: int) -> str:
-    """Source of the (rates, virtual_rates) factory for blocks of q and p and d parameters."""
-    n = q + p
-    lines = "\n        ".join  # statements of a kernel body, one per line
-
-    def seq(prefix, m):  # ["a0", "a1"] for prefix a
-        return [f"{prefix}{i}" for i in range(m)]
-
-    def tup(items):  # "a0, a1, " for items a0, a1; "(a0, ), (a1, ), " for rows
-        return "".join(f"{x}, " if isinstance(x, str) else f"({tup(x)}), " for x in items)
-
-    def dot(a, b):  # `_dot(a, b)` written out: ((0.0 + a0 * (b0)) + a1 * (b1))
-        s = "0.0"
-        for x, y in zip(a, b):
-            s = f"({s} + {x} * ({y}))"
-        return s
-
-    gq, gp, f1, g1, g2 = seq("gq", q), seq("gp", p), seq("f1_", q), seq("g1_", q), seq("g2_", p)
-    fh, f2, inj, s = seq("fh", p), seq("f2_", p), seq("inj", p), seq("s", n)
-    a, pv, ti, v, th = seq("a", d), seq("pv", d), seq("ti", d), seq("v", d), seq("th", d)
-    gain = [seq(f"G{r}_", d) for r in range(d)]
-    da, dp = [seq(f"da{j}_", n) for j in range(d)], [seq(f"dp{j}_", n) for j in range(d)]
-    fields = dict(
-        gq=tup(gq), gp=tup(gp), f1=tup(f1), g1=tup(g1), g2=tup(g2), fh=tup(fh), f2=tup(f2),
-        inj=tup(inj), gq_f1=dot(gq, f1), gp_fh=dot(gp, fh), gq_g1=dot(gq, g1), gp_g2=dot(gp, g2),
-        s_eqs=lines([f"s{i} = f1_{i} + g1_{i} * u" for i in range(q)]
-                    + [f"s{q + i} = f2_{i} + inj{i} + g2_{i} * u" for i in range(p)]),
-        gain=tup(gain), a=tup(a), pv=tup(pv), ti=tup(ti), th=tup(th), s=tup(s),
-        v=lines(f"v{j} = psi * a{j} - pv{j} + ti{j}" for j in range(d)),
-        th_eqs=lines(f"th{r} = {dot(gain[r], v)}" for r in range(d)),
-        da=tup(da), dadt=tup(seq("dadt", d)), dp=tup(dp), dpdt=tup(seq("dpdt", d)),
-        theta_i_dot=tup(
-            f"phiv * a{j} + (dpdt{j} - psi * (dadt{j} + {dot(da[j][:q], f1)}) "
-            f"+ {dot(dp[j][:q], f1)} - (psi * {dot(da[j][:q], g1)} - {dot(dp[j][:q], g1)}) * u)"
-            for j in range(d)),
-        gp_f2=dot(gp, f2), gp_inj=dot(gp, inj), grad_s=dot(gq + gp, s),
-        theta_hat_dot=tup(dot(gain[r], [f"w * a{j}" for j in range(d)]) for r in range(d)),
-    )
-    return _KERNEL_TEMPLATE.format(control=_CONTROL_TEMPLATE.format(**fields), **fields)
+    """Source of `_compile_loop`'s (rates, virtual_rates) factory: the loop bodies as functions."""
+    s, defs = _names("s", q + p + d), ""
+    for name, est in ("rates", "theta_i"), ("virtual_rates", "theta_hat"):
+        bind, body, diag = _loop_body((q, p, d), "", est, "inject2", s, virtual=est == "theta_hat")
+        defs += (f"def {name}(state, {est}, t, inject2):\n{indent(body, '    ')}\n"
+                 f"    return [{_tup(s)}], ({_tup(diag)})\n")
+    return (f"def kernels(loop, theta_true, floor, tag):\n{indent(bind, '    ')}\n"
+            f"{indent(defs, '    ')}    return rates, virtual_rates\n")
 
 
-# The body of every RK4 run, compiled once per block layout by `_rk4`.  Only
-# integers derived from the block sizes are formatted into it.
+# The body of every RK4 run, generated by `_runner`: its stages are written
+# out, as an rhs call each or as the loop bodies.  Only the kind and integers
+# derived from the layout reach the text.
 _RK4_TEMPLATE = """\
-def run(rhs, y_init, t0, h, n_steps, every, bound):
+def {name}({args}y_init, t0, h, n_steps, every, bound):
+{bind}
     half = 0.5 * h
     sixth = h / 6.0
     lo = -bound
     ({y}) = [float(v) for v in y_init]
-    k1, diag = rhs(t0, {at_y})
-    if len(k1) != {n}:
-        raise ValueError("rhs returned %d rates for a state of length {n}" % len(k1))
-    ({k1}) = k1
-    log = _log_buffer(n_steps, every, h, {n1} + len(diag))
-    log[0] = (t0, {y}*diag)
-    logged = 1
+    logged = 0
     status = STATUS_COMPLETED
     t = t0
-    for k in range(1, n_steps + 1):
+    for k in range(n_steps + 1):
         try:
-            ({k2}), _ = rhs(t + half, {at_k1})
-            ({k3}), _ = rhs(t + half, {at_k2})
-            ({k4}), _ = rhs(t + h, {at_k3})
-            {update}
-            if not ({in_bounds}):
-                status = STATUS_DIVERGED
-                break
-            t = t0 + k * h
             if k < n_steps or k % every == 0:
-                ({k1}), diag = rhs(t, {at_y})
+{stage1}
                 if k % every == 0:
-                    log[logged] = (t, {y}*diag)
+                    if not k:
+                        log = _log_buffer(n_steps, every, h, {width})
+                    log[logged] = (t, {y}{diag})
                     logged += 1
+            if k == n_steps:
+                break
+{stages}
         except ControlSingularityError:
+            if not logged:  # at the initial point
+                raise
             status = STATUS_SINGULAR
             break
+{update}
+        if not ({in_bounds}):
+            status = STATUS_DIVERGED
+            break
+        t = t0 + (k + 1) * h
     log = log[:logged]
     return log[:, 0], log[:, 1:{n1}], log[:, {n1}:], status
 """
 
 
-def _rk4(sizes: tuple):
-    """The fixed-step RK4 driver of every integrator, for a state in blocks of `sizes`.
+def _runner(kind: str, layout: tuple):
+    """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout.
 
-    run(rhs, y0, t0, step, n_steps, every, bound) -> (t, y, diag, status),
-    one row per sample logged every `every` steps.  rhs(t, *blocks) ->
-    (rates, diag) gets the state blocks as fresh lists.  A sample is the
-    time, the state and the diag at a grid point; the diag comes from the
-    stage-one evaluation the step needs anyway.  The run stops early when a
-    state component leaves [-bound, bound] (a NaN does too) or when the
-    control law is undefined; an undefined law at the initial point is a
-    caller error and propagates, as does a rate vector of the wrong length.
-    The runner, generated from `_RK4_TEMPLATE` once per layout, keeps the
-    state in float locals with the stages unrolled.
+    A runner keeps the state in float locals with the stages unrolled and
+    returns (t, y, diag, status), one row per sample logged every `every`
+    steps, the diag from the stage-one evaluation the step needs anyway.  It
+    stops when a state component leaves [-bound, bound] (a NaN does too) or
+    the control law is undefined; undefined at the initial point propagates.
+
+    - run(rhs, y0, t0, step, n_steps, every, bound) for state blocks of sizes
+      `layout`: rhs(t, *blocks) -> (rates, diag), rates of the state's length;
+    - coupled(x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2,
+      y0, ...) for loops of layouts layout[:3] and layout[3:], each injected
+      with the coupling field of the other's state, y0 = (x, theta_i_x, y,
+      theta_i_y);
+    - loop / virtual(loop, theta_true, signal, direction, y0, ...) for one
+      realizable / reduced-form loop injected with signal(t) * direction.
+
+    Loop stages are `_loop_body`'s text, so their diag is `_compile_loop`'s.
     """
-    return _generate("run", sizes, _rk4_source)
+    return _generate(kind, layout, lambda *layout: _runner_source(kind, layout))
 
 
-def _rk4_source(*sizes: int) -> str:
-    """Source of the RK4 runner for a state in blocks of `sizes`."""
-    n = sum(sizes)
-    starts = [sum(sizes[:j]) for j in range(len(sizes))]
+_rk4 = functools.partial(_runner, "run")  # the runner on an rhs callable, per state block sizes
 
-    def blocks(expr):  # one list per block of `expr` over its coordinates i
-        return ", ".join("[" + ", ".join(expr.format(i=i) for i in range(a, a + m)) + "]"
-                         for a, m in zip(starts, sizes))
 
-    def names(prefix):  # "y0, y1, " for prefix y
-        return "".join(f"{prefix}{i}, " for i in range(n))
-
+def _runner_source(kind: str, layout: tuple) -> str:
+    """Source of `_runner(kind, layout)`."""
+    n, args, loops, binds, stages = sum(layout), "rhs, ", [], [], []
+    if kind == "coupled":
+        args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
+            'floor, x_tag, y_tag = SINGULARITY_FLOOR, "x", "y"']
+        loops = [("x_", layout[:3], 0, "x_inj2 = into_x2(y_state, {t})", "x_inj2"),
+                 ("y_", layout[3:], sum(layout[:3]), "y_inj2 = into_y2(x_state, {t})", "y_inj2")]
+    elif kind != "run":
+        dirs = _names("dir", layout[1])
+        args, binds = "loop, theta_true, signal, direction, ", [
+            f"floor, tag = SINGULARITY_FLOOR, {kind!r}", f"({_tup(dirs)}) = direction"]
+        loops = [("", layout, 0, "sig = signal({t})", f"({_tup(f'sig * {v}' for v in dirs)})")]
+    for j, (t, c) in enumerate([("t", ""), ("t + half", "half"), ("t + half", "half"),
+                                ("t + h", "h")]):
+        inputs = [f"y{i}" + (f" + {c} * k{j}_{i}" if j else "") for i in range(n)]
+        rates, lines, diag = _names(f"k{j + 1}_", n), [f"ts = {t}"] if j else [], []
+        if kind == "run":
+            ends = [sum(layout[:i + 1]) for i in range(len(layout))]
+            blocks = ", ".join(f"[{', '.join(inputs[e - m:e])}]" for e, m in zip(ends, layout))
+            stages.append(f"({_tup(rates)}), _ = rhs({t}, {blocks})" if j else
+                          f"k1, diag = rhs(t, {blocks})\nif len(k1) != {n}:\n    raise ValueError("
+                          f"\"rhs returned %d rates for a state of length {n}\" % len(k1))\n"
+                          f"({_tup(rates)}) = k1")
+            continue
+        t = "ts" if j else "t"
+        lines += [f"{P}state = [{', '.join(inputs[a:a + q + p])}]" for P, (q, p, _), a, *_ in loops]
+        for P, (q, p, d), a, pre, inject in loops:
+            est = inputs[a + q + p:a + q + p + d]
+            bind, body, loop_diag = _loop_body(
+                (q, p, d), P, f"[{', '.join(est)}]" if kind == "virtual" else f"({_tup(est)})",
+                inject, rates[a:a + q + p + d], t, kind == "virtual")
+            lines += [pre.format(t=t), body]
+            diag += loop_diag
+            binds += [] if j else [bind]
+        stages.append("\n".join(lines))
     return _RK4_TEMPLATE.format(
-        n=n, n1=n + 1, y=names("y"),
-        k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
-        at_y=blocks("y{i}"), at_k1=blocks("y{i} + half * k1_{i}"),
-        at_k2=blocks("y{i} + half * k2_{i}"), at_k3=blocks("y{i} + h * k3_{i}"),
-        update="\n            ".join(
-            f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + k4_{i})"
-            for i in range(n)),
+        name=kind, args=args, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
+        diag=_tup(diag) if loops else "*diag", n1=n + 1,
+        width=n + 1 + len(diag) if loops else f"{n + 1} + len(diag)",
+        stage1=indent(stages[0], " " * 16), stages=indent("\n".join(stages[1:]), " " * 12),
+        update=indent("\n".join(f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + "
+                                 f"k4_{i})" for i in range(n)), " " * 8),
         in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)) or "True",
     )
 
@@ -405,7 +459,7 @@ _GENERATED: dict = {}
 def _generate(name: str, layout: tuple, source_of: Callable[..., str]):
     """Function `name` of source_of(*layout), compiled on first use and cached per layout.
 
-    Only the integers of the layout reach the generated source.  It is
+    Only `name` and the integers of the layout reach the source.  It is
     registered with `linecache`, so tracebacks through it show its lines.
     """
     layout = tuple(operator.index(m) for m in layout)
@@ -470,21 +524,13 @@ def integrate(
     n_x, d_x, n_y, _ = sys.dims
     aug0 = np.asarray(aug0, dtype=float)
     sys.split_state(aug0)  # rejects a wrong length
-    rates_x, _ = _compile_loop(sys.loop_x, sys.theta_true_x, "x")
-    rates_y, _ = _compile_loop(sys.loop_y, sys.theta_true_y, "y")
-    into_x2 = sys.coupling.into_x2
-    into_y2 = sys.coupling.into_y2
-    ax, bx = n_x, n_x + d_x
-    ay = bx + n_y
-
-    def rhs_full(t, x, theta_i_x, y, theta_i_y):
-        xd, diag_x = rates_x(x, theta_i_x, t, into_x2(y, t))
-        yd, diag_y = rates_y(y, theta_i_y, t, into_y2(x, t))
-        return xd + yd, diag_x + diag_y
-
-    t, aug, diag, status = _rk4(sys.dims)(rhs_full, aug0, t0, cfg.step, cfg.n_steps,
-                                          cfg.log_every, cfg.divergence_bound)
-    split = 4 + d_x
+    layout_x, theta_x = _checked(sys.loop_x, sys.theta_true_x)
+    layout_y, theta_y = _checked(sys.loop_y, sys.theta_true_y)
+    run = _runner("coupled", layout_x + layout_y)
+    t, aug, diag, status = run(sys.loop_x, theta_x, sys.loop_y, theta_y, sys.coupling.into_x2,
+                               sys.coupling.into_y2, aug0, t0, cfg.step, cfg.n_steps,
+                               cfg.log_every, cfg.divergence_bound)
+    ax, bx, ay, split = n_x, n_x + d_x, n_x + d_x + n_y, 4 + d_x
     loops = {
         "x": _loop_record(t, aug[:, :ax], aug[:, ax:bx], diag[:, :split], status),
         "y": _loop_record(t, aug[:, bx:ay], aug[:, ay:], diag[:, split:], status),
@@ -492,24 +538,19 @@ def integrate(
     return Trajectory(t=t, loops=loops, status=status)
 
 
-def _run_single(kernel, loop: AdaptiveLoopSpec, disturbance: Disturbance, cfg: IntegratorConfig,
-                state0, est0, t0: float):
-    """(t, state, estimator state, diag, status) of one loop kernel run from state0 + est0."""
+def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Disturbance,
+                cfg: IntegratorConfig, state0, est0, t0: float):
+    """(t, state, estimator state, diag, status) of one loop's `kind` run from state0 + est0."""
+    layout, theta_true = _checked(loop, theta_true)
     n, d = loop.spec.layout.n, loop.spec.param_dim
     state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
     if (len(state0), len(est0)) != (n, d):
         raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
                          f"got {len(state0)} and {len(est0)}")
     direction = disturbance.resolve_direction(loop.spec.layout.p)
-    d0, one = direction[0], len(direction) == 1  # p = 1 needs no comprehension
-    signal = disturbance.signal
-
-    def rhs_full(t, state, est):
-        s = signal(t)
-        return kernel(state, est, t, [s * d0] if one else [s * dv for dv in direction])
-
-    t, z, diag, status = _rk4((n, d))(rhs_full, state0 + est0, t0, cfg.step, cfg.n_steps,
-                                      cfg.log_every, cfg.divergence_bound)
+    t, z, diag, status = _runner(kind, layout)(
+        loop, theta_true, disturbance.signal, direction, state0 + est0, t0, cfg.step,
+        cfg.n_steps, cfg.log_every, cfg.divergence_bound)
     return t, z[:, :n], z[:, n:], diag, status
 
 
@@ -528,8 +569,8 @@ def integrate_loop(
     coupled run whose coupling vanishes, so the two produce bit-identical
     subsystem trajectories on the same grid.
     """
-    rates, _ = _compile_loop(loop, theta_true, "loop")
-    return _loop_record(*_run_single(rates, loop, disturbance, cfg, state0, theta_i0, t0))
+    return _loop_record(*_run_single("loop", loop, theta_true, disturbance, cfg, state0,
+                                     theta_i0, t0))
 
 
 @dataclass(eq=False)
@@ -560,9 +601,8 @@ def integrate_virtual(
     realizable online; from consistent initial data it must reproduce the
     estimates of `integrate_loop` up to integration error.
     """
-    _, virtual_rates = _compile_loop(loop, theta_true, "virtual")
-    t, state, theta_hat, diag, status = _run_single(virtual_rates, loop, disturbance, cfg,
-                                                    state0, theta_hat0, t0)
+    t, state, theta_hat, diag, status = _run_single("virtual", loop, theta_true, disturbance,
+                                                    cfg, state0, theta_hat0, t0)
     return VirtualTrajectory(t=t, state=state, theta_hat=theta_hat, psi=diag[:, 0],
                              status=status)
 

@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ class TestSimulateCommand:
         out = tmp_path / "run.csv"
         code = run_cli(["simulate", str(cfg), "--out", str(out)])
         assert code == EXIT_SIM_ABORT
+
+    def test_overflowing_divergence_exits_without_warning(self, tmp_path, capsys):
+        # the diverged signals' running norms overflow to inf without a numpy warning
+        cfg = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["simulate", str(cfg), "--k1", "1e308", "--k2", "1e308",
+                            "--t-final", "1", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_SIM_ABORT
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in capsys.readouterr().err
 
     def test_step_must_divide_horizon(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,13 @@
 
 Every sampled certificate (gradient fidelity, realizability, Poincaré,
 monotonicity) reads this stream, so it is pinned bit for bit: against
-scipy's `qmc.Halton(scramble=True)` where scipy is installed, and against
-rows recorded with `repr()` from the scipy-backed sampler where it is not.
+scipy's `qmc.Halton(scramble=True)` where scipy is installed, against rows
+recorded with `repr()` from the scipy-backed sampler, and against
+`reference_halton`, the digit-by-digit sum the prefix tables replaced.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decadapt.model import DomainBox, _scrambled_halton, joint_sample
+from decadapt.model import DomainBox, _first_primes, _scrambled_halton, joint_sample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +81,48 @@ class TestMatchesScipy:
         qmc = pytest.importorskip("scipy.stats").qmc
         want = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
         assert same_bits(_scrambled_halton(dim, count, seed), want)
+
+
+def reference_halton(dim, count, seed):
+    """The digit-by-digit sampler the prefix tables replaced, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(count)
+    columns = []
+    for base in _first_primes(dim):
+        perms = rng.permuted(
+            np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0), axis=1
+        )
+        acc = np.zeros(count)
+        quotient = index
+        span = 1
+        b2r = 1.0 / base
+        for perm in perms.tolist():
+            if span < count:
+                quotient, digit = np.divmod(quotient, base)
+                acc += np.multiply(perm, b2r)[digit]
+                span *= base
+            else:
+                acc += perm[0] * b2r
+            b2r /= base
+        columns.append(acc)
+    return np.array(columns).T.reshape(count, dim)
+
+
+class TestMatchesReference:
+    """The prefix-table sums equal the digit-by-digit sums bit for bit, without scipy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           base=st.sampled_from(_first_primes(9)), offset=st.sampled_from([-1, 0, 1]))
+    def test_bitwise(self, data, dim, seed, base, offset):
+        # counts b**k - 1, b**k and b**k + 1 around every table level up to about 2**14
+        count = base ** data.draw(st.integers(0, int(14 / math.log2(base)))) + offset
+        assert same_bits(_scrambled_halton(dim, count, seed), reference_halton(dim, count, seed))
+
+    @pytest.mark.parametrize("dim", [1, 5, 9])
+    def test_benchmark_draw(self, dim):
+        assert same_bits(_scrambled_halton(dim, 100_000, 12345),
+                         reference_halton(dim, 100_000, 12345))
 
 
 class TestPinnedRows:

@@ -1,10 +1,11 @@
 import math
 import traceback
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tests.test_adaptation as adaptation_tests
@@ -29,11 +30,14 @@ from decadapt import (
     zero_potential,
 )
 from decadapt.controller import ControlSingularityError
+from decadapt.model import _dot
 from decadapt.simulate import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_SINGULAR,
+    _compile_loop,
     _rk4,
+    _runner,
     exponential_disturbance,
     first_attainment_time,
     pulse_disturbance,
@@ -239,6 +243,144 @@ class TestGeneratedDriver:
         _rk4((2,))(lambda t, y: (seen.append(y) or [0.0, 0.0], ()),
                    list(np.array([1.0, 2.0])), 0.0, 0.1, 1, 1, math.inf)
         assert all(type(v) is float for y in seen for v in y)
+
+
+def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1):
+    """A duck-typed loop of layout (q, p, d) whose callables mix every coordinate.
+
+    c holds n = q + p goal-gradient weights.  The plant grows quadratically
+    in its own coordinates, so a small divergence bound ends a run; from
+    time nan_after on f2 is NaN, and goal-gradient call number
+    singular_call (0 = the initial point) is zero, so the input gain
+    vanishes there.  The loop need not be consistent: the runners and the
+    per-point kernels only have to agree on it.
+    """
+    n, calls = q + p, [0]
+
+    def grad(s, t):
+        call, calls[0] = calls[0], calls[0] + 1
+        return [0.0] * n if call == singular_call else [
+            w + 0.2 * math.sin(v + t) for w, v in zip(c, s)]
+
+    def f2(s, th, t):
+        nan = math.nan if t >= nan_after else 0.0
+        return [0.5 * v * v - v + sum(th) * math.tanh(s[i]) + 0.1 * math.cos(t) + nan
+                for i, v in enumerate(s[q:])]
+
+    def rows(scale, f):
+        return lambda s, t: [[scale * (i + j + 1) * f(v) for i, v in enumerate(s)]
+                             for j in range(d)]
+
+    ns = SimpleNamespace
+    return ns(
+        spec=ns(layout=ns(q=q, p=p), param_dim=d, f2=f2,
+                f1=lambda s, t: [s[(i + 1) % n] - 0.3 * s[i] for i in range(q)],
+                g1=lambda s: [1.0 + 0.1 * math.sin(v) for v in s[:q]],
+                g2=lambda s: [1.0 + 0.1 * math.cos(v) for v in s[q:]]),
+        goal=ns(grad_state=grad, psi=lambda s, t: _dot(c, s) + 0.1 * math.sin(t),
+                d_time=lambda s, t: 0.1 * math.cos(t)),
+        param=ns(dim=d, alpha=lambda s, t: [math.tanh(s[j % n]) + 0.1 * j for j in range(d)],
+                 grad_state=rows(0.1, math.cos), d_time=lambda s, t: [0.05 * j * math.sin(t)
+                                                                      for j in range(d)]),
+        potential=ns(value=lambda s, t: [0.2 * s[j % n] ** 2 for j in range(d)],
+                     grad_state=rows(0.05, math.sin), d_time=lambda s, t: [0.0] * d),
+        shaper=ns(phi=lambda psi, t: 2.0 * psi),
+        gain=np.eye(d) + 0.1,
+    )
+
+
+LAYOUTS = st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(1, 3))
+
+
+class TestGeneratedRunners:
+    """The integrators' runners equal `reference_rk4` on `_compile_loop`'s kernels, bit for bit."""
+
+    @staticmethod
+    def both(kind, layouts, c, signal, y0, n_steps, every, bound, nan_after, singular):
+        """(runner result, reference result); singular = (loop index, call number)."""
+        def loops():
+            return [probe_loop(*m, cs, nan_after, singular[1] if i == singular[0] else -1)
+                    for i, (m, cs) in enumerate(zip(layouts, c))]
+
+        thetas = [tuple(0.3 * (j + 1) for j in range(m[2])) for m in layouts]
+        args = (y0, 0.0, 0.05, n_steps, every, bound)
+        if kind == "coupled":
+            (q, p, d), (qy, py, dy) = layouts
+            n, d_x, n_y = q + p, d, qy + py
+
+            def into_x2(y, t):
+                return [0.3 * math.sin(y[i % n_y]) + 0.1 * t for i in range(p)]
+
+            def into_y2(x, t):
+                return [0.2 * math.cos(x[i % n]) - 0.1 for i in range(py)]
+
+            loop_x, loop_y = loops()
+            got = _runner(kind, layouts[0] + layouts[1])(loop_x, thetas[0], loop_y, thetas[1],
+                                                         into_x2, into_y2, *args)
+            loop_x, loop_y = loops()
+            rates_x, _ = _compile_loop(loop_x, thetas[0], "x")
+            rates_y, _ = _compile_loop(loop_y, thetas[1], "y")
+
+            def rhs(t, z):  # the coupled rate function of the rhs-driven integrator
+                x, ti_x, y, ti_y = z[:n], z[n:n + d_x], z[n + d_x:n + d_x + n_y], z[n + d_x + n_y:]
+                xd, diag_x = rates_x(x, ti_x, t, into_x2(y, t))
+                yd, diag_y = rates_y(y, ti_y, t, into_y2(x, t))
+                return xd + yd, diag_x + diag_y
+        else:
+            (q, p, d), = layouts
+            direction = tuple(1.0 - 0.5 * i for i in range(p))
+            got = _runner(kind, layouts[0])(*loops(), thetas[0], signal, direction, *args)
+            kernel = _compile_loop(*loops(), thetas[0], kind)[kind == "virtual"]
+
+            def rhs(t, z):
+                s = signal(t)
+                return kernel(z[:q + p], z[q + p:], t, [s * v for v in direction])
+        return got, reference_rk4(rhs, *args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["coupled", "loop", "virtual"]),
+           n_steps=st.integers(1, 30), every=st.integers(1, 7),
+           stop=st.sampled_from(["none", "diverge", "nan", "singular"]))
+    def test_matches_reference(self, data, kind, n_steps, every, stop):
+        layouts = data.draw(st.lists(LAYOUTS, min_size=1 + (kind == "coupled"),
+                                     max_size=1 + (kind == "coupled")))
+        c = [data.draw(st.lists(st.floats(0.5, 1.5), min_size=sum(m[:2]), max_size=sum(m[:2])))
+             for m in layouts]
+        scale, rate = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.0, 2.0))
+        y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sum(map(sum, layouts)),
+                                max_size=sum(map(sum, layouts))))
+        bound, nan_after, singular = math.inf, math.inf, (0, -1)
+        if stop == "diverge":  # some coordinate moves further out than it starts
+            bound = max(map(abs, y0)) + data.draw(st.floats(0.0, 0.2))
+        elif stop == "nan":
+            nan_after = data.draw(st.floats(0.0, 0.05 * n_steps))
+        elif stop == "singular":  # 4 * n_steps is the final point, evaluated if logged
+            singular = (data.draw(st.integers(0, len(layouts) - 1)),
+                        data.draw(st.integers(1, 4 * n_steps)))
+        got, want = self.both(kind, layouts, c, lambda t: scale * math.exp(-rate * t), y0,
+                              n_steps, every, bound, nan_after, singular)
+        event(f"{stop} -> {got[3]}")
+        assert got[3] == want[3]
+        for got_part, want_part in zip(got[:3], want[:3]):
+            assert same_bits(got_part, want_part)
+
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    @pytest.mark.parametrize("every", [1, 2, 3, 5])
+    def test_singular_at_final_point(self, kind, every):
+        layouts = [(1, 1, 1), (0, 2, 2)][:1 + (kind == "coupled")]
+        got, want = self.both(kind, layouts, [[1.0, 0.8], [0.9, 1.1]], math.cos,
+                              [0.1, -0.2, 0.3, 0.2, -0.1, 0.0, 0.4][:sum(map(sum, layouts))],
+                              10, every, math.inf, math.inf, (len(layouts) - 1, 40))
+        # 10 steps make calls 0-40; call 40 is the final point, evaluated when it is logged
+        assert got[3] == want[3] == (STATUS_SINGULAR if 10 % every == 0 else STATUS_COMPLETED)
+        assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
+
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_singular_at_initial_point_propagates(self, kind):
+        layouts = [(1, 1, 1)] * (1 + (kind == "coupled"))
+        with pytest.raises(ControlSingularityError):
+            self.both(kind, layouts, [[1.0, 1.0]] * 2, math.cos, [0.1] * (3 * len(layouts)),
+                      5, 1, math.inf, math.inf, (0, 0))
 
 
 class TestRunningNorms:
@@ -499,10 +641,9 @@ class TestWrongLengthOutputs:
         with pytest.raises(ValueError) as exc:
             self.run(integrate_loop, self.matrix_gain_loop(f2=lambda s, th, t: (0.1, 7.0)))
         text = "".join(traceback.format_exception(exc.value))
-        assert 'File "<generated kernels (1, 1, 2)>"' in text
+        # the runner's stage-one evaluation at the initial point, inlined from the loop body
+        assert 'File "<generated loop (1, 1, 2)>"' in text
         assert "(fh0, ) = f2_fn(state, theta_hat, t)" in text
-        assert 'File "<generated run (2, 2)>"' in text
-        assert "k1, diag = rhs(t0, [y0, y1], [y2, y3])" in text
 
 
 class TestGoalAttainment:

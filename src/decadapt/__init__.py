@@ -7,6 +7,7 @@ relies on.
 """
 
 from .model import (
+    Constant,
     DomainBox,
     GainDescriptor,
     GoalFunction,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_SAMPLE_SEED,
+    Constant,
     DomainBox,
     GoalFunction,
     Parametrization,
@@ -53,9 +54,10 @@ class AuxiliaryPotential:
     """Vector potential Psi(state, t) of the adaptation algorithm.
 
     value returns a length-d vector, grad_state a (d, n) array of state
-    partials, d_time a length-d vector.  A valid potential satisfies the
-    realizability identity: its second-block partials equal psi times the
-    second-block partials of alpha (checked at loop construction).
+    partials, d_time a length-d vector; each may be a `Constant`.  A valid
+    potential satisfies the realizability identity: its second-block
+    partials equal psi times the second-block partials of alpha (checked at
+    loop construction).
     """
 
     value: Callable
@@ -65,19 +67,8 @@ class AuxiliaryPotential:
 
 def zero_potential(dim: int, n: int) -> AuxiliaryPotential:
     """The zero potential, valid whenever alpha does not depend on the second block."""
-    val = tuple(0.0 for _ in range(dim))
-    grad = tuple(tuple(0.0 for _ in range(n)) for _ in range(dim))
-
-    def value(state, t):
-        return val
-
-    def grad_state(state, t):
-        return grad
-
-    def d_time(state, t):
-        return val
-
-    return AuxiliaryPotential(value=value, grad_state=grad_state, d_time=d_time)
+    val = Constant((0.0,) * dim)
+    return AuxiliaryPotential(value=val, grad_state=Constant(((0.0,) * n,) * dim), d_time=val)
 
 
 def realizability_residual(

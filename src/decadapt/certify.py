@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -98,6 +98,15 @@ def _extreme_rows(values: np.ndarray) -> tuple:
     return (*found, int(rows.size)), [i for i in found if i is not None]
 
 
+def monotonicity_sample(state_box: DomainBox, theta_box: DomainBox, n_samples: int,
+                        seed: int = DEFAULT_SAMPLE_SEED, time_range: tuple = (0.0, 0.0)) -> list:
+    """The joint draw (states, thetas, thetas_alt, times) `verify_monotonicity` checks."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    time_box = DomainBox((time_range[0],), (time_range[1],))
+    return joint_sample([state_box, theta_box, theta_box, time_box], n_samples, seed=seed)
+
+
 def verify_monotonicity(
     param: Parametrization,
     f: Callable,
@@ -106,6 +115,7 @@ def verify_monotonicity(
     n_samples: int = 1000,
     seed: int = DEFAULT_SAMPLE_SEED,
     time_range: tuple = (0.0, 0.0),
+    samples: Optional[list] = None,
 ) -> MonotonicityCertificate:
     """Sample the sign condition and estimate the growth-rate constants.
 
@@ -127,13 +137,10 @@ def verify_monotonicity(
     and theta as tuples of 1-D arrays, t a 1-D array), and on plain floats
     per sample when that fails or differs bit for bit at the first sample or
     a reported extreme, as every sampled check in `decadapt.model` does.
+    A caller checking several drifts on one draw passes its `monotonicity_sample` as `samples`.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    time_box = DomainBox((time_range[0],), (time_range[1],))
-    states, thetas, thetas_alt, times = joint_sample(
-        [state_box, theta_box, theta_box, time_box], n_samples, seed=seed
-    )
+    states, thetas, thetas_alt, times = samples if samples is not None else monotonicity_sample(
+        state_box, theta_box, n_samples, seed, time_range)
     n_alpha = len(param.alpha(states[0].tolist(), float(times[0, 0])))
     if n_alpha != theta_box.dim:  # _dot below would silently truncate
         raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)

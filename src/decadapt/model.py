@@ -54,12 +54,33 @@ class NonFiniteValueError(ArithmeticError):
         self.value = value
 
 
+@dataclass(frozen=True, eq=False)
+class Constant:
+    """A map that ignores its arguments: Constant(value)(*args) -> value.
+
+    Every check calls it like any map; the integrators read `value` once per
+    run.  The spec dataclasses name the fields that may be one.
+    """
+
+    value: object
+
+    def __call__(self, *args):
+        return self.value
+
+
 def _dot(a, b) -> float:
     """Plain dot product of two equal-length float sequences."""
     s = 0.0
     for x, y in zip(a, b):
         s += x * y
     return s
+
+
+def _require_finite(**values) -> None:
+    """A ValueError naming the first of the keyword arguments that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_finite(values, what: str) -> None:
@@ -212,8 +233,8 @@ class SubsystemSpec:
     layout : PartitionLayout
     f1 : callable (state, t) -> sequence of length q
     f2 : callable (state, theta, t) -> sequence of length p
-    g1 : callable (state) -> sequence of length q
-    g2 : callable (state) -> sequence of length p
+    g1 : callable (state) -> sequence of length q, or a `Constant`
+    g2 : callable (state) -> sequence of length p, or a `Constant`
     param_dim : int, length of theta
     box : DomainBox of dimension q + p, the declared state domain
     """
@@ -240,7 +261,7 @@ class GoalFunction:
     `grad_state` returns the length-n gradient with respect to the state,
     `d_time` the partial derivative with respect to time.  `epsilon_goal` is
     the attainment threshold: the objective is |psi| <= epsilon_goal from
-    some time onward.
+    some time onward.  `grad_state` and `d_time` may be a `Constant`.
     """
 
     psi: Callable
@@ -263,7 +284,7 @@ class Parametrization:
     are declared here and checked empirically by the certify module.
 
     `grad_state` returns a (d, n) array of partials, `d_time` a length-d
-    vector.
+    vector; either may be a `Constant`.
     """
 
     alpha: Callable

@@ -35,18 +35,21 @@ from .certify import (
     check_tail_arguments,
     monitor_loop_bounds,
     monitor_tail_convergence,
+    monotonicity_sample,
     verify_coupling_bound,
     verify_monotonicity,
 )
 from .interconnect import Coupling, CoupledClosedLoop
 from .model import (
     GRAD_REL_TOL,
+    Constant,
     DomainBox,
     GoalFunction,
     Parametrization,
     PartitionLayout,
     SubsystemSpec,
     TargetShaper,
+    _require_finite,
 )
 from .report import CertificateEntry, entry_from_margin
 from .simulate import STATUS_COMPLETED, IntegratorConfig, integrate
@@ -85,9 +88,8 @@ class OscillatorScenario:
     integrator: IntegratorConfig = IntegratorConfig(step=1e-3, t_final=50.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "integrator" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
+                           if f.name != "integrator"})
         if self.lambda_x <= 0 or self.lambda_y <= 0:
             raise ValueError("shaper rates lambda_x, lambda_y must be > 0")
         if self.gamma_x <= 0 or self.gamma_y <= 0:
@@ -121,30 +123,24 @@ def _shapers(sc: OscillatorScenario) -> tuple:
 
 def _make_loop(shaper: TargetShaper, offset: float, gain: float, wobble: float,
                growth: tuple) -> AdaptiveLoopSpec:
-    g1_const = (0.0,)
-    g2_const = (1.0,)
-    psi_grad = (1.0, 1.0)
-    alpha_grad = ((1.0, 0.0),)
-    alpha_dt = (0.0,)
-
     spec = SubsystemSpec(
         layout=PartitionLayout(q=1, p=1),
         f1=lambda state, t: (state[1],),
         f2=lambda state, theta, t: (damping(state[0], theta[0], offset, wobble),),
-        g1=lambda state: g1_const,
-        g2=lambda state: g2_const,
+        g1=Constant((0.0,)),
+        g2=Constant((1.0,)),
         param_dim=1,
         box=STATE_BOX,
     )
     goal = GoalFunction(
         psi=lambda state, t: state[0] + state[1],
-        grad_state=lambda state, t: psi_grad,
-        d_time=lambda state, t: 0.0,
+        grad_state=Constant((1.0, 1.0)),
+        d_time=Constant(0.0),
     )
     param = Parametrization(
         alpha=lambda state, t: (state[0] - offset,),
-        grad_state=lambda state, t: alpha_grad,
-        d_time=lambda state, t: alpha_dt,
+        grad_state=Constant(((1.0, 0.0),)),
+        d_time=Constant((0.0,)),
         dim=1,
         growth_upper=growth[0],
         growth_lower=growth[1],
@@ -247,17 +243,14 @@ def certify_oscillator(
             )
         )
 
+    boxes = (MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX)
+    samples = monotonicity_sample(*boxes, n_monotonicity_samples)  # one draw for both loops
     for tag, loop, offset, wobble in loops:
         def drift(state, theta_vec, t, _o=offset, _w=wobble):
             return state[1] + damping(state[0], theta_vec[0], _o, _w, np.sin)
 
-        cert = verify_monotonicity(
-            loop.param,
-            drift,
-            MONOTONICITY_STATE_BOX,
-            MONOTONICITY_THETA_BOX,
-            n_samples=n_monotonicity_samples,
-        )
+        cert = verify_monotonicity(loop.param, drift, *boxes, n_monotonicity_samples,
+                                   samples=samples)
         report.add(_renamed(cert.entry, tag))
 
     report.add(check_small_gain(small_gain_problem(sc)))

@@ -5,16 +5,16 @@ and the realizable-versus-virtual equivalence tests need a deterministic,
 shared time grid, so reproducibility outranks solver efficiency here.
 
 Every integrator runs one RK4 runner, generated on first use (as
-`dataclasses` generates `__init__`) once per run kind and layout
-(`_runner`): `_RK4_TEMPLATE` with the state in float locals, the stages
-unrolled, and each stage evaluation written out as the closed-loop law of
-its loops (`_loop_body`), with every callable result unpacked to its
-declared length and every dot product written out.  It logs raw samples of
-the state and of the law's diagnostics on the thinned grid.  `_compile_loop`
-builds the same law text into per-point functions.  Running signal norms are
-computed after the run from the logged samples by trapezoidal quadrature
-(`running_l2`); their quadrature error is folded into the tolerances of the
-checks that consume them.
+`dataclasses` generates `__init__`) once per run kind, layout and mask of
+`Constant` maps (`_runner`): `_RK4_TEMPLATE` with the state in float locals,
+the stages unrolled, and each stage evaluation written out as the closed-loop
+law of its loops (`_loop_body`), every map result unpacked to its declared
+length (a `Constant`'s once per run) and every dot product written out.  It
+logs raw samples of the state and of the law's diagnostics on the thinned
+grid.  `_compile_loop` builds the same law text into per-point functions,
+calling every map.  Running signal norms are computed after the run from the
+logged samples by trapezoidal quadrature (`running_l2`); their quadrature
+error is folded into the tolerances of the checks that consume them.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -36,7 +36,7 @@ import numpy as np
 from .adaptation import AdaptiveLoopSpec
 from .controller import SINGULARITY_FLOOR, ControlSingularityError
 from .interconnect import CoupledClosedLoop
-from .model import DimensionMismatchError
+from .model import Constant, DimensionMismatchError, _require_finite
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -82,6 +82,10 @@ class Disturbance:
     signal: Callable
     direction: Optional[tuple] = None
 
+    def __post_init__(self):
+        _require_finite(**{f"direction[{i}]": v for i, v in
+                           enumerate(() if self.direction is None else self.direction)})
+
     def resolve_direction(self, p: int) -> tuple:
         if self.direction is None:
             return tuple(1.0 if i == 0 else 0.0 for i in range(p))
@@ -96,6 +100,7 @@ def zero_disturbance() -> Disturbance:
 
 def exponential_disturbance(scale: float, rate: float) -> Disturbance:
     """signal(t) = scale * exp(-rate * t); square-integrable for rate > 0."""
+    _require_finite(scale=scale, rate=rate)
     if rate <= 0:
         raise ValueError("rate must be > 0 for a square-integrable signal")
     return Disturbance(signal=lambda t: scale * math.exp(-rate * t))
@@ -103,6 +108,7 @@ def exponential_disturbance(scale: float, rate: float) -> Disturbance:
 
 def pulse_disturbance(amplitude: float, t_on: float, t_off: float) -> Disturbance:
     """Rectangular pulse on [t_on, t_off); truncated, hence square-integrable."""
+    _require_finite(amplitude=amplitude, t_on=t_on, t_off=t_off)
     if not t_off > t_on:
         raise ValueError("t_off must exceed t_on")
     return Disturbance(signal=lambda t: amplitude if t_on <= t < t_off else 0.0)
@@ -207,12 +213,12 @@ def _compile_loop(loop: AdaptiveLoopSpec, theta_true, tag: str):
 
     inject2 is the additive second-block contribution (coupling or an
     exogenous disturbance).  The closures are the loop bodies that the
-    runners write into their stages (`_loop_body`).  They share only the
-    control input and the plant rate, so `virtual_rates` stays an
-    independent oracle.  A wrong-length theta_true or output is a ValueError.
+    runners write into their stages (`_loop_body`), every map called.
+    They share only the control input and the plant rate, so `virtual_rates`
+    stays an independent oracle.  A wrong-length theta_true or output is a ValueError.
     """
     layout, theta_true = _checked(loop, theta_true)
-    return _generate("kernels", layout, _kernel_source)(loop, theta_true, SINGULARITY_FLOOR, tag)
+    return _generate("kernels", _kernel_source, layout)(loop, theta_true, SINGULARITY_FLOOR, tag)
 
 
 def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
@@ -225,13 +231,22 @@ def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
 
 # The callables and gain rows of the loop {P}loop, bound to locals with its prefix {P}.
 _BIND_TEMPLATE = """\
-{P}goal, {P}param, {P}pot, {P}spec = {P}loop.goal, {P}loop.param, {P}loop.potential, {P}loop.spec
-{P}psi_fn, {P}grad_fn, {P}dpsidt_fn = {P}goal.psi, {P}goal.grad_state, {P}goal.d_time
-{P}alpha_fn, {P}dalpha_fn, {P}dalphadt_fn = {P}param.alpha, {P}param.grad_state, {P}param.d_time
-{P}pot_fn, {P}dpot_fn, {P}dpotdt_fn = {P}pot.value, {P}pot.grad_state, {P}pot.d_time
-{P}f1_fn, {P}f2_fn, {P}g1_fn, {P}g2_fn = {P}spec.f1, {P}spec.f2, {P}spec.g1, {P}spec.g2
-{P}phi = {P}loop.shaper.phi
+{P}psi_fn, {P}alpha_fn = {P}loop.goal.psi, {P}loop.param.alpha
+{P}f1_fn, {P}f2_fn, {P}phi = {P}loop.spec.f1, {P}loop.spec.f2, {P}loop.shaper.phi
 ({gain}) = np.atleast_2d({P}loop.gain).tolist()"""
+# The maps that may be a `Constant`, in mask order, each the {slot} line of the templates:
+# slot -> (attribute of the loop, the locals its result unpacks to, arguments after the state).
+_SLOTS = {
+    "pot": ("potential.value", "({pv})", ", {t}"),
+    "dpot": ("potential.grad_state", "({dp})", ", {t}"),
+    "dpotdt": ("potential.d_time", "({dpdt})", ", {t}"),
+    "grad": ("goal.grad_state", "({gq}{gp})", ", {t}"),
+    "dpsidt": ("goal.d_time", "{P}dpsidt", ", {t}"),
+    "dalpha": ("param.grad_state", "({da})", ", {t}"),
+    "dalphadt": ("param.d_time", "({dadt})", ", {t}"),
+    "g1": ("spec.g1", "({g1_})", ""),
+    "g2": ("spec.g2", "({g2_})", ""),
+}
 # One evaluation of the closed-loop law of one loop layout.  Callable results
 # are unpacked into float locals and dot products written out in `model._dot`'s
 # order: the arithmetic of `controller` and `adaptation`, term for term.
@@ -240,16 +255,16 @@ _BIND_TEMPLATE = """\
 _KERNEL_TEMPLATE = """\
 {P}psi = {P}psi_fn({P}state, {t})
 ({a}) = {P}alpha_fn({P}state, {t})
-({pv}) = {P}pot_fn({P}state, {t})
+{pot}
 ({ti}) = {est}
 {v_eqs}
 {th_eqs}
 {P}theta_hat = ({th})
 {control}
-({da}) = {P}dalpha_fn({P}state, {t})
-({dadt}) = {P}dalphadt_fn({P}state, {t})
-({dp}) = {P}dpot_fn({P}state, {t})
-({dpdt}) = {P}dpotdt_fn({P}state, {t})
+{dalpha}
+{dalphadt}
+{dpot}
+{dpotdt}
 {theta_i_dot}"""
 # The reduced-form oracle: the estimate {est} is itself a state.
 _VIRTUAL_TEMPLATE = """\
@@ -259,10 +274,10 @@ _VIRTUAL_TEMPLATE = """\
 ({a}) = {P}alpha_fn({P}state, {t})
 {theta_hat_dot}"""
 _CONTROL_TEMPLATE = """\
-({gq}{gp}) = {P}grad_fn({P}state, {t})
+{grad}
 ({f1_}) = {P}f1_fn({P}state, {t})
-({g1_}) = {P}g1_fn({P}state)
-({g2_}) = {P}g2_fn({P}state)
+{g1}
+{g2}
 {P}lf1 = {gq_f1}
 ({fh}) = {P}f2_fn({P}state, {theta_hat}, {t})
 {P}drift_hat = {P}lf1 + {gp_fh}
@@ -270,7 +285,7 @@ _CONTROL_TEMPLATE = """\
 if abs({P}gain_u) < floor:
     raise ControlSingularityError({P}state, {t}, {P}gain_u, subsystem={P}tag)
 {P}phiv = {P}phi({P}psi, {t})
-{P}dpsidt = {P}dpsidt_fn({P}state, {t})
+{dpsidt}
 {P}u = (-{P}drift_hat - {P}phiv - {P}dpsidt) / {P}gain_u
 ({f2_}) = {P}f2_fn({P}state, {P}theta_true, {t})
 ({inj}) = {inject}
@@ -289,14 +304,14 @@ def _dot(a, b) -> str:  # `model._dot(a, b)` written out: ((0.0 + a0 * (b0)) + a
     return functools.reduce(lambda s, xy: f"({s} + {xy[0]} * ({xy[1]}))", zip(a, b), "0.0")
 
 
-def _loop_body(layout, P: str, est: str, inject: str, rates: list, t="t", virtual=False):
+def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", virtual=False):
     """(bind, body, diag) source of a (q, p, d) loop whose locals carry the prefix P.
 
     The body evaluates the loop at the state list {P}state, the time `t`,
     the estimator `est` (integral state, or the estimate if `virtual`) and
     the injection `inject`, and assigns the n state and d estimator rates to
     the locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or
-    (psi, u).
+    (psi, u).  Each `_SLOTS` map that mask marks is read once, in the bind text.
     """
     q, p, d = layout
     n, psi, u, s, lines = q + p, P + "psi", P + "u", rates[:q + p], "\n".join
@@ -313,8 +328,13 @@ def _loop_body(layout, P: str, est: str, inject: str, rates: list, t="t", virtua
         s_eqs=lines([f"{s[i]} = {f1[i]} + {g1[i]} * {u}" for i in range(q)]
                     + [f"{s[q + i]} = {f2[i]} + {inj[i]} + {g2[i]} * {u}" for i in range(p)]),
     )
-    fields["control"] = _CONTROL_TEMPLATE.format(**fields)
-    bind = _BIND_TEMPLATE.format(P=P, gain=_tup(gain))
+    binds = [_BIND_TEMPLATE.format(P=P, gain=_tup(gain))]
+    for (slot, (attr, result, args)), const in zip(_SLOTS.items(), mask, strict=True):
+        call = f"{P}loop.{attr}.value" if const else f"{P}{slot}_fn({P}state{args})"
+        line = f"{result} = {call}".format(**fields)
+        binds.append(line if const else f"{P}{slot}_fn = {P}loop.{attr}")
+        fields[slot] = "" if const else line
+    fields["control"], bind = _CONTROL_TEMPLATE.format(**fields), lines(binds)
     if virtual:
         return bind, _VIRTUAL_TEMPLATE.format(grad_s=_dot(gq + gp, s), theta_hat_dot=lines(
             f"{rates[n + r]} = {_dot(gain[r], [f'{P}w * {x}' for x in a])}" for r in range(d)),
@@ -329,11 +349,11 @@ def _loop_body(layout, P: str, est: str, inject: str, rates: list, t="t", virtua
     ), [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj), *th]
 
 
-def _kernel_source(q: int, p: int, d: int) -> str:
+def _kernel_source(layout: tuple) -> str:
     """Source of `_compile_loop`'s (rates, virtual_rates) factory: the loop bodies as functions."""
-    s, defs = _names("s", q + p + d), ""
+    s, defs, mask = _names("s", sum(layout)), "", (0,) * len(_SLOTS)
     for name, est in ("rates", "theta_i"), ("virtual_rates", "theta_hat"):
-        bind, body, diag = _loop_body((q, p, d), "", est, "inject2", s, virtual=est == "theta_hat")
+        bind, body, diag = _loop_body(layout, mask, "", est, "inject2", s, "t", est == "theta_hat")
         defs += (f"def {name}(state, {est}, t, inject2):\n{indent(body, '    ')}\n"
                  f"    return [{_tup(s)}], ({_tup(diag)})\n")
     return (f"def kernels(loop, theta_true, floor, tag):\n{indent(bind, '    ')}\n"
@@ -380,8 +400,8 @@ def {name}({args}y_init, t0, h, n_steps, every, bound):
 """
 
 
-def _runner(kind: str, layout: tuple):
-    """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout.
+def _runner(kind: str, layout: tuple, mask: tuple):
+    """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and mask.
 
     A runner keeps the state in float locals with the stages unrolled and
     returns (t, y, diag, status), one row per sample logged every `every`
@@ -399,15 +419,21 @@ def _runner(kind: str, layout: tuple):
       realizable / reduced-form loop injected with signal(t) * direction.
 
     Loop stages are `_loop_body`'s text, so their diag is `_compile_loop`'s.
+    mask is the loops' `_constants`, one after the other.
     """
-    return _generate(kind, layout, lambda *layout: _runner_source(kind, layout))
+    return _generate(kind, functools.partial(_runner_source, kind), layout, mask)
 
 
-_rk4 = functools.partial(_runner, "run")  # the runner on an rhs callable, per state block sizes
+_rk4 = functools.partial(_runner, "run", mask=())  # the runner on an rhs callable, per block sizes
 
 
-def _runner_source(kind: str, layout: tuple) -> str:
-    """Source of `_runner(kind, layout)`."""
+def _constants(loop) -> tuple:  # the `_runner` mask of a loop: 1 per `Constant` of `_SLOTS`
+    return tuple(int(isinstance(operator.attrgetter(attr)(loop), Constant))
+                 for attr, _, _ in _SLOTS.values())
+
+
+def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
+    """Source of `_runner(kind, layout, mask)`."""
     n, args, loops, binds, stages = sum(layout), "rhs, ", [], [], []
     if kind == "coupled":
         args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
@@ -433,10 +459,11 @@ def _runner_source(kind: str, layout: tuple) -> str:
             continue
         t = "ts" if j else "t"
         lines += [f"{P}state = [{', '.join(inputs[a:a + q + p])}]" for P, (q, p, _), a, *_ in loops]
-        for P, (q, p, d), a, pre, inject in loops:
-            est = inputs[a + q + p:a + q + p + d]
+        for i, (P, (q, p, d), a, pre, inject) in enumerate(loops):
+            est, m = inputs[a + q + p:a + q + p + d], len(_SLOTS)
             bind, body, loop_diag = _loop_body(
-                (q, p, d), P, f"[{', '.join(est)}]" if kind == "virtual" else f"({_tup(est)})",
+                (q, p, d), mask[i * m:(i + 1) * m], P,
+                f"[{', '.join(est)}]" if kind == "virtual" else f"({_tup(est)})",
                 inject, rates[a:a + q + p + d], t, kind == "virtual")
             lines += [pre.format(t=t), body]
             diag += loop_diag
@@ -456,16 +483,16 @@ def _runner_source(kind: str, layout: tuple) -> str:
 _GENERATED: dict = {}
 
 
-def _generate(name: str, layout: tuple, source_of: Callable[..., str]):
-    """Function `name` of source_of(*layout), compiled on first use and cached per layout.
+def _generate(name: str, source_of: Callable[..., str], *key: tuple):
+    """Function `name` of source_of(*key), compiled on first use and cached per key.
 
-    Only `name` and the integers of the layout reach the source.  It is
-    registered with `linecache`, so tracebacks through it show its lines.
+    Only `name` and the key's integers reach the source, which is kept without
+    blank lines in `linecache`, so tracebacks through it show its lines.
     """
-    layout = tuple(operator.index(m) for m in layout)
-    filename = f"<generated {name} {layout}>"
+    key = tuple(tuple(operator.index(m) for m in part) for part in key)
+    filename = f"<generated {name} {' '.join(map(str, key))}>"
     if filename not in _GENERATED:
-        source = source_of(*layout)
+        source = "".join(line for line in source_of(*key).splitlines(True) if line.strip())
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         namespace = {}
         exec(compile(source, filename, "exec"), globals(), namespace)
@@ -526,7 +553,7 @@ def integrate(
     sys.split_state(aug0)  # rejects a wrong length
     layout_x, theta_x = _checked(sys.loop_x, sys.theta_true_x)
     layout_y, theta_y = _checked(sys.loop_y, sys.theta_true_y)
-    run = _runner("coupled", layout_x + layout_y)
+    run = _runner("coupled", layout_x + layout_y, _constants(sys.loop_x) + _constants(sys.loop_y))
     t, aug, diag, status = run(sys.loop_x, theta_x, sys.loop_y, theta_y, sys.coupling.into_x2,
                                sys.coupling.into_y2, aug0, t0, cfg.step, cfg.n_steps,
                                cfg.log_every, cfg.divergence_bound)
@@ -548,7 +575,7 @@ def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Dist
         raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
                          f"got {len(state0)} and {len(est0)}")
     direction = disturbance.resolve_direction(loop.spec.layout.p)
-    t, z, diag, status = _runner(kind, layout)(
+    t, z, diag, status = _runner(kind, layout, _constants(loop))(
         loop, theta_true, disturbance.signal, direction, state0 + est0, t0, cfg.step,
         cfg.n_steps, cfg.log_every, cfg.divergence_bound)
     return t, z[:, :n], z[:, n:], diag, status

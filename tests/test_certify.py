@@ -21,7 +21,7 @@ from decadapt import (
     verify_coupling_bound,
     verify_monotonicity,
 )
-from decadapt import scenario
+from decadapt import model, scenario
 from decadapt.certify import (
     GROWTH_REL_SLACK,
     RATIO_FLOOR,
@@ -375,6 +375,20 @@ class TestColumnDrift:
         # two column calls, and two plain-float calls per spot-checked row
         # (row 0 and at most three extreme rows)
         assert all(f.calls <= 2 + 2 * 4 for f in drifts)
+
+    def test_certify_draws_the_monotonicity_sample_once(self, monkeypatch):
+        # both loops check the same boxes, count and seed: one joint draw serves both
+        draws, halton = [], model._scrambled_halton
+
+        def counting(dim, count, seed):
+            draws.append((dim, count))
+            return halton(dim, count, seed)
+
+        monkeypatch.setattr(model, "_scrambled_halton", counting)
+        sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=0.5))
+        certify_oscillator(sc, n_monotonicity_samples=1234, tail_window=0.25,
+                           tail_threshold=1e6)
+        assert [d for d in draws if d[1] == 1234] == [(5, 1234)]
 
 
 class TestSmallGainLinear:

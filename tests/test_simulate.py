@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import tests.test_adaptation as adaptation_tests
 from decadapt import (
     AdaptiveLoopSpec,
+    Constant,
     CoupledClosedLoop,
     Coupling,
+    Disturbance,
     DomainBox,
     GoalFunction,
     IntegratorConfig,
@@ -35,7 +37,9 @@ from decadapt.simulate import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_SINGULAR,
+    _SLOTS,
     _compile_loop,
+    _constants,
     _rk4,
     _runner,
     exponential_disturbance,
@@ -245,15 +249,16 @@ class TestGeneratedDriver:
         assert all(type(v) is float for y in seen for v in y)
 
 
-def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1):
+def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1, mask=(0,) * len(_SLOTS)):
     """A duck-typed loop of layout (q, p, d) whose callables mix every coordinate.
 
     c holds n = q + p goal-gradient weights.  The plant grows quadratically
     in its own coordinates, so a small divergence bound ends a run; from
     time nan_after on f2 is NaN, and goal-gradient call number
     singular_call (0 = the initial point) is zero, so the input gain
-    vanishes there.  The loop need not be consistent: the runners and the
-    per-point kernels only have to agree on it.
+    vanishes there.  Each `_SLOTS` map that mask marks is a `Constant`: the
+    map's value at a fixed point.  The loop need not be consistent: the
+    runners and the per-point kernels only have to agree on it.
     """
     n, calls = q + p, [0]
 
@@ -272,7 +277,7 @@ def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1):
                              for j in range(d)]
 
     ns = SimpleNamespace
-    return ns(
+    loop = ns(
         spec=ns(layout=ns(q=q, p=p), param_dim=d, f2=f2,
                 f1=lambda s, t: [s[(i + 1) % n] - 0.3 * s[i] for i in range(q)],
                 g1=lambda s: [1.0 + 0.1 * math.sin(v) for v in s[:q]],
@@ -287,6 +292,14 @@ def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1):
         shaper=ns(phi=lambda psi, t: 2.0 * psi),
         gain=np.eye(d) + 0.1,
     )
+    point = [0.3 - 0.1 * i for i in range(n)]
+    for (attr, _, _), const in zip(_SLOTS.values(), mask):
+        if const:
+            owner, name = attr.split(".")
+            fn = getattr(getattr(loop, owner), name)
+            args = [point] if owner == "spec" else [point, 0.1]
+            setattr(getattr(loop, owner), name, Constant(fn(*args)))
+    return loop
 
 
 LAYOUTS = st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(1, 3))
@@ -296,11 +309,15 @@ class TestGeneratedRunners:
     """The integrators' runners equal `reference_rk4` on `_compile_loop`'s kernels, bit for bit."""
 
     @staticmethod
-    def both(kind, layouts, c, signal, y0, n_steps, every, bound, nan_after, singular):
-        """(runner result, reference result); singular = (loop index, call number)."""
+    def both(kind, layouts, c, signal, y0, n_steps, every, bound, nan_after, singular,
+             masks=((0,) * len(_SLOTS),) * 2):
+        """(runner result, reference result); singular = (loop index, call number).
+
+        masks marks the maps of each loop that are `Constant`s.
+        """
         def loops():
-            return [probe_loop(*m, cs, nan_after, singular[1] if i == singular[0] else -1)
-                    for i, (m, cs) in enumerate(zip(layouts, c))]
+            return [probe_loop(*m, cs, nan_after, singular[1] if i == singular[0] else -1, mask)
+                    for i, (m, cs, mask) in enumerate(zip(layouts, c, masks))]
 
         thetas = [tuple(0.3 * (j + 1) for j in range(m[2])) for m in layouts]
         args = (y0, 0.0, 0.05, n_steps, every, bound)
@@ -315,8 +332,9 @@ class TestGeneratedRunners:
                 return [0.2 * math.cos(x[i % n]) - 0.1 for i in range(py)]
 
             loop_x, loop_y = loops()
-            got = _runner(kind, layouts[0] + layouts[1])(loop_x, thetas[0], loop_y, thetas[1],
-                                                         into_x2, into_y2, *args)
+            mask = _constants(loop_x) + _constants(loop_y)
+            got = _runner(kind, layouts[0] + layouts[1], mask)(
+                loop_x, thetas[0], loop_y, thetas[1], into_x2, into_y2, *args)
             loop_x, loop_y = loops()
             rates_x, _ = _compile_loop(loop_x, thetas[0], "x")
             rates_y, _ = _compile_loop(loop_y, thetas[1], "y")
@@ -329,7 +347,9 @@ class TestGeneratedRunners:
         else:
             (q, p, d), = layouts
             direction = tuple(1.0 - 0.5 * i for i in range(p))
-            got = _runner(kind, layouts[0])(*loops(), thetas[0], signal, direction, *args)
+            loop, = loops()
+            got = _runner(kind, layouts[0], _constants(loop))(loop, thetas[0], signal, direction,
+                                                              *args)
             kernel = _compile_loop(*loops(), thetas[0], kind)[kind == "virtual"]
 
             def rhs(t, z):
@@ -349,7 +369,11 @@ class TestGeneratedRunners:
         scale, rate = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.0, 2.0))
         y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sum(map(sum, layouts)),
                                 max_size=sum(map(sum, layouts))))
+        masks = [list(data.draw(st.tuples(*[st.integers(0, 1)] * len(_SLOTS)))) for _ in layouts]
         bound, nan_after, singular = math.inf, math.inf, (0, -1)
+        if stop == "singular":  # the singular call number counts goal-gradient calls
+            for mask in masks:
+                mask[list(_SLOTS).index("grad")] = 0
         if stop == "diverge":  # some coordinate moves further out than it starts
             bound = max(map(abs, y0)) + data.draw(st.floats(0.0, 0.2))
         elif stop == "nan":
@@ -358,7 +382,7 @@ class TestGeneratedRunners:
             singular = (data.draw(st.integers(0, len(layouts) - 1)),
                         data.draw(st.integers(1, 4 * n_steps)))
         got, want = self.both(kind, layouts, c, lambda t: scale * math.exp(-rate * t), y0,
-                              n_steps, every, bound, nan_after, singular)
+                              n_steps, every, bound, nan_after, singular, masks)
         event(f"{stop} -> {got[3]}")
         assert got[3] == want[3]
         for got_part, want_part in zip(got[:3], want[:3]):
@@ -381,6 +405,64 @@ class TestGeneratedRunners:
         with pytest.raises(ControlSingularityError):
             self.both(kind, layouts, [[1.0, 1.0]] * 2, math.cos, [0.1] * (3 * len(layouts)),
                       5, 1, math.inf, math.inf, (0, 0))
+
+
+class TestConstantMaps:
+    """The runners read `Constant` maps once per run; nothing else may change."""
+
+    CFG = IntegratorConfig(step=1e-3, t_final=2.0)
+
+    @staticmethod
+    def with_lambdas(loop):
+        """The loop with each `Constant` map replaced by a lambda returning its value."""
+        def plain(part):
+            return replace(part, **{name: (lambda *a, v=fn.value: v)
+                                    for name, fn in vars(part).items() if isinstance(fn, Constant)})
+
+        return replace(loop, spec=plain(loop.spec), goal=plain(loop.goal),
+                       param=plain(loop.param), potential=plain(loop.potential))
+
+    def test_oscillator_same_as_with_lambdas(self, oscillator):
+        plain = replace(oscillator, loop_x=self.with_lambdas(oscillator.loop_x),
+                        loop_y=self.with_lambdas(oscillator.loop_y))
+        assert _constants(oscillator.loop_x) == (1,) * len(_SLOTS)
+        assert _constants(plain.loop_x) == (0,) * len(_SLOTS)
+        y0 = OscillatorScenario().initial_state()
+        got, want = integrate(oscillator, self.CFG, y0), integrate(plain, self.CFG, y0)
+        assert got.status == want.status == STATUS_COMPLETED
+        assert same_bits(got.t, want.t)
+        for which in "xy":
+            for name, value in vars(got.loops[which]).items():
+                if name != "status":
+                    assert same_bits(value, getattr(want.loops[which], name)), (which, name)
+
+    @pytest.mark.parametrize("fields", [{"g1": Constant(())}, {"g2": Constant((1.0, 0.5))}],
+                             ids=["g1-short", "g2-long"])
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_wrong_length_is_rejected_before_the_first_step(self, oscillator, kind, fields):
+        calls = []
+        loop = oscillator.loop_x
+        loop = replace(loop, spec=replace(loop.spec, f1=lambda s, t: calls.append(t) or (s[1],),
+                                          **fields))
+        with pytest.raises(ValueError, match="unpack"):
+            self.run(kind, oscillator, loop)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_zero_input_gain_is_singular_at_the_initial_point(self, oscillator, kind):
+        # g1 = (0,), g2 = (0,) and the goal gradient (1, 1): the input gain is zero
+        loop = oscillator.loop_x
+        loop = replace(loop, spec=replace(loop.spec, g2=Constant((0.0,))))
+        assert _constants(loop) == (1,) * len(_SLOTS)
+        with pytest.raises(ControlSingularityError):
+            self.run(kind, oscillator, loop)
+
+    def run(self, kind, oscillator, loop_x):
+        if kind == "coupled":
+            return integrate(replace(oscillator, loop_x=loop_x), self.CFG,
+                             OscillatorScenario().initial_state())
+        integrator = integrate_loop if kind == "loop" else integrate_virtual
+        return integrator(loop_x, (1.0,), zero_disturbance(), self.CFG, (-1.0, 0.0), (-1.0,))
 
 
 class TestRunningNorms:
@@ -535,6 +617,23 @@ class TestDisturbances:
             d.resolve_direction(3)
         assert zero_disturbance().resolve_direction(3) == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: exponential_disturbance(0.5, math.nan), "rate"),
+        (lambda: exponential_disturbance(0.5, math.inf), "rate"),
+        (lambda: exponential_disturbance(math.nan, 1.0), "scale"),
+        (lambda: exponential_disturbance(math.inf, 1.0), "scale"),
+        (lambda: pulse_disturbance(math.nan, 1.0, 2.0), "amplitude"),
+        (lambda: pulse_disturbance(1.0, -math.inf, 2.0), "t_on"),
+        (lambda: pulse_disturbance(1.0, 1.0, math.inf), "t_off"),
+        (lambda: Disturbance(signal=math.cos, direction=(math.nan,)), r"direction\[0\]"),
+        (lambda: Disturbance(signal=math.cos, direction=(1.0, -math.inf)), r"direction\[1\]"),
+    ])
+    def test_non_finite_data_rejected(self, make, name):
+        # accepted before: the run then blamed the system with `diverged`
+        # after one row, or failed inside `damping` with "math domain error"
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
 
 class TestNoFirstBlock:
     """Layouts with q = 0: the whole state carries the uncertainty."""
@@ -642,7 +741,7 @@ class TestWrongLengthOutputs:
             self.run(integrate_loop, self.matrix_gain_loop(f2=lambda s, th, t: (0.1, 7.0)))
         text = "".join(traceback.format_exception(exc.value))
         # the runner's stage-one evaluation at the initial point, inlined from the loop body
-        assert 'File "<generated loop (1, 1, 2)>"' in text
+        assert 'File "<generated loop (1, 1, 2) (0, 0, 0, 0, 0, 0, 0, 0, 0)>"' in text
         assert "(fh0, ) = f2_fn(state, theta_hat, t)" in text
 
 

@@ -46,9 +46,11 @@ from .certify import (
     CertificateEntry,
     CertificateReport,
     SmallGainProblem,
+    certify_closed_loop,
     check_small_gain,
     monitor_loop_bounds,
     monitor_tail_convergence,
+    small_gain_problem,
     verify_coupling_bound,
     verify_monotonicity,
 )
@@ -58,7 +60,6 @@ from .scenario import (
     certify_oscillator,
     load_scenario,
     save_scenario,
-    small_gain_problem,
 )
 
 __version__ = "0.1.0"

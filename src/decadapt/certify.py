@@ -6,26 +6,35 @@ the adaptation theory guarantees, along one logged trajectory, with
 explicit tolerances; the small-gain evaluator checks the interconnection
 contraction condition exactly in the linear-gain case and on a scanned
 range otherwise.  Violations are failing report entries, never exceptions.
+`certify_closed_loop` runs them all on a built `CoupledClosedLoop`, reading
+each loop's drift channel, the small-gain data and the coupling bounds from
+the system itself; its callers supply only what the system does not hold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .adaptation import AdaptiveLoopSpec, check_poincare, realizability_residual
+from .adaptation import (REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare,
+                         realizability_residual)
+from .interconnect import CoupledClosedLoop
 from .model import (
     DEFAULT_SAMPLE_SEED,
+    GRAD_REL_TOL,
     DimensionMismatchError,
     DomainBox,
     GainDescriptor,
     GainRangeError,
+    NonFiniteValueError,
     Parametrization,
     _dot,
     _evaluate_samples,
+    goal_drift,
     joint_sample,
 )
 from .report import (
@@ -34,19 +43,21 @@ from .report import (
     CertificateReport,
     entry_from_margin,
 )
-from .simulate import STATUS_COMPLETED, LoopTrajectory, Trajectory
+from .simulate import STATUS_COMPLETED, IntegratorConfig, LoopTrajectory, Trajectory, integrate
 
 __all__ = [
     "CertificateEntry",
     "CertificateReport",
     "MonotonicityCertificate",
     "SmallGainProblem",
+    "certify_closed_loop",
     "check_poincare",
     "check_small_gain",
     "check_tail_arguments",
     "monitor_loop_bounds",
     "monitor_tail_convergence",
     "realizability_residual",
+    "small_gain_problem",
     "verify_coupling_bound",
     "verify_monotonicity",
 ]
@@ -58,6 +69,7 @@ MONITOR_TOL = 1e-6
 STEP_MONOTONE_TOL = 1e-8
 SCAN_LOWER = 1e-6
 SCAN_POINTS = 64
+LOOP_MONITOR_TOL = 1e-4  # tolerance of the adaptation-bound monitors in the certify pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +93,22 @@ def _first_below(values: np.ndarray, bound: float):
 
 
 def _extreme_rows(values: np.ndarray) -> tuple:
-    """((worst sign product row, largest ratio row, smallest ratio row, ratio count), rows).
+    """((worst sign product row, largest, smallest ratio rows, non-finite row, ratio count), rows).
 
     `values` holds the f and alpha^T differences of every sample.  Each row
-    is the first occurrence of its extreme, never a NaN, and None when no
-    sample beats the start value (inf, 0, inf) of a strict comparison walk
-    over the samples; `rows` lists the rows that are not None.
+    is the first occurrence of its extreme (the non-finite row: of a NaN or
+    infinite difference), and None when no sample beats the start value
+    (inf, 0, inf) of a strict comparison walk over the samples or none is
+    non-finite; `rows` lists the rows that are not None.
     """
     df, s = values
     prod = df * s
     rows = np.flatnonzero(np.abs(s) > RATIO_FLOOR)
     ratio = np.abs(df[rows]) / np.abs(s[rows])
     up, lo = _first_below(-ratio, 0.0), _first_below(ratio, math.inf)
+    bad = np.flatnonzero(~(np.isfinite(df) & np.isfinite(s)))[:1]
     found = (_first_below(prod, math.inf), None if up is None else int(rows[up]),
-             None if lo is None else int(rows[lo]))
+             None if lo is None else int(rows[lo]), int(bad[0]) if bad.size else None)
     return (*found, int(rows.size)), [i for i in found if i is not None]
 
 
@@ -129,9 +143,11 @@ def verify_monotonicity(
 
     Passes when the sign condition holds everywhere and the estimates stay
     within the parametrization's declared growth constants up to relative
-    slack 1e-6.  Returns an inconclusive entry when no sample
-    clears the denominator floor.  Raises ValueError when n_samples < 1 and
-    DimensionMismatchError when alpha's length differs from theta_box's.
+    slack 1e-6.  A NaN or infinite f or alpha^T difference fails, margin -inf,
+    at its first sample, the witness; f raising NonFiniteValueError (as
+    `model.goal_drift` does) counts as NaN.  Returns an inconclusive entry when
+    no sample clears the denominator floor.  Raises ValueError when n_samples < 1
+    and DimensionMismatchError when alpha's length differs from theta_box's.
 
     f and param.alpha are first called once on the sample columns (state
     and theta as tuples of 1-D arrays, t a 1-D array), and on plain floats
@@ -145,12 +161,28 @@ def verify_monotonicity(
     if n_alpha != theta_box.dim:  # _dot below would silently truncate
         raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)
 
-    def terms(state, theta, theta_alt, diff, t):
-        return f(state, theta_alt, t) - f(state, theta, t), _dot(param.alpha(state, t), diff)
+    def drift(state, theta, t):
+        try:
+            return f(state, theta, t)
+        except NonFiniteValueError:
+            return math.nan
 
-    (df, s), (i_sign, i_up, i_lo, n_ratio) = _evaluate_samples(
+    def terms(state, theta, theta_alt, diff, t):
+        df = drift(state, theta_alt, t) - drift(state, theta, t)
+        return df, _dot(param.alpha(state, t), diff)
+
+    (df, s), (i_sign, i_up, i_lo, i_bad, n_ratio) = _evaluate_samples(
         terms, (states, thetas, thetas_alt, thetas_alt - thetas, times[:, 0]), _extreme_rows)
 
+    def sample(i, **values):
+        return {"state": states[i].tolist(), "theta": thetas[i].tolist(),
+                "theta_alt": thetas_alt[i].tolist(), "t": float(times[i, 0]), **values}
+
+    if i_bad is not None:
+        witness = sample(i_bad, drift_difference=float(df[i_bad]),
+                         alpha_difference=float(s[i_bad]))
+        entry = entry_from_margin("monotonicity-growth", -math.inf, witness, SIGN_CONDITION_TOL)
+        return MonotonicityCertificate(entry, math.nan, math.nan, n_ratio)
     if n_ratio == 0:
         entry = CertificateEntry(
             name="monotonicity-growth",
@@ -169,11 +201,7 @@ def verify_monotonicity(
     worst_sign, worst_sign_witness = math.inf, {}
     if i_sign is not None:
         worst_sign = float(df[i_sign]) * float(s[i_sign])
-        worst_sign_witness = {
-            "state": states[i_sign].tolist(), "theta": thetas[i_sign].tolist(),
-            "theta_alt": thetas_alt[i_sign].tolist(), "t": float(times[i_sign, 0]),
-            "product": worst_sign,
-        }
+        worst_sign_witness = sample(i_sign, product=worst_sign)
     d_hat, d_hat_witness = (0.0, {}) if i_up is None else ratio_witness(i_up)
     d1_hat, d1_hat_witness = (math.inf, {}) if i_lo is None else ratio_witness(i_lo)
 
@@ -191,10 +219,6 @@ def verify_monotonicity(
     witness.update({"d_hat": d_hat, "d1_hat": d1_hat, "n_ratio_samples": n_ratio})
     entry = entry_from_margin("monotonicity-growth", margin, witness, SIGN_CONDITION_TOL)
     return MonotonicityCertificate(entry, d_hat, d1_hat, n_ratio)
-
-
-def _weighted_sq_norm(vec: np.ndarray, weight: np.ndarray) -> float:
-    return float(vec @ weight @ vec)
 
 
 def monitor_loop_bounds(
@@ -226,7 +250,7 @@ def monitor_loop_bounds(
     theta_true = np.asarray(theta_true, dtype=float)
 
     err0 = theta_true - traj.theta_hat[0]
-    base = _weighted_sq_norm(err0, weight)
+    base = float(err0 @ weight @ err0)
 
     rhs_a = np.sqrt(0.5 * d_up * base) + (d_up / d_lo) * traj.l2_eps + tol
     slack_a = rhs_a - traj.l2_mismatch
@@ -469,3 +493,83 @@ def monitor_tail_convergence(
     for suffix, loop in named:
         tail_entry(f"tail-mismatch{suffix}", loop.mismatch, mismatch_threshold)
     return entries
+
+
+def small_gain_problem(sys: CoupledClosedLoop) -> SmallGainProblem:
+    """Small-gain data of a built system, read from its loops and coupling.
+
+    The gains are the loops' shapers' energy-to-energy gains, the coupling
+    bounds the coupling's declared `beta_into_x` / `beta_into_y`, and the
+    ratios each parametrization's growth_upper / growth_lower.
+    """
+    px, py = sys.loop_x.param, sys.loop_y.param
+    return SmallGainProblem(sys.loop_x.shaper.gain_l2_from_l2, sys.loop_y.shaper.gain_l2_from_l2,
+                            sys.coupling.beta_into_x, sys.coupling.beta_into_y,
+                            px.growth_upper / px.growth_lower, py.growth_upper / py.growth_lower)
+
+
+def _renamed(entry: CertificateEntry, suffix: str) -> CertificateEntry:
+    return replace(entry, name=f"{entry.name}-{suffix}")
+
+
+def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, aug0, boxes: tuple,
+                        offsets: tuple, n_monotonicity_samples: int = 10000,
+                        tail_window: float = 5.0, tail_threshold: float = 1e-2) -> tuple:
+    """Full certification pass of a built system: assumption checks, small gain, monitors.
+
+    Per loop (x, then y): the gradient errors and realizability residual
+    found when the loop was built, the Poincare symmetry, and the
+    monotonicity of the loop's own drift channel, `model.goal_drift` of its
+    spec and goal, on its (state box, theta box) pair of `boxes`; one
+    sample is drawn per distinct pair.  Then the small-gain condition of
+    `small_gain_problem(sys)`, and along the trajectory integrated from
+    aug0 the loop bounds, the coupling bounds (the coupling's declared
+    betas, with `offsets` = (offset into x, offset into y)) and the tail
+    convergence.
+
+    Returns (CertificateReport, Trajectory or None).  The trajectory is None
+    when the simulation aborted; the report then carries a failing
+    simulation-status entry instead of the runtime monitors, so the tail
+    arguments are checked first.
+    """
+    check_tail_arguments(tail_window, tail_threshold, tail_threshold)
+    report = CertificateReport()
+    loops = (("x", sys.loop_x, sys.theta_true_x), ("y", sys.loop_y, sys.theta_true_y))
+
+    for tag, loop, _ in loops:
+        for name, worst in (("gradient-goal", loop.goal_grad_error),
+                            ("gradient-parametrization", loop.alpha_grad_error)):
+            report.add(entry_from_margin(f"{name}-{tag}", GRAD_REL_TOL - worst,
+                                         {"worst_rel_error": worst}, GRAD_REL_TOL))
+        res = loop.realizability_residual
+        report.add(entry_from_margin(f"realizability-{tag}", REALIZABILITY_TOL - res,
+                                     {"residual": res}, REALIZABILITY_TOL))
+        report.add(_renamed(check_poincare(loop.goal, loop.param, loop.spec.layout,
+                                           loop.spec.box), tag))
+
+    draws = {}
+    for (tag, loop, _), (state_box, theta_box) in zip(loops, boxes, strict=True):
+        key = tuple((b.lower, b.upper) for b in (state_box, theta_box))
+        if key not in draws:  # loops on the same boxes share one draw
+            draws[key] = monotonicity_sample(state_box, theta_box, n_monotonicity_samples)
+        drift = functools.partial(goal_drift, loop.spec, loop.goal)
+        cert = verify_monotonicity(loop.param, drift, state_box, theta_box,
+                                   n_monotonicity_samples, samples=draws[key])
+        report.add(_renamed(cert.entry, tag))
+
+    report.add(check_small_gain(small_gain_problem(sys)))
+
+    traj = integrate(sys, integrator, aug0)
+    if traj.status != STATUS_COMPLETED:
+        report.add(CertificateEntry(name="simulation-status", status="fail", margin=-1.0,
+                                    witness={"status": traj.status, "last_t": traj.t_end}))
+        return report, None
+
+    for tag, loop, theta in loops:
+        for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=LOOP_MONITOR_TOL):
+            report.add(_renamed(entry, tag))
+    betas = (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
+    for channel, beta, offset in zip(("into_x", "into_y"), betas, offsets, strict=True):
+        report.add(verify_coupling_bound(traj, channel, beta, mode="l2", offset=offset))
+    report.extend(monitor_tail_convergence(traj, tail_window, tail_threshold, tail_threshold))
+    return report, traj

@@ -24,14 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import (
-    OscillatorScenario,
-    build_oscillator,
-    certify_oscillator,
-    load_scenario,
-    small_gain_problem,
-)
-from .certify import check_small_gain
+from .scenario import OscillatorScenario, build_oscillator, certify_oscillator, load_scenario
+from .certify import check_small_gain, small_gain_problem
 from .simulate import STATUS_COMPLETED, integrate, write_trajectory_csv
 
 EXIT_OK = 0
@@ -146,8 +140,9 @@ def _parse_grid(spec: str) -> list:
 
 def _sweep_cell(payload) -> tuple:
     sc, tail_window = payload
-    gain_entry = check_small_gain(small_gain_problem(sc))
-    traj = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
+    sys = build_oscillator(sc)
+    gain_entry = check_small_gain(small_gain_problem(sys))
+    traj = integrate(sys, sc.integrator, sc.initial_state())
     if traj.status == STATUS_COMPLETED:
         mask = traj.t >= traj.t[-1] - tail_window
         tail_x = float(abs(traj.loops["x"].psi[mask]).max())

@@ -84,9 +84,14 @@ def _require_finite(**values) -> None:
 
 
 def _check_finite(values, what: str) -> None:
+    """NonFiniteValueError at the first non-finite coordinate, a float or a sample column."""
     for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise NonFiniteValueError(what, i, v)
+        try:
+            bad = () if math.isfinite(v) else (v,)
+        except TypeError:  # a sample column: its non-finite elements, in order
+            bad = np.ravel(v)[~np.isfinite(np.ravel(v))]
+        if len(bad):
+            raise NonFiniteValueError(what, i, float(bad[0]))
 
 
 def _first_primes(count: int) -> list:

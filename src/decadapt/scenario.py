@@ -13,6 +13,9 @@ with goal functions x1 + x2 and y1 + y2, linear target shapers, and a
 scalar monotone parametrization (position minus offset) whose growth
 constants are 1.5 / 0.5 for the x loop and 1.6 / 0.4 for the y loop.  Its
 small-gain condition reduces to k1 k2 < lambda_x lambda_y / 20.
+`certify_oscillator` is `certify.certify_closed_loop` of the built pair,
+given the monotonicity boxes and coupling offsets below; the loops' f2
+(`damping`) takes floats and sample columns alike.
 
 Custom systems are declared in code against the library interfaces;
 scenario files cover only this built-in family, since arbitrary callables
@@ -24,24 +27,14 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, fields, replace
+from math import sin
 
 import numpy as np
 
-from .adaptation import REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare, zero_potential
-from .certify import (
-    CertificateReport,
-    SmallGainProblem,
-    check_small_gain,
-    check_tail_arguments,
-    monitor_loop_bounds,
-    monitor_tail_convergence,
-    monotonicity_sample,
-    verify_coupling_bound,
-    verify_monotonicity,
-)
+from .adaptation import AdaptiveLoopSpec, zero_potential
+from .certify import certify_closed_loop
 from .interconnect import Coupling, CoupledClosedLoop
 from .model import (
-    GRAD_REL_TOL,
     Constant,
     DomainBox,
     GoalFunction,
@@ -51,15 +44,13 @@ from .model import (
     TargetShaper,
     _require_finite,
 )
-from .report import CertificateEntry, entry_from_margin
-from .simulate import STATUS_COMPLETED, IntegratorConfig, integrate
+from .simulate import IntegratorConfig
 
 GROWTH_X = (1.5, 0.5)
 GROWTH_Y = (1.6, 0.4)
 WOBBLE_X = 0.5
 WOBBLE_Y = 0.6
 STATE_BOX = DomainBox((-5.0, -5.0), (5.0, 5.0))
-LOOP_MONITOR_TOL = 1e-4  # tolerance of the adaptation-bound monitors in certify
 
 MONOTONICITY_STATE_BOX = DomainBox((-3.0, -3.0), (3.0, 3.0))
 MONOTONICITY_THETA_BOX = DomainBox((0.2,), (2.0,))
@@ -102,95 +93,50 @@ class OscillatorScenario:
         )
 
 
-def damping(position: float, theta: float, offset: float, wobble: float, sin=math.sin) -> float:
+def damping(position, theta, offset: float, wobble: float):
     """Nonlinear damping force: linear-in-shifted-position plus a bounded sine.
 
-    The integrators call it on floats with `math.sin`, which is about three
-    times faster there than `np.sin`; the monotonicity certificate passes
-    sin=np.sin to evaluate whole sample columns in one call.
+    On floats, as the integrators call it, the sine is `math.sin`, about
+    three times faster there than `np.sin`; on sample columns, as the
+    certify pass evaluates the loop's f2, it is `np.sin`, elementwise the
+    same bits (the certificate's column spot check compares them).
     """
     s = theta * (position - offset)
-    return s + wobble * sin(s)
+    try:
+        return s + wobble * sin(s)  # math.sin, bound once: the integrators' float path
+    except TypeError:  # a sample column
+        return s + wobble * np.sin(s)
 
 
-def _shapers(sc: OscillatorScenario) -> tuple:
-    """Target shapers of the x and y loops, sized for the initial goal errors."""
-    return (
-        TargetShaper.linear(sc.lambda_x, psi0_bound=abs(sc.x1_0 + sc.x2_0)),
-        TargetShaper.linear(sc.lambda_y, psi0_bound=abs(sc.y1_0 + sc.y2_0)),
-    )
-
-
-def _make_loop(shaper: TargetShaper, offset: float, gain: float, wobble: float,
+def _make_loop(rate: float, psi0: float, offset: float, gain: float, wobble: float,
                growth: tuple) -> AdaptiveLoopSpec:
+    """One oscillator loop; its target shaper is sized for the initial goal error psi0."""
     spec = SubsystemSpec(
-        layout=PartitionLayout(q=1, p=1),
-        f1=lambda state, t: (state[1],),
+        layout=PartitionLayout(q=1, p=1), f1=lambda state, t: (state[1],),
         f2=lambda state, theta, t: (damping(state[0], theta[0], offset, wobble),),
-        g1=Constant((0.0,)),
-        g2=Constant((1.0,)),
-        param_dim=1,
-        box=STATE_BOX,
+        g1=Constant((0.0,)), g2=Constant((1.0,)), param_dim=1, box=STATE_BOX,
     )
-    goal = GoalFunction(
-        psi=lambda state, t: state[0] + state[1],
-        grad_state=Constant((1.0, 1.0)),
-        d_time=Constant(0.0),
-    )
-    param = Parametrization(
-        alpha=lambda state, t: (state[0] - offset,),
-        grad_state=Constant(((1.0, 0.0),)),
-        d_time=Constant((0.0,)),
-        dim=1,
-        growth_upper=growth[0],
-        growth_lower=growth[1],
-    )
-    return AdaptiveLoopSpec(
-        spec=spec,
-        goal=goal,
-        shaper=shaper,
-        param=param,
-        potential=zero_potential(1, 2),
-        gain=np.array([[gain]]),
-    )
+    goal = GoalFunction(psi=lambda state, t: state[0] + state[1],
+                        grad_state=Constant((1.0, 1.0)), d_time=Constant(0.0))
+    param = Parametrization(alpha=lambda state, t: (state[0] - offset,),
+                            grad_state=Constant(((1.0, 0.0),)), d_time=Constant((0.0,)),
+                            dim=1, growth_upper=growth[0], growth_lower=growth[1])
+    return AdaptiveLoopSpec(spec=spec, goal=goal, param=param, potential=zero_potential(1, 2),
+                            shaper=TargetShaper.linear(rate, psi0_bound=abs(psi0)),
+                            gain=np.array([[gain]]))
 
 
 def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
     """Assemble the coupled oscillator pair from scenario parameters."""
-    shaper_x, shaper_y = _shapers(sc)
-    loop_x = _make_loop(shaper_x, sc.offset_x, sc.gamma_x, WOBBLE_X, GROWTH_X)
-    loop_y = _make_loop(shaper_y, sc.offset_y, sc.gamma_y, WOBBLE_Y, GROWTH_Y)
+    loop_x = _make_loop(sc.lambda_x, sc.x1_0 + sc.x2_0, sc.offset_x, sc.gamma_x, WOBBLE_X,
+                        GROWTH_X)
+    loop_y = _make_loop(sc.lambda_y, sc.y1_0 + sc.y2_0, sc.offset_y, sc.gamma_y, WOBBLE_Y,
+                        GROWTH_Y)
     k1, k2 = sc.k1, sc.k2
-    coupling = Coupling(
-        into_x2=lambda y, t: (k1 * y[0],),
-        into_y2=lambda x, t: (k2 * x[0],),
-        beta_into_x=abs(k1),
-        beta_into_y=abs(k2),
-    )
-    return CoupledClosedLoop(
-        loop_x=loop_x,
-        loop_y=loop_y,
-        coupling=coupling,
-        theta_true_x=(sc.theta_x,),
-        theta_true_y=(sc.theta_y,),
-    )
-
-
-def small_gain_problem(sc: OscillatorScenario) -> SmallGainProblem:
-    """Small-gain data of the scenario; both gains are exactly linear.
-
-    Built from the same shapers as `build_oscillator`, without assembling
-    and revalidating the loops.
-    """
-    shaper_x, shaper_y = _shapers(sc)
-    return SmallGainProblem(
-        gain_x22=shaper_x.gain_l2_from_l2,
-        gain_y22=shaper_y.gain_l2_from_l2,
-        beta_x=abs(sc.k1),
-        beta_y=abs(sc.k2),
-        ratio_x=GROWTH_X[0] / GROWTH_X[1],
-        ratio_y=GROWTH_Y[0] / GROWTH_Y[1],
-    )
+    coupling = Coupling(into_x2=lambda y, t: (k1 * y[0],), into_y2=lambda x, t: (k2 * x[0],),
+                        beta_into_x=abs(k1), beta_into_y=abs(k2))
+    return CoupledClosedLoop(loop_x=loop_x, loop_y=loop_y, coupling=coupling,
+                             theta_true_x=(sc.theta_x,), theta_true_y=(sc.theta_y,))
 
 
 def coupling_offsets(sc: OscillatorScenario) -> tuple:
@@ -207,76 +153,18 @@ def coupling_offsets(sc: OscillatorScenario) -> tuple:
     )
 
 
-def _renamed(entry: CertificateEntry, suffix: str) -> CertificateEntry:
-    return replace(entry, name=f"{entry.name}-{suffix}")
+def certify_oscillator(sc: OscillatorScenario, n_monotonicity_samples: int = 10000,
+                       tail_window: float = 5.0, tail_threshold: float = 1e-2) -> tuple:
+    """`certify_closed_loop` of the built oscillator pair: (CertificateReport, Trajectory or None).
 
-
-def certify_oscillator(
-    sc: OscillatorScenario,
-    n_monotonicity_samples: int = 10000,
-    tail_window: float = 5.0,
-    tail_threshold: float = 1e-2,
-) -> tuple:
-    """Full certification pass: assumption checks, small gain, trajectory monitors.
-
-    Returns (CertificateReport, Trajectory or None).  The trajectory is None
-    when the simulation aborted; the report then carries a failing
-    simulation-status entry instead of the runtime monitors, so the tail
-    arguments are checked first.
+    Both loops are checked for monotonicity on the same state and parameter
+    boxes, so the pass draws one sample for both; the coupling bounds take
+    `coupling_offsets`.
     """
-    check_tail_arguments(tail_window, tail_threshold, tail_threshold)
-    sys = build_oscillator(sc)
-    report = CertificateReport()
-    loops = (("x", sys.loop_x, sc.offset_x, WOBBLE_X), ("y", sys.loop_y, sc.offset_y, WOBBLE_Y))
-
-    for tag, loop, _, _ in loops:
-        for name, worst in (("gradient-goal", loop.goal_grad_error),
-                            ("gradient-parametrization", loop.alpha_grad_error)):
-            report.add(entry_from_margin(f"{name}-{tag}", GRAD_REL_TOL - worst,
-                                         {"worst_rel_error": worst}, GRAD_REL_TOL))
-        res = loop.realizability_residual
-        report.add(entry_from_margin(f"realizability-{tag}", REALIZABILITY_TOL - res,
-                                     {"residual": res}, REALIZABILITY_TOL))
-        report.add(
-            _renamed(
-                check_poincare(loop.goal, loop.param, loop.spec.layout, loop.spec.box), tag
-            )
-        )
-
     boxes = (MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX)
-    samples = monotonicity_sample(*boxes, n_monotonicity_samples)  # one draw for both loops
-    for tag, loop, offset, wobble in loops:
-        def drift(state, theta_vec, t, _o=offset, _w=wobble):
-            return state[1] + damping(state[0], theta_vec[0], _o, _w, np.sin)
-
-        cert = verify_monotonicity(loop.param, drift, *boxes, n_monotonicity_samples,
-                                   samples=samples)
-        report.add(_renamed(cert.entry, tag))
-
-    report.add(check_small_gain(small_gain_problem(sc)))
-
-    traj = integrate(sys, sc.integrator, sc.initial_state())
-    if traj.status != STATUS_COMPLETED:
-        report.add(
-            CertificateEntry(
-                name="simulation-status",
-                status="fail",
-                margin=-1.0,
-                witness={"status": traj.status, "last_t": traj.t_end},
-            )
-        )
-        return report, None
-
-    for tag, loop, theta in (("x", sys.loop_x, sys.theta_true_x), ("y", sys.loop_y, sys.theta_true_y)):
-        for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=LOOP_MONITOR_TOL):
-            report.add(_renamed(entry, tag))
-    off_x, off_y = coupling_offsets(sc)
-    for channel, k, offset in (("into_x", sc.k1, off_x), ("into_y", sc.k2, off_y)):
-        report.add(verify_coupling_bound(traj, channel, abs(k), mode="l2", offset=offset))
-    report.extend(
-        monitor_tail_convergence(traj, tail_window, tail_threshold, tail_threshold)
-    )
-    return report, traj
+    return certify_closed_loop(build_oscillator(sc), sc.integrator, sc.initial_state(),
+                               (boxes, boxes), coupling_offsets(sc), n_monotonicity_samples,
+                               tail_window, tail_threshold)
 
 
 # (section, key, field) of every scenario-file entry, in file order; the

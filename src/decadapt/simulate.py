@@ -311,7 +311,8 @@ def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", 
     the estimator `est` (integral state, or the estimate if `virtual`) and
     the injection `inject`, and assigns the n state and d estimator rates to
     the locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or
-    (psi, u).  Each `_SLOTS` map that mask marks is read once, in the bind text.
+    (psi, u).  The bind text binds the `_SLOTS` maps the law reads (the
+    reduced form: grad, dpsidt, g1, g2), and reads those mask marks once.
     """
     q, p, d = layout
     n, psi, u, s, lines = q + p, P + "psi", P + "u", rates[:q + p], "\n".join
@@ -329,7 +330,10 @@ def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", 
                     + [f"{s[q + i]} = {f2[i]} + {inj[i]} + {g2[i]} * {u}" for i in range(p)]),
     )
     binds = [_BIND_TEMPLATE.format(P=P, gain=_tup(gain))]
+    law = _CONTROL_TEMPLATE + (_VIRTUAL_TEMPLATE if virtual else _KERNEL_TEMPLATE)
     for (slot, (attr, result, args)), const in zip(_SLOTS.items(), mask, strict=True):
+        if f"{{{slot}}}" not in law:
+            continue
         call = f"{P}loop.{attr}.value" if const else f"{P}{slot}_fn({P}state{args})"
         line = f"{result} = {call}".format(**fields)
         binds.append(line if const else f"{P}{slot}_fn = {P}loop.{attr}")
@@ -352,7 +356,8 @@ def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", 
 def _kernel_source(layout: tuple) -> str:
     """Source of `_compile_loop`'s (rates, virtual_rates) factory: the loop bodies as functions."""
     s, defs, mask = _names("s", sum(layout)), "", (0,) * len(_SLOTS)
-    for name, est in ("rates", "theta_i"), ("virtual_rates", "theta_hat"):
+    # the realizable law, last, reads every map: its bind text serves both
+    for name, est in ("virtual_rates", "theta_hat"), ("rates", "theta_i"):
         bind, body, diag = _loop_body(layout, mask, "", est, "inject2", s, "t", est == "theta_hat")
         defs += (f"def {name}(state, {est}, t, inject2):\n{indent(body, '    ')}\n"
                  f"    return [{_tup(s)}], ({_tup(diag)})\n")

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -6,29 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tests.test_adaptation as adaptation_tests
+import tests.test_simulate as simulate_tests
 from decadapt import (
+    Constant,
+    CoupledClosedLoop,
+    Coupling,
     DomainBox,
     GainDescriptor,
+    GoalFunction,
     IntegratorConfig,
     OscillatorScenario,
     Parametrization,
+    PartitionLayout,
     SmallGainProblem,
+    SubsystemSpec,
     build_oscillator,
+    certify_closed_loop,
     check_small_gain,
+    goal_drift,
     integrate,
     monitor_loop_bounds,
     monitor_tail_convergence,
+    small_gain_problem,
     verify_coupling_bound,
     verify_monotonicity,
 )
-from decadapt import model, scenario
+from decadapt import certify, model
 from decadapt.certify import (
     GROWTH_REL_SLACK,
     RATIO_FLOOR,
     SIGN_CONDITION_TOL,
     MonotonicityCertificate,
 )
-from decadapt.model import DEFAULT_SAMPLE_SEED, joint_sample
+from decadapt.model import DEFAULT_SAMPLE_SEED, NonFiniteValueError, joint_sample
 from decadapt.report import (
     FAIL,
     INCONCLUSIVE,
@@ -45,7 +57,7 @@ from decadapt.scenario import (
     certify_oscillator,
     damping,
 )
-from decadapt.simulate import integrate_loop, zero_disturbance
+from decadapt.simulate import STATUS_COMPLETED, integrate_loop, zero_disturbance
 
 
 def shifted_alpha(growth=(1.5, 0.5)):
@@ -148,7 +160,17 @@ class TestVerifyMonotonicity:
 
 def reference_monotonicity(param, f, state_box, theta_box, n_samples,
                            seed=DEFAULT_SAMPLE_SEED, time_range=(0.0, 0.0)):
-    """The earlier per-row numpy loop of verify_monotonicity, kept as an oracle."""
+    """The earlier per-row numpy loop of verify_monotonicity, kept as an oracle.
+
+    A NaN or infinite difference fails at the first such sample, and f
+    raising NonFiniteValueError gives NaN.
+    """
+    def value(state, th, t):
+        try:
+            return float(f(state, th, t))
+        except NonFiniteValueError:
+            return math.nan
+
     d_declared = param.growth_upper
     d1_declared = param.growth_lower
     time_box = DomainBox((time_range[0],), (time_range[1],))
@@ -163,11 +185,17 @@ def reference_monotonicity(param, f, state_box, theta_box, n_samples,
     d_hat_witness = {}
     d1_hat_witness = {}
     n_ratio = 0
+    non_finite_witness = None
     for state, th, th_alt, (t,) in zip(states, thetas, thetas_alt, times):
         alpha = np.asarray(param.alpha(state, t), dtype=float)
-        df = float(f(state, th_alt, t)) - float(f(state, th, t))
+        df = value(state, th_alt, t) - value(state, th, t)
         s = float(alpha @ (th_alt - th))
         prod = df * s
+        if non_finite_witness is None and not (math.isfinite(df) and math.isfinite(s)):
+            non_finite_witness = {
+                "state": state.tolist(), "theta": th.tolist(), "theta_alt": th_alt.tolist(),
+                "t": t, "drift_difference": df, "alpha_difference": s,
+            }
         if prod < worst_sign:
             worst_sign = prod
             worst_sign_witness = {
@@ -184,6 +212,10 @@ def reference_monotonicity(param, f, state_box, theta_box, n_samples,
                 d1_hat = ratio
                 d1_hat_witness = {"state": state.tolist(), "ratio": ratio}
 
+    if non_finite_witness is not None:
+        entry = entry_from_margin("monotonicity-growth", -math.inf, non_finite_witness,
+                                  SIGN_CONDITION_TOL)
+        return MonotonicityCertificate(entry, math.nan, math.nan, n_ratio)
     if n_ratio == 0:
         entry = CertificateEntry(
             name="monotonicity-growth",
@@ -212,20 +244,24 @@ def reference_monotonicity(param, f, state_box, theta_box, n_samples,
 
 
 @functools.cache
-def oscillator_channel(tag, sin=np.sin):
-    """Parametrization and drift channel certify_oscillator checks for one loop.
+def oscillator_channel(tag, columns=True):
+    """Parametrization and drift channel the certify pass checks for one loop.
 
-    With np.sin the drift takes sample columns, as certify_oscillator's
-    does; with math.sin it takes plain floats only.
+    With columns the drift is the loop's own `goal_drift`, as in the certify
+    pass, and takes sample columns; otherwise it is a copy on math.sin,
+    which takes plain floats only.
     """
     sc = OscillatorScenario()
     sys = build_oscillator(sc)
     loop, offset, wobble = {
         "x": (sys.loop_x, sc.offset_x, WOBBLE_X), "y": (sys.loop_y, sc.offset_y, WOBBLE_Y),
     }[tag]
+    if columns:
+        return loop.param, functools.partial(goal_drift, loop.spec, loop.goal)
 
     def drift(state, theta_vec, t):
-        return state[1] + damping(state[0], theta_vec[0], offset, wobble, sin)
+        s = theta_vec[0] * (state[0] - offset)
+        return state[1] + (s + wobble * math.sin(s))
 
     return loop.param, drift
 
@@ -233,12 +269,11 @@ def oscillator_channel(tag, sin=np.sin):
 def assert_same_certificate(got, want):
     assert got.entry.status == want.entry.status
     assert got.entry.margin == want.entry.margin
-    assert got.entry.witness == want.entry.witness
+    # as JSON, so that a NaN in a witness equals a NaN
+    assert (json.dumps(got.entry.witness, sort_keys=True)
+            == json.dumps(want.entry.witness, sort_keys=True))
     assert got.n_ratio_samples == want.n_ratio_samples
-    if want.n_ratio_samples:
-        assert (got.d_hat, got.d1_hat) == (want.d_hat, want.d1_hat)
-    else:
-        assert math.isnan(got.d_hat) and math.isnan(got.d1_hat)
+    assert np.array_equal((got.d_hat, got.d1_hat), (want.d_hat, want.d1_hat), equal_nan=True)
 
 
 def counting(f):
@@ -265,7 +300,7 @@ class TestMonotonicityMatchesRowLoop:
     @pytest.mark.parametrize("tag", ["x", "y"])
     def test_scalar_only_oscillator_channels_exact(self, tag, n):
         # math.sin rejects arrays: the per-sample walk runs
-        param, drift = oscillator_channel(tag, math.sin)
+        param, drift = oscillator_channel(tag, columns=False)
         args = (param, drift, MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
         assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
 
@@ -284,7 +319,7 @@ class TestMonotonicityMatchesRowLoop:
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
     def test_columns_match_walk(self, n, seed):
         for tag in ("x", "y"):
-            (param, columns), (_, walk) = oscillator_channel(tag), oscillator_channel(tag, math.sin)
+            (param, columns), (_, walk) = oscillator_channel(tag), oscillator_channel(tag, False)
             boxes = (MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, n)
             assert_same_certificate(verify_monotonicity(param, columns, *boxes, seed=seed),
                                     verify_monotonicity(param, walk, *boxes, seed=seed))
@@ -318,7 +353,9 @@ class TestMonotonicityMatchesRowLoop:
             return th[0] * (s[0] - 1.0) + 0.5 * math.sin(th[0] * (s[0] - 1.0))
 
         args = (param, f, STATE_BOX, THETA_BOX, 2500)
-        assert_same_certificate(verify_monotonicity(*args), reference_monotonicity(*args))
+        got = verify_monotonicity(*args)
+        assert got.entry.status == FAIL and got.entry.witness["state"][0] > 1.5
+        assert_same_certificate(got, reference_monotonicity(*args))
 
     def test_ties_keep_first_witness(self):
         # a constant drift makes every ratio 0: the first sample is the witness
@@ -342,9 +379,10 @@ class TestMonotonicityMatchesRowLoop:
 
 class TestColumnDrift:
     def test_damping_on_columns_matches_floats(self):
-        # the certify drift evaluates damping with np.sin on the monotonicity
-        # samples; the golden monotonicity entries rely on it matching the
-        # per-float math.sin calls bit for bit
+        # the certify pass evaluates the loops' f2, hence damping, on the
+        # monotonicity sample columns, where damping takes np.sin; the golden
+        # monotonicity entries rely on it matching the per-float math.sin
+        # calls bit for bit
         time_box = DomainBox((0.0,), (0.0,))
         states, thetas, thetas_alt, _ = joint_sample(
             [MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, MONOTONICITY_THETA_BOX, time_box],
@@ -353,7 +391,7 @@ class TestColumnDrift:
         sc = OscillatorScenario()
         for offset, wobble in ((sc.offset_x, WOBBLE_X), (sc.offset_y, WOBBLE_Y)):
             for th in (thetas[:, 0], thetas_alt[:, 0]):
-                got = damping(states[:, 0], th, offset, wobble, np.sin)
+                got = damping(states[:, 0], th, offset, wobble)
                 want = np.array([damping(p, q, offset, wobble)
                                  for p, q in zip(states[:, 0].tolist(), th.tolist())])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -367,7 +405,7 @@ class TestColumnDrift:
             drifts.append(counting(f))
             return verify_monotonicity(param, drifts[-1], *args, **kwargs)
 
-        monkeypatch.setattr(scenario, "verify_monotonicity", verify)
+        monkeypatch.setattr(certify, "verify_monotonicity", verify)
         sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=0.5))
         certify_oscillator(sc, n_monotonicity_samples=10_000, tail_window=0.25,
                            tail_threshold=1e6)
@@ -389,6 +427,130 @@ class TestColumnDrift:
         certify_oscillator(sc, n_monotonicity_samples=1234, tail_window=0.25,
                            tail_threshold=1e6)
         assert [d for d in draws if d[1] == 1234] == [(5, 1234)]
+
+
+def nan_spec(edge, columns):
+    """A one-parameter spec whose f2 is NaN where state[0] > edge, and its goal.
+
+    With columns f2 takes sample columns; otherwise it branches on a float.
+    """
+    def f2(s, th, t):
+        if columns:
+            return (th[0] * (s[0] - 1.0) + np.where(np.greater(s[0], edge), np.nan, 0.0),)
+        return (th[0] * (s[0] - 1.0) + (math.nan if s[0] > edge else 0.0),)
+
+    spec = SubsystemSpec(layout=PartitionLayout(q=1, p=1), f1=lambda s, t: (s[1],), f2=f2,
+                         g1=Constant((0.0,)), g2=Constant((1.0,)), param_dim=1, box=STATE_BOX)
+    goal = GoalFunction(psi=lambda s, t: s[0] + s[1], grad_state=Constant((1.0, 1.0)),
+                        d_time=Constant(0.0))
+    return spec, goal
+
+
+class TestNonFiniteDrift:
+    """A NaN or infinite drift fails the monotonicity entry at its first such sample."""
+
+    N = 10_000
+    EDGE = 2.0  # the drift is non-finite on a sixth of the state box
+
+    def assert_fails_at_first_sample_beyond_edge(self, cert):
+        states = joint_sample([STATE_BOX, THETA_BOX, THETA_BOX, DomainBox((0.0,), (0.0,))],
+                              self.N)[0]
+        entry = cert.entry
+        assert (entry.status, entry.margin) == (FAIL, -math.inf)
+        assert entry.witness["state"] == states[np.argmax(states[:, 0] > self.EDGE)].tolist()
+        assert not math.isfinite(entry.witness["drift_difference"])
+
+    def test_finite_part_passes(self):
+        cert = verify_monotonicity(shifted_alpha(), lambda s, th, t: th[0] * (s[0] - 1.0),
+                                   STATE_BOX, THETA_BOX, self.N)
+        assert cert.entry.passed
+
+    @pytest.mark.parametrize("columns", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_user_drift(self, bad, columns):
+        def f(s, th, t):
+            if columns:
+                return np.where(np.greater(s[0], self.EDGE), bad, th[0] * (s[0] - 1.0))
+            return bad if s[0] > self.EDGE else th[0] * (s[0] - 1.0)
+
+        cert = verify_monotonicity(shifted_alpha(), f, STATE_BOX, THETA_BOX, self.N)
+        self.assert_fails_at_first_sample_beyond_edge(cert)
+
+    @pytest.mark.parametrize("columns", [True, False])
+    def test_spec_drift_raising_is_a_failing_entry(self, columns):
+        spec, goal = nan_spec(self.EDGE, columns)
+        drift = functools.partial(goal_drift, spec, goal)
+        with pytest.raises(NonFiniteValueError):
+            drift((2.5, 0.0), (1.0,), 0.0)
+        cert = verify_monotonicity(shifted_alpha(), drift, STATE_BOX, THETA_BOX, self.N)
+        self.assert_fails_at_first_sample_beyond_edge(cert)
+
+
+class TestCertifyClosedLoop:
+    """The certify pass on a system `build_oscillator` did not build."""
+
+    # one (state box, theta box) pair per loop: the loops have different layouts
+    BOXES = ((DomainBox((-2.0, -2.0), (2.0, 2.0)), DomainBox((0.5, 0.5), (1.5, 1.5))),
+             (DomainBox((-2.0, -2.0), (2.0, 2.0)), DomainBox((0.5,), (1.5,))))
+    OFFSETS = (0.05, 0.1)
+    CFG = IntegratorConfig(step=1e-3, t_final=1.0)
+
+    @staticmethod
+    def build():
+        """The matrix-gain loop (q = p = 1, d = 2) and a no-first-block loop (q = 0, p = 2)."""
+        coupling = Coupling(into_x2=lambda y, t: (0.1 * y[1],),
+                            into_y2=lambda x, t: (0.0, 0.2 * x[0]),
+                            beta_into_x=0.1, beta_into_y=0.2)
+        return CoupledClosedLoop(adaptation_tests.TestMatrixGainLoop.build(),
+                                 simulate_tests.TestNoFirstBlock.build_loop(), coupling,
+                                 (0.8, 1.2), (0.9,))
+
+    def certify(self, sys, boxes=BOXES, n=500):
+        aug0 = sys.join_state((0.5, -0.2), (0.0, 0.0), (0.4, -0.1), (0.0,))
+        return certify_closed_loop(sys, self.CFG, aug0, boxes, self.OFFSETS, n,
+                                   tail_window=0.5, tail_threshold=1e6)
+
+    def test_full_report(self, monkeypatch):
+        draws, halton = [], model._scrambled_halton
+
+        def counted(dim, count, seed):
+            draws.append((dim, count))
+            return halton(dim, count, seed)
+
+        sys = self.build()
+        monkeypatch.setattr(model, "_scrambled_halton", counted)
+        report, traj = self.certify(sys)
+        assert traj.status == STATUS_COMPLETED
+        # one draw per pair: state, theta, theta_alt and time coordinates
+        assert [d for d in draws if d[1] == 500] == [(7, 500), (5, 500)]
+        sc = OscillatorScenario(integrator=self.CFG)
+        oscillator_report, _ = certify_oscillator(sc, 500, tail_window=0.5, tail_threshold=1e6)
+        assert [e.name for e in report.entries] == [e.name for e in oscillator_report.entries]
+
+        entries = {e.name: e for e in report.entries}
+        for tag, loop, (state_box, theta_box) in zip("xy", (sys.loop_x, sys.loop_y), self.BOXES):
+            want = verify_monotonicity(loop.param, functools.partial(goal_drift, loop.spec,
+                                                                     loop.goal),
+                                       state_box, theta_box, 500).entry
+            got = entries[f"monotonicity-growth-{tag}"]
+            assert (got.status, got.margin, got.witness) == (want.status, want.margin,
+                                                             want.witness)
+        want = check_small_gain(small_gain_problem(sys))
+        assert (entries["small-gain"].margin, entries["small-gain"].witness) == (
+            want.margin, want.witness)
+        for channel, beta, offset in zip(("into_x", "into_y"), (0.1, 0.2), self.OFFSETS):
+            witness = entries[f"coupling-bound-l2-{channel}"].witness
+            assert (witness["beta"], witness["offset"]) == (beta, offset)
+
+    def test_small_gain_problem_reads_the_system(self):
+        prob = small_gain_problem(self.build())
+        assert (prob.gain_x22.slope, prob.gain_y22.slope) == (1.0 / 1.5, 1.0 / 2.0)
+        assert (prob.beta_x, prob.beta_y) == (0.1, 0.2)
+        assert (prob.ratio_x, prob.ratio_y) == (4.0, 1.0)
+
+    def test_one_box_pair_per_loop(self):
+        with pytest.raises(ValueError):
+            self.certify(self.build(), self.BOXES[:1])
 
 
 class TestSmallGainLinear:

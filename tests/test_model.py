@@ -177,6 +177,19 @@ class TestGoalDrift:
             goal_drift(spec, GOAL, (0.0, 0.0), (1.0,), 0.0)
         assert exc.value.index == 0
 
+    def test_oscillator_on_sample_columns(self, oscillator):
+        # the certify pass calls the loop's own drift on sample columns: finite
+        # columns give the per-sample drifts, a non-finite one names its first bad element
+        spec, goal = oscillator.loop_x.spec, oscillator.loop_x.goal
+        states = (np.array([0.0, 0.7, -2.0]), np.array([0.0, -0.3, 1.5]))
+        thetas = (np.array([1.0, 1.3, 0.4]),)
+        got = goal_drift(spec, goal, states, thetas, 0.0)
+        want = [goal_drift(spec, goal, (a, b), (c,), 0.0) for a, b, c in zip(*states, *thetas)]
+        assert got.tolist() == want
+        bad = (states[0], np.array([0.0, math.inf, math.nan]))
+        with pytest.raises(NonFiniteValueError, match="f1 .* value inf at coordinate 0"):
+            goal_drift(spec, goal, bad, thetas, 0.0)
+
     def test_theta_excluded_from_first_block_by_signature(self):
         # decentralized structure: f1 and g1 cannot read parameters at all
         import inspect

@@ -117,8 +117,8 @@ class TestStoredValidation:
 
 
 class TestSmallGainProblem:
-    def test_oscillator_instantiation(self, scenario):
-        prob = small_gain_problem(scenario)
+    def test_oscillator_instantiation(self, oscillator):
+        prob = small_gain_problem(oscillator)
         assert prob.gain_x22.slope == 0.5
         assert prob.gain_y22.slope == 0.5
         assert prob.ratio_x == 3.0
@@ -126,19 +126,10 @@ class TestSmallGainProblem:
         assert (prob.beta_x, prob.beta_y) == (0.4, 0.4)
 
     @pytest.mark.parametrize("name", ["reference", "strong-weak", "decoupled"])
-    def test_matches_built_system_without_rebuilding(self, name, monkeypatch):
-        from pathlib import Path
-
-        import decadapt.scenario as scenario_module
-
-        sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.cfg")
-        sys = build_oscillator(sc)
-
-        def rebuild(_sc):
-            raise AssertionError("small_gain_problem must not rebuild the system")
-
-        monkeypatch.setattr(scenario_module, "build_oscillator", rebuild)
-        prob = small_gain_problem(sc)
+    def test_matches_built_system_without_rebuilding(self, name):
+        # every field is read from the built system it is given; nothing is rebuilt
+        sys = build_oscillator(load_scenario(SCENARIO_DIR / f"{name}.cfg"))
+        prob = small_gain_problem(sys)
         for got, loop in ((prob.gain_x22, sys.loop_x), (prob.gain_y22, sys.loop_y)):
             want = loop.shaper.gain_l2_from_l2
             assert (got.kind, got.offset, got.slope, got.table) == (

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 import tests.test_adaptation as adaptation_tests
@@ -357,7 +357,10 @@ class TestGeneratedRunners:
                 return kernel(z[:q + p], z[q + p:], t, [s * v for v in direction])
         return got, reference_rk4(rhs, *args)
 
-    @settings(max_examples=150, deadline=None)
+    # no shrinking: every shrink step draws new layouts and masks, hence compiles new
+    # runners, and a failing runner took minutes to report; the failing example is
+    # still reported as drawn
+    @settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(data=st.data(), kind=st.sampled_from(["coupled", "loop", "virtual"]),
            n_steps=st.integers(1, 30), every=st.integers(1, 7),
            stop=st.sampled_from(["none", "diverge", "nan", "singular"]))
@@ -456,6 +459,24 @@ class TestConstantMaps:
         assert _constants(loop) == (1,) * len(_SLOTS)
         with pytest.raises(ControlSingularityError):
             self.run(kind, oscillator, loop)
+
+    @pytest.mark.parametrize("slot", ["pot", "dpot", "dpotdt", "dalpha", "dalphadt"])
+    def test_reduced_form_reads_only_the_maps_of_its_law(self, slot):
+        # the reduced-form law evaluates neither the potential nor the alpha
+        # Jacobian: a wrong-length `Constant` there changes nothing, as for
+        # `_compile_loop`'s virtual_rates, while the realizable runner rejects it
+        owner, name = _SLOTS[slot][0].split(".")
+        loop, wrong = probe_loop(1, 1, 1, [1.0, 0.8]), probe_loop(1, 1, 1, [1.0, 0.8])
+        setattr(getattr(wrong, owner), name, Constant((0.0,) * 5))
+        args = ((0.3,), math.cos, (1.0,), [0.1, -0.2, 0.05], 0.0, 0.05, 10, 1, math.inf)
+        got, want = (_runner("virtual", (1, 1, 1), _constants(m))(m, *args) for m in (wrong, loop))
+        assert got[3] == want[3] == STATUS_COMPLETED
+        assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
+        point = ([0.1, -0.2], [0.05], 0.0, [0.0])
+        assert (_compile_loop(wrong, (0.3,), "virtual")[1](*point)
+                == _compile_loop(loop, (0.3,), "virtual")[1](*point))
+        with pytest.raises(ValueError, match="unpack"):
+            _runner("loop", (1, 1, 1), _constants(wrong))(wrong, *args)
 
     def run(self, kind, oscillator, loop_x):
         if kind == "coupled":

@@ -566,7 +566,7 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
         return report, None
 
     for tag, loop, theta in loops:
-        for entry in monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=LOOP_MONITOR_TOL):
+        for entry in monitor_loop_bounds(traj.loops[tag], loop, theta, tol=LOOP_MONITOR_TOL):
             report.add(_renamed(entry, tag))
     betas = (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
     for channel, beta, offset in zip(("into_x", "into_y"), betas, offsets, strict=True):

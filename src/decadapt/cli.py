@@ -183,10 +183,10 @@ def _cmd_plotdata(args) -> int:
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     panels = (
-        ("a", "x1", traj.x[:, 0]),
-        ("b", "x2", traj.x[:, 1]),
-        ("c", "y1", traj.y[:, 0]),
-        ("d", "y2", traj.y[:, 1]),
+        ("a", "x1", traj.loops["x"].state[:, 0]),
+        ("b", "x2", traj.loops["x"].state[:, 1]),
+        ("c", "y1", traj.loops["y"].state[:, 0]),
+        ("d", "y2", traj.loops["y"].state[:, 1]),
     )
     for panel, column, series in panels:
         np.savetxt(out_dir / f"panel_{panel}.csv", np.column_stack((traj.t, series)),

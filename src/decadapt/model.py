@@ -156,15 +156,6 @@ class PartitionLayout:
     def n(self) -> int:
         return self.q + self.p
 
-    def check_state(self, state) -> None:
-        if len(state) != self.n:
-            raise DimensionMismatchError("state", self.n, len(state))
-
-    def split(self, state):
-        """Return the (first-block, second-block) views of a state vector."""
-        self.check_state(state)
-        return state[: self.q], state[self.q :]
-
 
 @dataclass(frozen=True, eq=False)
 class DomainBox:
@@ -264,19 +255,13 @@ class GoalFunction:
     """Scalar goal function psi(state, t) with analytic first derivatives.
 
     `grad_state` returns the length-n gradient with respect to the state,
-    `d_time` the partial derivative with respect to time.  `epsilon_goal` is
-    the attainment threshold: the objective is |psi| <= epsilon_goal from
-    some time onward.  `grad_state` and `d_time` may be a `Constant`.
+    `d_time` the partial derivative with respect to time.  `grad_state` and
+    `d_time` may be a `Constant`.
     """
 
     psi: Callable
     grad_state: Callable
     d_time: Callable
-    epsilon_goal: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon_goal < 0:
-            raise ValueError("epsilon_goal must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,25 +367,24 @@ class GainRangeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TargetShaper:
-    """Desired goal-error dynamics d(psi)/dt = -phi(psi, t) plus declared gains.
+    """Desired goal-error dynamics d(psi)/dt = -phi(psi, t) plus a declared gain.
 
-    `gain_inf_from_l2` bounds the peak of psi by the energy of an additive
-    disturbance of the target dynamics; `gain_l2_from_l2` bounds its energy.
-    Any known parameters of phi are baked into the callable at construction.
-    Gains are declared, never inferred from simulation.
+    `gain_l2_from_l2` bounds the energy of psi by the energy of an additive
+    disturbance of the target dynamics.  Any known parameters of phi are
+    baked into the callable at construction.  Gains are declared, never
+    inferred from simulation.
     """
 
     phi: Callable
-    gain_inf_from_l2: GainDescriptor
     gain_l2_from_l2: GainDescriptor
 
     @classmethod
     def linear(cls, rate: float, psi0_bound: float = 0.0) -> "TargetShaper":
-        """Shaper phi(psi, t) = rate * psi with its exact linear gains.
+        """Shaper phi(psi, t) = rate * psi with its exact linear gain.
 
         For d(psi)/dt = -rate * psi + input the energy-to-energy slope is
-        1/rate and the energy-to-peak slope is 1/sqrt(2*rate); the offsets
-        account for an initial condition no larger than `psi0_bound`.
+        1/rate; the offset accounts for an initial condition no larger than
+        `psi0_bound`.
         """
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
@@ -412,7 +396,6 @@ class TargetShaper:
 
         return cls(
             phi=phi,
-            gain_inf_from_l2=GainDescriptor.linear(psi0_bound, 1.0 / math.sqrt(2.0 * rate)),
             gain_l2_from_l2=GainDescriptor.linear(psi0_bound / math.sqrt(2.0 * rate), 1.0 / rate),
         )
 

@@ -79,9 +79,6 @@ class CertificateReport:
     def all_pass(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.passed]
-
     def to_text(self) -> str:
         lines = []
         for e in self.entries:

@@ -137,19 +137,6 @@ class LoopTrajectory:
     linf_psi: np.ndarray
     status: str
 
-    @property
-    def t0(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t[-1])
-
-
-def _loop_field(which: str, name: str) -> property:
-    """Read-only accessor for one array of one loop of a coupled run."""
-    return property(lambda self: getattr(self.loops[which], name))
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -163,26 +150,9 @@ class Trajectory:
     loops: dict
     status: str
 
-    x = _loop_field("x", "state")
-    y = _loop_field("y", "state")
-    theta_hat_x = _loop_field("x", "theta_hat")
-    theta_hat_y = _loop_field("y", "theta_hat")
-    theta_i_x = _loop_field("x", "theta_i")
-    theta_i_y = _loop_field("y", "theta_i")
-
-    @property
-    def t0(self) -> float:
-        return float(self.t[0])
-
     @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-    def loop_view(self, which: str) -> LoopTrajectory:
-        """Per-loop record with the coupling channel into that loop as eps."""
-        if which not in ("x", "y"):
-            raise ValueError("which must be 'x' or 'y'")
-        return self.loops[which]
 
 
 def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -366,8 +336,8 @@ def _kernel_source(layout: tuple) -> str:
 
 
 # The body of every RK4 run, generated by `_runner`: its stages are written
-# out, as an rhs call each or as the loop bodies.  Only the kind and integers
-# derived from the layout reach the text.
+# out as the loop bodies.  Only the kind and integers derived from the layout
+# reach the text.
 _RK4_TEMPLATE = """\
 def {name}({args}y_init, t0, h, n_steps, every, bound):
 {bind}
@@ -414,8 +384,6 @@ def _runner(kind: str, layout: tuple, mask: tuple):
     stops when a state component leaves [-bound, bound] (a NaN does too) or
     the control law is undefined; undefined at the initial point propagates.
 
-    - run(rhs, y0, t0, step, n_steps, every, bound) for state blocks of sizes
-      `layout`: rhs(t, *blocks) -> (rates, diag), rates of the state's length;
     - coupled(x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2,
       y0, ...) for loops of layouts layout[:3] and layout[3:], each injected
       with the coupling field of the other's state, y0 = (x, theta_i_x, y,
@@ -429,9 +397,6 @@ def _runner(kind: str, layout: tuple, mask: tuple):
     return _generate(kind, functools.partial(_runner_source, kind), layout, mask)
 
 
-_rk4 = functools.partial(_runner, "run", mask=())  # the runner on an rhs callable, per block sizes
-
-
 def _constants(loop) -> tuple:  # the `_runner` mask of a loop: 1 per `Constant` of `_SLOTS`
     return tuple(int(isinstance(operator.attrgetter(attr)(loop), Constant))
                  for attr, _, _ in _SLOTS.values())
@@ -439,13 +404,13 @@ def _constants(loop) -> tuple:  # the `_runner` mask of a loop: 1 per `Constant`
 
 def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
     """Source of `_runner(kind, layout, mask)`."""
-    n, args, loops, binds, stages = sum(layout), "rhs, ", [], [], []
+    n, stages = sum(layout), []
     if kind == "coupled":
         args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
             'floor, x_tag, y_tag = SINGULARITY_FLOOR, "x", "y"']
         loops = [("x_", layout[:3], 0, "x_inj2 = into_x2(y_state, {t})", "x_inj2"),
                  ("y_", layout[3:], sum(layout[:3]), "y_inj2 = into_y2(x_state, {t})", "y_inj2")]
-    elif kind != "run":
+    else:
         dirs = _names("dir", layout[1])
         args, binds = "loop, theta_true, signal, direction, ", [
             f"floor, tag = SINGULARITY_FLOOR, {kind!r}", f"({_tup(dirs)}) = direction"]
@@ -454,14 +419,6 @@ def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
                                 ("t + h", "h")]):
         inputs = [f"y{i}" + (f" + {c} * k{j}_{i}" if j else "") for i in range(n)]
         rates, lines, diag = _names(f"k{j + 1}_", n), [f"ts = {t}"] if j else [], []
-        if kind == "run":
-            ends = [sum(layout[:i + 1]) for i in range(len(layout))]
-            blocks = ", ".join(f"[{', '.join(inputs[e - m:e])}]" for e, m in zip(ends, layout))
-            stages.append(f"({_tup(rates)}), _ = rhs({t}, {blocks})" if j else
-                          f"k1, diag = rhs(t, {blocks})\nif len(k1) != {n}:\n    raise ValueError("
-                          f"\"rhs returned %d rates for a state of length {n}\" % len(k1))\n"
-                          f"({_tup(rates)}) = k1")
-            continue
         t = "ts" if j else "t"
         lines += [f"{P}state = [{', '.join(inputs[a:a + q + p])}]" for P, (q, p, _), a, *_ in loops]
         for i, (P, (q, p, d), a, pre, inject) in enumerate(loops):
@@ -476,12 +433,12 @@ def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
         stages.append("\n".join(lines))
     return _RK4_TEMPLATE.format(
         name=kind, args=args, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
-        diag=_tup(diag) if loops else "*diag", n1=n + 1,
-        width=n + 1 + len(diag) if loops else f"{n + 1} + len(diag)",
+        diag=_tup(diag), n1=n + 1,
+        width=n + 1 + len(diag),
         stage1=indent(stages[0], " " * 16), stages=indent("\n".join(stages[1:]), " " * 12),
         update=indent("\n".join(f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + "
                                  f"k4_{i})" for i in range(n)), " " * 8),
-        in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)) or "True",
+        in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)),
     )
 
 
@@ -514,19 +471,6 @@ def _log_buffer(n_steps: int, every: int, step: float, width: int):
         raise ValueError(f"t_final = {n_steps * step:g}, step = {step:g} and log_every = "
                          f"{every} ask for a log of {rows} rows, more than fits in memory"
                          ) from None
-
-
-def rk4_path(rhs: Callable, y0, t0: float, step: float, n_steps: int) -> tuple:
-    """Bare fixed-step RK4 on a plain vector field rhs(t, y) -> sequence.
-
-    Returns (times, states) as numpy arrays, one row per step.  This runs
-    the closed-loop integrators' driver with no divergence bound (a NaN
-    state still ends the path); the entry point exists for probing
-    integrator accuracy directly.
-    """
-    run = _rk4((len(y0),))
-    times, states, _, _ = run(lambda t, y: (rhs(t, y), ()), y0, t0, step, n_steps, 1, math.inf)
-    return times, states
 
 
 def _loop_record(t, state, theta_i, diag, status: str) -> LoopTrajectory:

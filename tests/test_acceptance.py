@@ -31,7 +31,8 @@ from decadapt import (
     verify_monotonicity,
 )
 from decadapt.model import check_gradient
-from decadapt.simulate import STATUS_COMPLETED, rk4_path, zero_disturbance
+from decadapt.simulate import STATUS_COMPLETED, zero_disturbance
+from tests.test_simulate import decay_error
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -81,15 +82,16 @@ def test_criterion_2_case_study_reproduction(k1, k2):
     elapsed = time.perf_counter() - start
 
     completed = traj.status == STATUS_COMPLETED
+    lx, ly = traj.loops["x"], traj.loops["y"]
     bound = max(
-        np.abs(traj.x).max(), np.abs(traj.y).max(),
-        np.abs(traj.theta_i_x).max(), np.abs(traj.theta_i_y).max(),
-        np.abs(traj.theta_hat_x).max(), np.abs(traj.theta_hat_y).max(),
+        np.abs(lx.state).max(), np.abs(ly.state).max(),
+        np.abs(lx.theta_i).max(), np.abs(ly.theta_i).max(),
+        np.abs(lx.theta_hat).max(), np.abs(ly.theta_hat).max(),
     )
     tail = traj.t >= 45.0
     tail_sup = max(
-        np.abs(traj.x[tail, 0]).max(), np.abs(traj.x[tail, 1]).max(),
-        np.abs(traj.y[tail, 0]).max(), np.abs(traj.y[tail, 1]).max(),
+        np.abs(lx.state[tail, 0]).max(), np.abs(lx.state[tail, 1]).max(),
+        np.abs(ly.state[tail, 0]).max(), np.abs(ly.state[tail, 1]).max(),
     )
     ok = completed and bound <= 10.0 and tail_sup <= 1e-2 and elapsed < 5.0
     verdict(
@@ -105,7 +107,7 @@ def test_criterion_3_runtime_bound_monitors():
     traj = integrate(sys, sc.integrator, sc.initial_state())
     entries = []
     for tag, loop, theta in (("x", sys.loop_x, (1.0,)), ("y", sys.loop_y, (1.0,))):
-        entries += monitor_loop_bounds(traj.loop_view(tag), loop, theta, tol=1e-4)
+        entries += monitor_loop_bounds(traj.loops[tag], loop, theta, tol=1e-4)
     clean_ok = all(e.passed for e in entries)
 
     sabotaged = build_oscillator(sc)
@@ -114,7 +116,7 @@ def test_criterion_3_runtime_bound_monitors():
     bad_traj = integrate(sabotaged, sc.integrator, sc.initial_state())
     bad_entries = []
     for tag, loop, theta in (("x", sys.loop_x, (1.0,)), ("y", sys.loop_y, (1.0,))):
-        bad_entries += monitor_loop_bounds(bad_traj.loop_view(tag), loop, theta, tol=1e-4)
+        bad_entries += monitor_loop_bounds(bad_traj.loops[tag], loop, theta, tol=1e-4)
     sabotage_caught = any(not e.passed for e in bad_entries)
 
     ok = clean_ok and sabotage_caught
@@ -262,12 +264,8 @@ def test_criterion_7_poincare_checker():
 
 
 def test_criterion_8_integrator_order_and_gradients():
-    """Fourth-order probe convergence and analytic-gradient fidelity."""
-    e_coarse = abs(rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 0.1, 10)[1][-1, 0]
-                   - math.exp(-1.0))
-    e_fine = abs(rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 0.05, 20)[1][-1, 0]
-                 - math.exp(-1.0))
-    ratio = e_coarse / e_fine
+    """Fourth-order probe convergence of `integrate_loop` on dx/dt = -x, and gradient fidelity."""
+    ratio = decay_error(integrate_loop, 0.1) / decay_error(integrate_loop, 0.05)
 
     sc = OscillatorScenario()
     sys = build_oscillator(sc)

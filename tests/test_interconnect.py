@@ -124,11 +124,11 @@ class TestDecoupledEquivalence:
                             (-1.0, 0.0), (-1.0,))
         ly = integrate_loop(sys.loop_y, (1.0,), zero_disturbance(), sc.integrator,
                             (1.0, 0.0), (-2.0,))
-        assert np.array_equal(traj.x, lx.state)
-        assert np.array_equal(traj.theta_i_x, lx.theta_i)
-        assert np.array_equal(traj.theta_hat_x, lx.theta_hat)
-        assert np.array_equal(traj.y, ly.state)
-        assert np.array_equal(traj.theta_i_y, ly.theta_i)
+        assert np.array_equal(traj.loops["x"].state, lx.state)
+        assert np.array_equal(traj.loops["x"].theta_i, lx.theta_i)
+        assert np.array_equal(traj.loops["x"].theta_hat, lx.theta_hat)
+        assert np.array_equal(traj.loops["y"].state, ly.state)
+        assert np.array_equal(traj.loops["y"].theta_i, ly.theta_i)
 
     def test_label_swap_symmetry(self):
         loop_a, loop_b = make_symmetric_loop()
@@ -152,8 +152,8 @@ class TestDecoupledEquivalence:
         init_s = np.array([0.8, -0.3, -0.5, -1.0, 0.2, 0.1])
         tf = integrate(forward, cfg, init_f)
         ts = integrate(swapped, cfg, init_s)
-        assert np.array_equal(tf.x, ts.y)
-        assert np.array_equal(tf.y, ts.x)
+        assert np.array_equal(tf.loops["x"].state, ts.loops["y"].state)
+        assert np.array_equal(tf.loops["y"].state, ts.loops["x"].state)
         assert np.array_equal(tf.loops["x"].psi, ts.loops["y"].psi)
         assert np.array_equal(tf.loops["x"].eps, ts.loops["y"].eps)
 

@@ -40,12 +40,10 @@ from decadapt.simulate import (
     _SLOTS,
     _compile_loop,
     _constants,
-    _rk4,
     _runner,
     exponential_disturbance,
     first_attainment_time,
     pulse_disturbance,
-    rk4_path,
     running_l2,
     zero_disturbance,
 )
@@ -73,31 +71,54 @@ class TestIntegratorConfig:
             IntegratorConfig(**kwargs)
 
 
+def decay_loop() -> AdaptiveLoopSpec:
+    """The scalar loop whose closed loop is dx/dt = -x, the probe of the runners' order.
+
+    q = 0, p = 1, f2 = 0 and psi = x with phi(psi) = psi, so the input is
+    u = -x; alpha and the potential are zero, so the estimator rests.
+    """
+    return AdaptiveLoopSpec(
+        spec=SubsystemSpec(layout=PartitionLayout(q=0, p=1), f1=lambda s, t: (),
+                           f2=lambda s, th, t: (0.0,), g1=Constant(()), g2=Constant((1.0,)),
+                           param_dim=1, box=DomainBox((-1.0,), (1.0,))),
+        goal=GoalFunction(psi=lambda s, t: s[0], grad_state=Constant((1.0,)),
+                          d_time=Constant(0.0)),
+        shaper=TargetShaper.linear(1.0),
+        param=Parametrization(alpha=Constant((0.0,)), grad_state=Constant(((0.0,),)),
+                              d_time=Constant((0.0,)), dim=1, growth_upper=1.0, growth_lower=1.0),
+        potential=zero_potential(1, 1), gain=np.array([[1.0]]),
+    )
+
+
+def decay_error(integrator, step: float) -> float:
+    """|x(1) - exp(-1)| of `integrator` on `decay_loop` from x(0) = 1."""
+    traj = integrator(decay_loop(), (0.0,), zero_disturbance(),
+                      IntegratorConfig(step=step, t_final=1.0), (1.0,), (0.0,))
+    assert traj.status == STATUS_COMPLETED
+    assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+    return abs(traj.state[-1, 0] - math.exp(-1.0))
+
+
 class TestRk4Core:
+    """The production runners are classical RK4, probed on dx/dt = -x (`decay_loop`)."""
+
     def test_exponential_probe(self):
-        times, states = rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 1e-3, 1000)
-        assert times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(states[-1, 0] - math.exp(-1.0)) <= 1e-10
+        assert decay_error(integrate_loop, 1e-3) <= 1e-10
 
     def test_fourth_order_convergence(self):
-        e_coarse = abs(rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 0.1, 10)[1][-1, 0]
-                       - math.exp(-1.0))
-        e_fine = abs(rk4_path(lambda t, y: [-y[0]], [1.0], 0.0, 0.05, 20)[1][-1, 0]
-                     - math.exp(-1.0))
-        assert e_coarse / e_fine >= 14.0
+        assert decay_error(integrate_loop, 0.1) / decay_error(integrate_loop, 0.05) >= 14.0
 
+    def test_reduced_form_order(self):
+        assert decay_error(integrate_virtual, 1e-3) <= 1e-10
+        assert decay_error(integrate_virtual, 0.1) / decay_error(integrate_virtual, 0.05) >= 14.0
 
-    @pytest.mark.parametrize("rates", [
-        lambda t, y: [-y[0]],
-        lambda t, y: [-y[0], -y[1], 0.0],
-    ])
-    def test_wrong_length_rates_rejected(self, rates):
-        with pytest.raises(ValueError, match=rf"{len(rates(0.0, [1.0, 2.0]))} rates .* length 2"):
-            rk4_path(rates, [1.0, 2.0], 0.0, 0.1, 3)
-
-    def test_rates_changing_length_mid_run_rejected(self):
-        with pytest.raises(ValueError):
-            rk4_path(lambda t, y: [-y[0]] * (1 if t > 0.15 else 2), [1.0, 2.0], 0.0, 0.1, 3)
+    def test_rates_changing_length_mid_run_rejected(self, oscillator):
+        # every stage unpacks each map result, so a length change mid-run is an error
+        loop = oscillator.loop_x
+        loop = replace(loop, spec=replace(loop.spec, f2=lambda s, th, t: (0.0,) * (1 + (t > 0.15))))
+        for kind in ("coupled", "loop", "virtual"):
+            with pytest.raises(ValueError, match="unpack"):
+                TestConstantMaps.run(kind, oscillator, loop)
 
 
 def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
@@ -156,97 +177,9 @@ def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
     return t_log[:logged], y_log[:logged], diag_log[:logged], status
 
 
-def field(coeffs, n_diag, nan_after, singular_call):
-    """A smooth rhs(t, y) -> (rates, diag) with an optional NaN or singularity trigger.
-
-    Rates mix a linear growth term, a tanh coupling to the next coordinate,
-    a cos forcing and a quadratic term that can blow up; from time
-    nan_after on they are NaN, and call number singular_call (0 = the
-    initial point) raises ControlSingularityError.
-    """
-    calls = [0]
-
-    def rhs(t, y):
-        call, calls[0] = calls[0], calls[0] + 1
-        if call == singular_call:
-            raise ControlSingularityError(y, t, 0.0, subsystem="probe")
-        rates = [g * v + a * math.tanh(y[(i + 1) % len(y)]) + b * math.cos(t) - c * v * v
-                 for i, (v, (g, a, b, c)) in enumerate(zip(y, coeffs))]
-        if t >= nan_after:
-            rates[-1] = math.nan
-        return rates, tuple(sum(y) * j - t for j in range(n_diag))
-
-    return rhs
-
-
 def same_bits(a, b):
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
-class TestGeneratedDriver:
-    """The generated per-layout driver reproduces the reference driver bit for bit."""
-
-    @staticmethod
-    def both(sizes, coeffs, y0, n_diag, n_steps, every, bound, nan_after=math.inf,
-             singular_call=-1, t0=0.0, step=0.05):
-        want = reference_rk4(field(coeffs, n_diag, nan_after, singular_call), y0, t0, step,
-                             n_steps, every, bound)
-        flat = field(coeffs, n_diag, nan_after, singular_call)
-
-        def blocks_rhs(t, *blocks):
-            assert [len(b) for b in blocks] == list(sizes)
-            assert all(type(b) is list for b in blocks)
-            return flat(t, [v for b in blocks for v in b])
-
-        got = _rk4(sizes)(blocks_rhs, y0, t0, step, n_steps, every, bound)
-        return got, want
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(),
-           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
-           n_diag=st.integers(0, 3), n_steps=st.integers(1, 40), every=st.integers(1, 9),
-           stop=st.sampled_from(["none", "diverge", "nan", "singular"]))
-    def test_matches_reference(self, data, sizes, n_diag, n_steps, every, stop):
-        n = sum(sizes)
-        small = st.floats(-2.0, 2.0, allow_nan=False)
-        coeffs = data.draw(st.lists(st.tuples(st.floats(-1.0, 4.0), small, small,
-                                              st.floats(0.0, 0.5)), min_size=n, max_size=n))
-        y0 = data.draw(st.lists(small, min_size=n, max_size=n))
-        bound, nan_after, singular_call = math.inf, math.inf, -1
-        if stop == "diverge":
-            bound = data.draw(st.floats(2.0, 6.0))
-        elif stop == "nan":
-            nan_after = data.draw(st.floats(0.0, 0.05 * n_steps))
-        elif stop == "singular":
-            singular_call = data.draw(st.integers(1, 4 * n_steps + 1))
-        (t, y, diag, status), want = self.both(sizes, coeffs, y0, n_diag, n_steps, every,
-                                               bound, nan_after, singular_call)
-        assert status == want[3]
-        for got_part, want_part in zip((t, y, diag), want[:3]):
-            assert same_bits(got_part, want_part)
-
-    @pytest.mark.parametrize("every", [1, 2, 5, 10])
-    def test_singular_at_final_point(self, every):
-        # call 0 is the initial point and 10 steps make 39 more; call 40 is the final point
-        (t, y, diag, status), want = self.both((2, 1), [(0.5, 0.3, -0.2, 0.1)] * 3,
-                                               [0.1, -0.0, 1.0], 2, 10, every, math.inf,
-                                               singular_call=40)
-        assert status == want[3] == STATUS_SINGULAR
-        assert t[-1] == want[0][-1] == 0.05 * (10 - every)
-        assert all(same_bits(a, b) for a, b in zip((t, y, diag), want[:3]))
-
-    def test_singular_at_initial_point_propagates(self):
-        for run in (lambda rhs: reference_rk4(rhs, [1.0], 0.0, 0.1, 3, 1, math.inf),
-                    lambda rhs: _rk4((1,))(rhs, [1.0], 0.0, 0.1, 3, 1, math.inf)):
-            with pytest.raises(ControlSingularityError):
-                run(field([(1.0, 0.0, 0.0, 0.0)], 1, math.inf, 0))
-
-    def test_float64_initial_data_become_floats(self):
-        seen = []
-        _rk4((2,))(lambda t, y: (seen.append(y) or [0.0, 0.0], ()),
-                   list(np.array([1.0, 2.0])), 0.0, 0.1, 1, 1, math.inf)
-        assert all(type(v) is float for y in seen for v in y)
 
 
 def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1, mask=(0,) * len(_SLOTS)):
@@ -409,6 +342,25 @@ class TestGeneratedRunners:
             self.both(kind, layouts, [[1.0, 1.0]] * 2, math.cos, [0.1] * (3 * len(layouts)),
                       5, 1, math.inf, math.inf, (0, 0))
 
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_float64_initial_data_become_floats(self, kind):
+        seen = []
+        loops = [probe_loop(1, 1, 1, [1.0, 0.8]) for _ in range(1 + (kind == "coupled"))]
+        for loop in loops:
+            f2 = loop.spec.f2
+            loop.spec.f2 = lambda s, th, t, f2=f2: seen.append((*s, *th)) or f2(s, th, t)
+        y0 = list(np.array([0.1, -0.2, 0.3] * len(loops)))
+        assert all(type(v) is np.float64 for v in y0)
+        args = (y0, 0.0, 0.05, 2, 1, math.inf)
+        if kind == "coupled":
+            _runner(kind, (1, 1, 1) * 2, _constants(loops[0]) * 2)(
+                loops[0], (0.3,), loops[1], (0.3,), lambda y, t: [0.0], lambda x, t: [0.0], *args)
+        else:
+            _runner(kind, (1, 1, 1), _constants(loops[0]))(loops[0], (0.3,), math.cos, (1.0,),
+                                                           *args)
+        # f2 sees the state with the estimate (virtual) or with theta_true and theta_hat
+        assert seen and all(type(v) is float for values in seen for v in values)
+
 
 class TestConstantMaps:
     """The runners read `Constant` maps once per run; nothing else may change."""
@@ -478,12 +430,13 @@ class TestConstantMaps:
         with pytest.raises(ValueError, match="unpack"):
             _runner("loop", (1, 1, 1), _constants(wrong))(wrong, *args)
 
-    def run(self, kind, oscillator, loop_x):
+    @classmethod
+    def run(cls, kind, oscillator, loop_x):
         if kind == "coupled":
-            return integrate(replace(oscillator, loop_x=loop_x), self.CFG,
+            return integrate(replace(oscillator, loop_x=loop_x), cls.CFG,
                              OscillatorScenario().initial_state())
         integrator = integrate_loop if kind == "loop" else integrate_virtual
-        return integrator(loop_x, (1.0,), zero_disturbance(), self.CFG, (-1.0, 0.0), (-1.0,))
+        return integrator(loop_x, (1.0,), zero_disturbance(), cls.CFG, (-1.0, 0.0), (-1.0,))
 
 
 class TestRunningNorms:
@@ -525,21 +478,19 @@ class TestTrajectoryGrid:
         sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=1.0))
         a = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
         b = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.loops["x"].state, b.loops["x"].state)
         assert np.array_equal(a.loops["y"].u, b.loops["y"].u)
         assert np.array_equal(a.loops["x"].l2_mismatch, b.loops["x"].l2_mismatch)
 
 
 class TestTrajectoryRecord:
-    def test_loop_view_and_state_blocks(self, coupled_traj):
+    def test_loops_share_grid_and_status(self, coupled_traj):
         traj = coupled_traj
-        assert traj.loop_view("x") is traj.loops["x"]
-        assert traj.loop_view("y") is traj.loops["y"]
-        assert traj.x is traj.loops["x"].state
-        assert traj.theta_i_y is traj.loops["y"].theta_i
-        assert traj.loops["x"].status == traj.status
-        with pytest.raises(ValueError):
-            traj.loop_view("z")
+        assert list(traj.loops) == ["x", "y"]
+        for loop in traj.loops.values():
+            assert loop.t is traj.t
+            assert loop.status == traj.status
+            assert loop.state.shape == (traj.t.shape[0], 2)
 
 
 class TestTerminationStatuses:
@@ -551,7 +502,7 @@ class TestTerminationStatuses:
         # theta_i_y starts at -2.0, beyond the bound, so the first step trips it
         assert traj.status == STATUS_DIVERGED
         assert traj.t.shape[0] == 1
-        assert np.max(np.abs(traj.theta_i_y)) <= 2.0
+        assert np.max(np.abs(traj.loops["y"].theta_i)) <= 2.0
 
     def test_singularity_detected(self):
         # input gain through the goal function is the position, which crosses zero
@@ -815,6 +766,6 @@ class TestCsvExport(object):
         k = 12345
         fields = [float(v) for v in lines[k + 1].split(",")]
         assert fields[0] == coupled_traj.t[k]  # 17 significant digits round-trip
-        assert fields[1] == coupled_traj.x[k, 0]
+        assert fields[1] == coupled_traj.loops["x"].state[k, 0]
         assert fields[5] == coupled_traj.loops["x"].psi[k]
         assert fields[18] == coupled_traj.loops["y"].eps[k]

@@ -19,7 +19,7 @@ from .model import (
     input_gain,
     lie_derivative,
 )
-from .controller import ControlSingularityError, control, goal_error_rate
+from .controller import ControlSingularityError, control
 from .adaptation import (
     AdaptiveLoopSpec,
     AuxiliaryPotential,
@@ -27,10 +27,9 @@ from .adaptation import (
     check_poincare,
     integral_state_rate,
     parameter_estimate,
-    virtual_estimate_rate,
     zero_potential,
 )
-from .interconnect import Coupling, CoupledClosedLoop, augmented_rhs, coupling_channels
+from .interconnect import Coupling, CoupledClosedLoop
 from .simulate import (
     Disturbance,
     IntegratorConfig,

@@ -6,9 +6,9 @@ integral part evolves through quantities measurable on the first state
 block only, so the algorithm never needs the unknown parameters or the
 derivative of the goal function.  Realizability hinges on an auxiliary
 potential Psi whose second-block gradient matches psi * (second-block
-gradient of alpha); this module validates supplied potentials, constructs
-them by quadrature in the single-coordinate case, and provides the reduced
-"virtual" update law used as a numerical oracle in the test suite.
+gradient of alpha); this module validates supplied potentials and constructs
+them by quadrature in the single-coordinate case.  The reduced "virtual"
+update law, the numerical oracle of this algorithm, is `simulate.integrate_virtual`.
 """
 
 from __future__ import annotations
@@ -194,19 +194,6 @@ def integral_state_rate(loop: AdaptiveLoopSpec, state, t: float, u: float) -> np
     correction = dpot_dt - psi * (dalpha_dt + lf1_alpha) + lf1_pot
     correction -= (psi * lg1_alpha - lg1_pot) * u
     return loop.shaper.phi(psi, t) * alpha + correction
-
-
-def virtual_estimate_rate(loop: AdaptiveLoopSpec, state, t: float, psi_dot: float) -> np.ndarray:
-    """Reduced update law: gain @ ((psi_dot + phi(psi, t)) * alpha).
-
-    psi_dot must be the true chain-rule derivative of the goal function
-    along the closed loop, which is not measurable online; this form exists
-    as an independent oracle for the realizable algorithm, equal to the
-    derivative of `parameter_estimate` along trajectories.
-    """
-    psi = loop.goal.psi(state, t)
-    alpha = np.asarray(loop.param.alpha(state, t), dtype=float)
-    return loop.gain @ ((psi_dot + loop.shaper.phi(psi, t)) * alpha)
 
 
 def _adaptive_simpson(f: Callable, a: float, b: float, abs_tol: float) -> float:

@@ -1,4 +1,4 @@
-"""Certainty-equivalent main-loop control law and goal-error dynamics.
+"""Certainty-equivalent main-loop control law at one point.
 
 The control input cancels the estimated drift of the goal function and
 installs the target dynamics; by construction it reads only this
@@ -56,30 +56,3 @@ def control(
     psi = goal.psi(state, t)
     return (-drift - shaper.phi(psi, t) - goal.d_time(state, t)) / gain
 
-
-def goal_error_rate(
-    spec: SubsystemSpec,
-    goal: GoalFunction,
-    shaper: TargetShaper,
-    state,
-    theta,
-    theta_hat,
-    t: float,
-    eps: float = 0.0,
-) -> float:
-    """Closed-loop rate of change of the goal function.
-
-    Equals drift(theta) - drift(theta_hat) - phi(psi, t) + eps, where eps is
-    an additive disturbance (for interconnected systems, the coupling
-    channel).  Matches the chain-rule derivative of psi along the closed
-    loop whenever the control law is defined; the control precondition is
-    enforced here so singularities propagate instead of being masked.
-    """
-    control(spec, goal, shaper, state, theta_hat, t)
-    psi = goal.psi(state, t)
-    return (
-        goal_drift(spec, goal, state, theta, t)
-        - goal_drift(spec, goal, state, theta_hat, t)
-        - shaper.phi(psi, t)
-        + eps
-    )

@@ -1,4 +1,4 @@
-"""Assembly of two adaptive loops and their coupling into one augmented ODE.
+"""Two adaptive loops and their coupling: the system `simulate.integrate` runs.
 
 Decentralization is structural: each controller and adaptation law receives
 only its own subsystem's state and integral estimate, while the coupling
@@ -7,20 +7,16 @@ dynamics.  The true parameter vectors live here, in the simulation harness,
 and are passed only to the plant fields, never to the controllers.
 
 Disturbance channels are named by the goal-error equation they enter
-(`into_psi_x` perturbs the x loop's goal error), not by which subsystem
-generates them.
+(`traj.loops["x"].eps` of a coupled run perturbs the x loop's goal error),
+not by which subsystem generates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
-import numpy as np
-
-from .adaptation import AdaptiveLoopSpec, integral_state_rate, parameter_estimate
-from .controller import ControlSingularityError, control
-from .model import _dot
+from .adaptation import AdaptiveLoopSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,84 +82,3 @@ class CoupledClosedLoop:
             self.loop_y.spec.layout.n,
             self.loop_y.spec.param_dim,
         )
-
-    def split_state(self, aug):
-        """Split an augmented vector into (x, theta_i_x, y, theta_i_y)."""
-        n_x, d_x, n_y, d_y = self.dims
-        if len(aug) != n_x + d_x + n_y + d_y:
-            raise ValueError(
-                f"augmented state must have length {n_x + d_x + n_y + d_y}, got {len(aug)}"
-            )
-        a = n_x
-        b = a + d_x
-        c = b + n_y
-        return aug[:a], aug[a:b], aug[b:c], aug[c:]
-
-    def join_state(self, x, theta_i_x, y, theta_i_y) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(v, dtype=float).ravel() for v in (x, theta_i_x, y, theta_i_y)]
-        )
-
-
-class CouplingChannels(NamedTuple):
-    """Scalar disturbances entering each loop's goal-error equation."""
-
-    into_psi_x: float
-    into_psi_y: float
-
-
-def _subsystem_rates(loop: AdaptiveLoopSpec, theta_true, state, theta_i, t, inject2,
-                     subsystem: str):
-    """State and integral-estimate derivatives of one loop.
-
-    inject2 is the additive second-block contribution (coupling or an
-    exogenous disturbance); pass a zero vector for a decoupled loop.
-    """
-    try:
-        theta_hat = parameter_estimate(loop, state, t, theta_i)
-        u = control(loop.spec, loop.goal, loop.shaper, state, theta_hat, t)
-    except ControlSingularityError as err:
-        raise ControlSingularityError(state, t, err.value, subsystem=subsystem) from err
-    spec = loop.spec
-    f1 = np.asarray(spec.f1(state, t), dtype=float)
-    f2 = np.asarray(spec.f2(state, theta_true, t), dtype=float)
-    g1 = np.asarray(spec.g1(state), dtype=float)
-    g2 = np.asarray(spec.g2(state), dtype=float)
-    state_dot = np.concatenate([f1 + g1 * u, f2 + np.asarray(inject2, dtype=float) + g2 * u])
-    theta_i_dot = integral_state_rate(loop, state, t, u)
-    return state_dot, theta_i_dot, theta_hat, u
-
-
-def augmented_rhs(sys: CoupledClosedLoop, t: float, aug) -> np.ndarray:
-    """Derivative of the full augmented state x + theta_i_x + y + theta_i_y.
-
-    Controller singularities are re-raised tagged with the offending
-    subsystem's identity ("x" or "y").
-    """
-    x, ti_x, y, ti_y = sys.split_state(np.asarray(aug, dtype=float))
-    inj_x = sys.coupling.into_x2(y, t)
-    inj_y = sys.coupling.into_y2(x, t)
-    x_dot, ti_x_dot, _, _ = _subsystem_rates(
-        sys.loop_x, sys.theta_true_x, x, ti_x, t, inj_x, "x"
-    )
-    y_dot, ti_y_dot, _, _ = _subsystem_rates(
-        sys.loop_y, sys.theta_true_y, y, ti_y, t, inj_y, "y"
-    )
-    return np.concatenate([x_dot, ti_x_dot, y_dot, ti_y_dot])
-
-
-def coupling_channels(sys: CoupledClosedLoop, t: float, aug) -> CouplingChannels:
-    """Evaluate the scalar disturbance channels at one augmented state.
-
-    The channel into a loop's goal-error equation is the derivative of that
-    loop's goal function along the coupling field entering its dynamics;
-    these are the disturbance inputs the runtime certificate monitors use.
-    """
-    x, _, y, _ = sys.split_state(np.asarray(aug, dtype=float))
-    q_x = sys.loop_x.spec.layout.q
-    q_y = sys.loop_y.spec.layout.q
-    grad_x = sys.loop_x.goal.grad_state(x, t)
-    grad_y = sys.loop_y.goal.grad_state(y, t)
-    into_x = _dot(grad_x[q_x:], sys.coupling.into_x2(y, t))
-    into_y = _dot(grad_y[q_y:], sys.coupling.into_y2(x, t))
-    return CouplingChannels(into_psi_x=float(into_x), into_psi_y=float(into_y))

@@ -11,10 +11,9 @@ the stages unrolled, and each stage evaluation written out as the closed-loop
 law of its loops (`_loop_body`), every map result unpacked to its declared
 length (a `Constant`'s once per run) and every dot product written out.  It
 logs raw samples of the state and of the law's diagnostics on the thinned
-grid.  `_compile_loop` builds the same law text into per-point functions,
-calling every map.  Running signal norms are computed after the run from the
-logged samples by trapezoidal quadrature (`running_l2`); their quadrature
-error is folded into the tolerances of the checks that consume them.
+grid.  Running signal norms are computed after the run from the logged
+samples by trapezoidal quadrature (`running_l2`); their quadrature error is
+folded into the tolerances of the checks that consume them.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -168,29 +167,6 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _compile_loop(loop: AdaptiveLoopSpec, theta_true, tag: str):
-    """Bind one loop's callables into per-point rate evaluators.
-
-    Returns (rates, virtual_rates):
-
-    - rates(state, theta_i, t, inject2) -> (state_dot + theta_i_dot, diag)
-      is the realizable PI estimator, with the flat
-      diag = (psi, u, mismatch, eps, *theta_hat);
-    - virtual_rates(state, theta_hat, t, inject2) ->
-      (state_dot + theta_hat_dot, (psi, u)) is the reduced update law
-      gain @ ((psi_dot + phi) * alpha), with psi_dot the chain-rule
-      derivative along the closed loop.
-
-    inject2 is the additive second-block contribution (coupling or an
-    exogenous disturbance).  The closures are the loop bodies that the
-    runners write into their stages (`_loop_body`), every map called.
-    They share only the control input and the plant rate, so `virtual_rates`
-    stays an independent oracle.  A wrong-length theta_true or output is a ValueError.
-    """
-    layout, theta_true = _checked(loop, theta_true)
-    return _generate("kernels", _kernel_source, layout)(loop, theta_true, SINGULARITY_FLOOR, tag)
-
-
 def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
     """((q, p, d) of the loop, theta_true as floats); a wrong theta_true length is a ValueError."""
     theta_true = tuple(float(v) for v in theta_true)
@@ -323,18 +299,6 @@ def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", 
     ), [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj), *th]
 
 
-def _kernel_source(layout: tuple) -> str:
-    """Source of `_compile_loop`'s (rates, virtual_rates) factory: the loop bodies as functions."""
-    s, defs, mask = _names("s", sum(layout)), "", (0,) * len(_SLOTS)
-    # the realizable law, last, reads every map: its bind text serves both
-    for name, est in ("virtual_rates", "theta_hat"), ("rates", "theta_i"):
-        bind, body, diag = _loop_body(layout, mask, "", est, "inject2", s, "t", est == "theta_hat")
-        defs += (f"def {name}(state, {est}, t, inject2):\n{indent(body, '    ')}\n"
-                 f"    return [{_tup(s)}], ({_tup(diag)})\n")
-    return (f"def kernels(loop, theta_true, floor, tag):\n{indent(bind, '    ')}\n"
-            f"{indent(defs, '    ')}    return rates, virtual_rates\n")
-
-
 # The body of every RK4 run, generated by `_runner`: its stages are written
 # out as the loop bodies.  Only the kind and integers derived from the layout
 # reach the text.
@@ -375,6 +339,9 @@ def {name}({args}y_init, t0, h, n_steps, every, bound):
 """
 
 
+_GENERATED: dict = {}
+
+
 def _runner(kind: str, layout: tuple, mask: tuple):
     """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and mask.
 
@@ -391,10 +358,22 @@ def _runner(kind: str, layout: tuple, mask: tuple):
     - loop / virtual(loop, theta_true, signal, direction, y0, ...) for one
       realizable / reduced-form loop injected with signal(t) * direction.
 
-    Loop stages are `_loop_body`'s text, so their diag is `_compile_loop`'s.
-    mask is the loops' `_constants`, one after the other.
+    Loop stages are `_loop_body`'s text, and so is their diag.  mask is the
+    loops' `_constants`, one after the other.  Only `kind` and the integers
+    of layout and mask reach the source, which is compiled on first use,
+    cached, and kept without blank lines in `linecache`, so tracebacks
+    through it show its lines.
     """
-    return _generate(kind, functools.partial(_runner_source, kind), layout, mask)
+    key = tuple(tuple(operator.index(m) for m in part) for part in (layout, mask))
+    filename = f"<generated {kind} {' '.join(map(str, key))}>"
+    if filename not in _GENERATED:
+        source = "".join(line for line in _runner_source(kind, *key).splitlines(True)
+                         if line.strip())
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        _GENERATED[filename] = namespace[kind]
+    return _GENERATED[filename]
 
 
 def _constants(loop) -> tuple:  # the `_runner` mask of a loop: 1 per `Constant` of `_SLOTS`
@@ -442,26 +421,6 @@ def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
     )
 
 
-_GENERATED: dict = {}
-
-
-def _generate(name: str, source_of: Callable[..., str], *key: tuple):
-    """Function `name` of source_of(*key), compiled on first use and cached per key.
-
-    Only `name` and the key's integers reach the source, which is kept without
-    blank lines in `linecache`, so tracebacks through it show its lines.
-    """
-    key = tuple(tuple(operator.index(m) for m in part) for part in key)
-    filename = f"<generated {name} {' '.join(map(str, key))}>"
-    if filename not in _GENERATED:
-        source = "".join(line for line in source_of(*key).splitlines(True) if line.strip())
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {}
-        exec(compile(source, filename, "exec"), globals(), namespace)
-        _GENERATED[filename] = namespace[name]
-    return _GENERATED[filename]
-
-
 def _log_buffer(n_steps: int, every: int, step: float, width: int):
     """Empty log of a run, one row of `width` per sample; too large for numpy is a ValueError."""
     rows = n_steps // every + 1
@@ -474,7 +433,7 @@ def _log_buffer(n_steps: int, every: int, step: float, width: int):
 
 
 def _loop_record(t, state, theta_i, diag, status: str) -> LoopTrajectory:
-    """LoopTrajectory from the logged rows of one loop; diag as `_compile_loop` rates."""
+    """LoopTrajectory from the logged rows of one loop; diag as `_loop_body` gives it."""
     psi, u, mismatch, eps = diag[:, 0], diag[:, 1], diag[:, 2], diag[:, 3]
     return LoopTrajectory(
         t=t, state=state, theta_hat=diag[:, 4:], theta_i=theta_i,
@@ -497,9 +456,11 @@ def integrate(
     every cfg.log_every steps on the uniform grid, with running norms of
     the goal errors, coupling channels, and drift mismatches.
     """
-    n_x, d_x, n_y, _ = sys.dims
+    n_x, d_x, n_y, d_y = sys.dims
     aug0 = np.asarray(aug0, dtype=float)
-    sys.split_state(aug0)  # rejects a wrong length
+    if len(aug0) != n_x + d_x + n_y + d_y:
+        raise ValueError(f"augmented state must have length {n_x + d_x + n_y + d_y}, "
+                         f"got {len(aug0)}")
     layout_x, theta_x = _checked(sys.loop_x, sys.theta_true_x)
     layout_y, theta_y = _checked(sys.loop_y, sys.theta_true_y)
     run = _runner("coupled", layout_x + layout_y, _constants(sys.loop_x) + _constants(sys.loop_y))

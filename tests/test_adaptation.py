@@ -12,6 +12,7 @@ from decadapt import (
     AuxiliaryPotential,
     DomainBox,
     GoalFunction,
+    IntegratorConfig,
     Parametrization,
     PartitionLayout,
     SubsystemSpec,
@@ -19,8 +20,8 @@ from decadapt import (
     build_potential_single_coordinate,
     check_poincare,
     integral_state_rate,
+    integrate_virtual,
     parameter_estimate,
-    virtual_estimate_rate,
     zero_potential,
 )
 from decadapt.adaptation import (
@@ -30,6 +31,7 @@ from decadapt.adaptation import (
 )
 from decadapt.controller import control
 from decadapt.model import GradientCheckError
+from decadapt.simulate import zero_disturbance
 from tests.test_model import GOAL, make_damping_spec
 
 
@@ -148,22 +150,30 @@ class TestIntegralStateRate:
 
 
 class TestVirtualEstimateRate:
+    """The reduced update law gain @ ((psi_dot + phi) * alpha) as `integrate_virtual` runs it."""
+
+    @staticmethod
+    def rate(loop, state, theta_true, theta_hat, h=1e-7):
+        """(theta_hat after one step of h - theta_hat) / h: the estimate's rate to O(h)."""
+        traj = integrate_virtual(loop, theta_true, zero_disturbance(),
+                                 IntegratorConfig(step=h, t_final=h), state, theta_hat)
+        return (traj.theta_hat[1] - traj.theta_hat[0]) / h
+
     def test_matched_start_is_stationary(self):
-        loop = make_loop()
-        state = (0.5, 0.3)
-        psi = GOAL.psi(state, 0.0)
-        rate = virtual_estimate_rate(loop, state, 0.0, -2.0 * psi)
-        assert rate[0] == 0.0
+        # theta_hat = theta_true: psi_dot = -phi(psi), so the estimate rests
+        traj = integrate_virtual(make_loop(), (1.3,), zero_disturbance(),
+                                 IntegratorConfig(step=1e-3, t_final=1.0), (0.5, 0.3), (1.3,))
+        assert np.max(np.abs(traj.theta_hat - 1.3)) <= 1e-12
 
     def test_hand_value(self):
-        loop = make_loop()
-        rate = virtual_estimate_rate(loop, (-1.0, 0.0), 0.0, -0.45464871341284097)
-        assert rate[0] == pytest.approx(4.909297426825682, abs=1e-12)
+        # psi_dot = damping mismatch - 2 psi = -0.45464871341284097 at (-1, 0)
+        rate = self.rate(make_loop(), (-1.0, 0.0), (1.0,), (0.0,))
+        assert rate[0] == pytest.approx(4.909297426825682, rel=1e-6)
 
     def test_scales_with_gain(self):
-        a = virtual_estimate_rate(make_loop(gain=1.0), (0.2, 0.4), 0.0, 0.7)
-        b = virtual_estimate_rate(make_loop(gain=3.0), (0.2, 0.4), 0.0, 0.7)
-        assert b[0] == pytest.approx(3.0 * a[0], rel=1e-14)
+        a = self.rate(make_loop(gain=1.0), (0.2, 0.4), (1.0,), (0.3,))
+        b = self.rate(make_loop(gain=3.0), (0.2, 0.4), (1.0,), (0.3,))
+        assert b[0] == pytest.approx(3.0 * a[0], rel=1e-6)
 
 
 class TestAdaptiveLoopValidation:

@@ -506,7 +506,7 @@ class TestCertifyClosedLoop:
                                  (0.8, 1.2), (0.9,))
 
     def certify(self, sys, boxes=BOXES, n=500):
-        aug0 = sys.join_state((0.5, -0.2), (0.0, 0.0), (0.4, -0.1), (0.0,))
+        aug0 = (0.5, -0.2, 0.0, 0.0, 0.4, -0.1, 0.0)  # x, theta_i_x, y, theta_i_y
         return certify_closed_loop(sys, self.CFG, aug0, boxes, self.OFFSETS, n,
                                    tail_window=0.5, tail_threshold=1e6)
 

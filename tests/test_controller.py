@@ -1,25 +1,43 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from decadapt import (
     ControlSingularityError,
+    Disturbance,
     DomainBox,
-    GoalFunction,
+    IntegratorConfig,
     PartitionLayout,
     SubsystemSpec,
     TargetShaper,
-    augmented_rhs,
     control,
-    coupling_channels,
-    goal_error_rate,
-    parameter_estimate,
+    integrate,
+    integrate_loop,
 )
 from decadapt.controller import SINGULARITY_FLOOR
+from decadapt.simulate import zero_disturbance
+from tests.test_adaptation import make_loop
 from tests.test_model import GOAL, make_damping_spec
 
 SHAPER = TargetShaper.linear(2.0)
+
+
+def run_loop(state, theta_i, theta_true=(1.0,), spec=None, disturbance=None, h=1e-7,
+             t_final=None):
+    """`integrate_loop` of `make_loop` (GOAL, SHAPER, zero potential, unit gain) on spec.
+
+    With the zero potential and unit gain, theta_hat = psi * alpha + theta_i.
+    The default is one step of h, whose rows give the goal error's rate to O(h).
+    """
+    loop = make_loop() if spec is None else replace(make_loop(), spec=spec)
+    cfg = IntegratorConfig(step=h, t_final=t_final or h)
+    return integrate_loop(loop, theta_true, disturbance or zero_disturbance(), cfg, state,
+                          theta_i)
+
+
+def psi_rate(traj):
+    return (traj.psi[1] - traj.psi[0]) / (traj.t[1] - traj.t[0])
 
 
 class TestControl:
@@ -30,10 +48,11 @@ class TestControl:
 
     def test_exact_cancellation_at_target(self):
         # perfect estimate on the target set: the goal error does not move
-        spec = make_damping_spec()
-        state = (1.0, -1.0)  # psi = 0
-        rate = goal_error_rate(spec, GOAL, SHAPER, state, (1.3,), (1.3,), 0.0)
-        assert rate == 0.0
+        state = (1.0, -1.0)  # psi = 0, so theta_hat = theta_i
+        traj = run_loop(state, (1.3,), theta_true=(1.3,), h=1e-3, t_final=1.0)
+        assert traj.psi[0] == 0.0 and traj.mismatch[0] == 0.0
+        assert np.max(np.abs(traj.psi)) <= 1e-12
+        assert np.max(np.abs(traj.mismatch)) <= 1e-12
 
     def test_singularity_raises(self):
         spec = SubsystemSpec(
@@ -70,23 +89,28 @@ class TestControl:
 
 
 class TestGoalErrorRate:
+    """psi_dot = -phi(psi) + mismatch + eps along `integrate_loop` runs."""
+
     def test_matched_estimate_reduces_to_target_dynamics(self):
-        spec = make_damping_spec()
         for state in [(-1.0, 0.0), (0.3, 0.7), (2.0, -1.0)]:
             psi = GOAL.psi(state, 0.0)
-            rate = goal_error_rate(spec, GOAL, SHAPER, state, (1.0,), (1.0,), 0.0)
-            assert rate == pytest.approx(-2.0 * psi, abs=1e-14)
+            theta_i = (1.0 - psi * (state[0] - 1.0),)  # theta_hat = theta_true = 1
+            traj = run_loop(state, theta_i, h=1e-3, t_final=1.0)
+            assert np.max(np.abs(traj.mismatch)) <= 1e-12
+            np.testing.assert_allclose(traj.psi, psi * np.exp(-2.0 * traj.t), rtol=0, atol=1e-9)
 
     def test_hand_value(self):
-        spec = make_damping_spec()
-        rate = goal_error_rate(spec, GOAL, SHAPER, (-1.0, 0.0), (1.0,), (0.0,), 0.0)
-        assert rate == pytest.approx(-0.4546487134128410, abs=1e-12)
+        traj = run_loop((-1.0, 0.0), (-2.0,))  # psi = -1, alpha = -2: theta_hat = 0
+        assert traj.theta_hat[0, 0] == 0.0
+        assert -2.0 * traj.psi[0] + traj.mismatch[0] == pytest.approx(-0.4546487134128410,
+                                                                       abs=1e-12)
+        assert psi_rate(traj) == pytest.approx(-0.4546487134128410, rel=1e-5)
 
     def test_disturbance_passthrough(self):
-        spec = make_damping_spec()
-        state = (1.0, -1.0)  # psi = 0
-        rate = goal_error_rate(spec, GOAL, SHAPER, state, (1.0,), (1.0,), 0.0, eps=5.0)
-        assert rate == 5.0
+        state = (1.0, -1.0)  # psi = 0, so theta_hat = theta_i
+        traj = run_loop(state, (1.0,), disturbance=Disturbance(signal=lambda t: 5.0))
+        assert traj.eps[0] == 5.0 and traj.mismatch[0] == 0.0
+        assert psi_rate(traj) == pytest.approx(5.0, rel=1e-5)
 
     def test_propagates_singularity(self):
         spec = SubsystemSpec(
@@ -99,29 +123,28 @@ class TestGoalErrorRate:
             box=DomainBox((-1.0, -1.0), (1.0, 1.0)),
         )
         with pytest.raises(ControlSingularityError):
-            goal_error_rate(spec, GOAL, SHAPER, (0.0, 0.0), (1.0,), (1.0,), 0.0)
+            run_loop((0.0, 0.0), (1.0,), spec=spec)
 
 
 class TestClosedLoopConsistency:
     def test_chain_rule_matches_error_rate(self, oscillator, rng):
-        """The goal-error equation is exactly the chain rule along the closed loop."""
-        sys = oscillator
-        q = sys.loop_x.spec.layout.q
+        """The goal-error equation is the chain rule along the closed loop.
+
+        The goal-error model at the logged initial point, -phi(psi) + mismatch
+        + eps, equals the rate of the logged psi over one step of 1e-7.
+        """
+        h = 1e-7
+        cfg = IntegratorConfig(step=h, t_final=h)
         for _ in range(50):
             aug = rng.uniform(-2.0, 2.0, size=6)
             t = float(rng.uniform(0.0, 10.0))
-            deriv = augmented_rhs(sys, t, aug)
-            x = aug[:2]
-            theta_hat = parameter_estimate(sys.loop_x, x, t, aug[2:3])
-            channels = coupling_channels(sys, t, aug)
-            expected = goal_error_rate(
-                sys.loop_x.spec, sys.loop_x.goal, sys.loop_x.shaper,
-                x, sys.theta_true_x, theta_hat, t, eps=channels.into_psi_x,
-            )
-            grad = sys.loop_x.goal.grad_state(x, t)
-            chain = sys.loop_x.goal.d_time(x, t) + float(np.dot(grad, deriv[:2]))
-            scale = max(abs(expected), 1.0)
-            assert abs(chain - expected) / scale <= 1e-8
+            traj = integrate(oscillator, cfg, aug, t0=t)
+            for which in "xy":
+                loop = traj.loops[which]
+                shaper = getattr(oscillator, f"loop_{which}").shaper
+                expected = -shaper.phi(loop.psi[0], t) + loop.mismatch[0] + loop.eps[0]
+                chain = (loop.psi[1] - loop.psi[0]) / h
+                assert abs(chain - expected) / max(abs(expected), 1.0) <= 1e-5
 
     def test_control_reads_only_own_state(self, oscillator):
         """Decentralization by signature: the law takes one subsystem's state."""

@@ -13,14 +13,16 @@ from decadapt import (
     PartitionLayout,
     SubsystemSpec,
     TargetShaper,
-    augmented_rhs,
-    coupling_channels,
     integrate,
     integrate_loop,
     zero_potential,
 )
 from decadapt.interconnect import zero_coupling
 from decadapt.simulate import zero_disturbance
+
+
+# One step of a coupled run: its first log row is the initial point.
+ONE_STEP = IntegratorConfig(step=1e-3, t_final=1e-3)
 
 
 def make_symmetric_loop():
@@ -58,18 +60,23 @@ def make_symmetric_loop():
 class TestCoupling:
     def test_channels_enter_second_block_only(self, oscillator):
         aug = np.array([-1.0, 0.0, -1.0, 1.0, 0.0, -2.0])
-        deriv_coupled = augmented_rhs(oscillator, 0.0, aug)
-        # recompute with the coupling removed: only x2 / y2 rows may differ
+        # one step of 1e-7 with and without the coupling: (difference) / step is
+        # the coupling's share of the state rates, to O(step)
+        h = 1e-7
+        cfg = IntegratorConfig(step=h, t_final=h)
         bare = CoupledClosedLoop(
             loop_x=oscillator.loop_x, loop_y=oscillator.loop_y,
             coupling=zero_coupling(1, 1),
             theta_true_x=(1.0,), theta_true_y=(1.0,),
         )
-        deriv_bare = augmented_rhs(bare, 0.0, aug)
-        diff = deriv_coupled - deriv_bare
-        assert diff[0] == 0.0 and diff[3] == 0.0  # first blocks untouched
-        assert diff[1] == pytest.approx(0.4 * 1.0)  # k1 * y1 into x2
-        assert diff[4] == pytest.approx(0.4 * -1.0)  # k2 * x1 into y2
+        coupled, uncoupled = integrate(oscillator, cfg, aug), integrate(bare, cfg, aug)
+        # k1 * y1 enters x2, k2 * x1 enters y2
+        for which, into2 in ("x", 0.4 * 1.0), ("y", 0.4 * -1.0):
+            diff = (coupled.loops[which].state[1] - uncoupled.loops[which].state[1]) / h
+            assert abs(diff[0]) <= 1e-6  # first blocks untouched
+            assert diff[1] == pytest.approx(into2, abs=1e-6)
+            # decentralized: the input reads only its own loop's state
+            assert coupled.loops[which].u[0] == uncoupled.loops[which].u[0]
 
     def test_negative_declared_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -78,15 +85,14 @@ class TestCoupling:
 
 
 class TestAugmentedRhs:
+    """The coupled system at one point: the first log row of a one-step `integrate`."""
+
     def test_initial_point_values(self, oscillator, scenario):
-        deriv = augmented_rhs(oscillator, 0.0, scenario.initial_state())
-        # x1' = x2 = 0; x2' = damping(-1) + k1*y1 + u_x
-        assert deriv[0] == 0.0
-        assert deriv[1] == pytest.approx(-2.4546487134128405 + 0.4 + 4.4546487134128405,
-                                         abs=1e-12)
-        assert deriv[2] == pytest.approx(4.0, abs=1e-14)
-        assert deriv[3] == 0.0
-        assert deriv[5] == pytest.approx(0.0, abs=1e-14)
+        loops = integrate(oscillator, ONE_STEP, scenario.initial_state()).loops
+        # u_x cancels damping(-1) = -2.4546487134128405 and installs -2 psi_x = 2
+        assert loops["x"].u[0] == 4.4546487134128405
+        assert loops["x"].eps[0] == 0.4  # k1 * y1
+        assert loops["y"].eps[0] == -0.4  # k2 * x1
 
     def test_singularity_tagged_with_subsystem(self):
         loop_a, loop_b = make_symmetric_loop()
@@ -104,12 +110,12 @@ class TestAugmentedRhs:
             theta_true_x=(1.0,), theta_true_y=(1.0,),
         )
         with pytest.raises(ControlSingularityError) as exc:
-            augmented_rhs(sys, 0.0, np.zeros(6))
+            integrate(sys, ONE_STEP, np.zeros(6))
         assert exc.value.subsystem == "y"
 
     def test_wrong_augmented_length(self, oscillator):
-        with pytest.raises(ValueError, match="length"):
-            augmented_rhs(oscillator, 0.0, np.zeros(5))
+        with pytest.raises(ValueError, match="augmented state must have length 6, got 5"):
+            integrate(oscillator, ONE_STEP, np.zeros(5))
 
 
 class TestDecoupledEquivalence:
@@ -158,17 +164,18 @@ class TestDecoupledEquivalence:
         assert np.array_equal(tf.loops["x"].eps, ts.loops["y"].eps)
 
 
-class TestCouplingChannels:
+class TestEpsChannel:
+    """The logged eps of a coupled run is the coupling channel into that loop's goal error."""
+
     def test_oscillator_channel_is_scaled_partner_position(self, oscillator):
         aug = np.array([0.3, -0.8, 0.0, 0.9, 0.1, 0.0])
-        ch = coupling_channels(oscillator, 0.0, aug)
-        assert ch.into_psi_x == pytest.approx(0.4 * 0.9, abs=1e-15)
-        assert ch.into_psi_y == pytest.approx(0.4 * 0.3, abs=1e-15)
+        loops = integrate(oscillator, ONE_STEP, aug).loops
+        assert loops["x"].eps[0] == 0.36000000000000004  # 0.4 * 0.9
+        assert loops["y"].eps[0] == 0.12  # 0.4 * 0.3
 
     def test_zero_partner_position(self, oscillator):
         aug = np.array([0.3, -0.8, 0.0, 0.0, 0.5, 0.0])
-        ch = coupling_channels(oscillator, 0.0, aug)
-        assert ch.into_psi_x == 0.0
+        assert integrate(oscillator, ONE_STEP, aug).loops["x"].eps[0] == 0.0
 
     def test_unit_coupling_passthrough(self):
         loop_a, loop_b = make_symmetric_loop()
@@ -180,8 +187,7 @@ class TestCouplingChannels:
             theta_true_x=(1.0,), theta_true_y=(1.0,),
         )
         aug = np.array([0.0, 0.0, 0.0, 0.37, 0.0, 0.0])
-        ch = coupling_channels(sys, 0.0, aug)
-        assert ch.into_psi_x == pytest.approx(0.37, abs=1e-15)
+        assert integrate(sys, ONE_STEP, aug).loops["x"].eps[0] == 0.37
 
 
 class TestErrorModelConsistency:

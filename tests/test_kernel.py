@@ -1,13 +1,13 @@
-"""The compiled closed-loop kernel against the numpy reference path.
+"""The per-point reference kernels against the paper's equations, and the runners against them.
 
-The integrators never call `controller.control`, `adaptation.parameter_estimate`
-/ `integral_state_rate` or `interconnect.augmented_rhs`; they run a compiled
-per-loop closure instead.  These properties pin that closure to the
-reference operations at random points of the domain box, so the two
-implementations of the closed-loop law cannot drift apart.  A further
-property pins the kernels generated per loop layout bit for bit to
-`_general_kernels`, the hand-written general kernel pair they replaced,
-kept here verbatim as the reference.
+The integrators run generated RK4 runners (`simulate._runner`) that never
+call `controller.control` or `adaptation.parameter_estimate` /
+`integral_state_rate`.  `TestGeneratedRunners` pins every runner kind bit
+for bit to `reference_rk4` on `_general_kernels`, the hand-written per-point
+kernel pair.  These properties pin that pair to the per-point equations at
+random points of the domain box, so the chain from the runners to the
+equations has one link per step, and run the four loop layouts below through
+the runners from integer points, where signed zeros show.
 """
 
 import functools
@@ -21,19 +21,20 @@ from hypothesis import strategies as st
 import tests.test_adaptation as adaptation_tests
 import tests.test_simulate as simulate_tests
 from decadapt import (
+    ControlSingularityError,
+    Disturbance,
+    IntegratorConfig,
     OscillatorScenario,
-    augmented_rhs,
     build_oscillator,
-    coupling_channels,
+    control,
     goal_drift,
     integral_state_rate,
+    integrate_loop,
+    integrate_virtual,
     parameter_estimate,
-    virtual_estimate_rate,
 )
-from decadapt.adaptation import AdaptiveLoopSpec
-from decadapt.controller import SINGULARITY_FLOOR, ControlSingularityError, control
-from decadapt.model import _dot
-from decadapt.simulate import _compile_loop
+from decadapt.controller import SINGULARITY_FLOOR
+from tests.test_simulate import _general_kernels, reference_rk4, same_bits
 
 REL_TOL = 1e-12
 VALUES = st.floats(-5.0, 5.0)
@@ -47,7 +48,7 @@ def _oscillator():
 
 @functools.lru_cache(maxsize=None)
 def _loop(name: str):
-    """(loop, theta_true) for each layout the kernel must handle."""
+    """(loop, theta_true) for each layout the reference and the runners must handle."""
     if name == "oscillator-x":
         return _oscillator().loop_x, _oscillator().theta_true_x
     if name == "oscillator-y":
@@ -86,9 +87,14 @@ def _reference_state_rate(loop, theta, state, t, inject, u):
     return np.concatenate([f1 + g1 * u, f2 + np.asarray(inject, dtype=float) + g2 * u])
 
 
+def _kernels(loop, theta, tag):
+    """`_general_kernels` of the loop: (rates, virtual_rates)."""
+    return _general_kernels(loop, theta, SINGULARITY_FLOOR, tag)
+
+
 def _realizable(loop, theta, tag):
-    """Kernel rates as (derivative, psi, u, mismatch, eps, theta_hat)."""
-    rates, _ = _compile_loop(loop, theta, tag)
+    """Reference rates as (derivative, psi, u, mismatch, eps, theta_hat)."""
+    rates, _ = _kernels(loop, theta, tag)
 
     def evaluate(state, theta_i, t, inject):
         deriv, (psi, u, mismatch, eps, *theta_hat) = rates(state, theta_i, t, inject)
@@ -124,24 +130,6 @@ def test_realizable_rates_match_reference(name, data):
     _assert_close(eps, np.dot(np.asarray(grad[q:], dtype=float), inject))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_coupled_rates_match_augmented_rhs(data):
-    sys = _oscillator()
-    x, ti_x, _, _ = _draw_point(data, sys.loop_x)
-    y, ti_y, t, _ = _draw_point(data, sys.loop_y)
-    kernel_x = _realizable(sys.loop_x, sys.theta_true_x, "x")
-    kernel_y = _realizable(sys.loop_y, sys.theta_true_y, "y")
-    deriv_x, _, _, _, eps_x, _ = kernel_x(x, ti_x, t, sys.coupling.into_x2(y, t))
-    deriv_y, _, _, _, eps_y, _ = kernel_y(y, ti_y, t, sys.coupling.into_y2(x, t))
-
-    aug = sys.join_state(x, ti_x, y, ti_y)
-    _assert_close(list(deriv_x) + list(deriv_y), augmented_rhs(sys, t, aug))
-    channels = coupling_channels(sys, t, aug)
-    _assert_close(eps_x, channels.into_psi_x)
-    _assert_close(eps_y, channels.into_psi_y)
-
-
 @pytest.mark.parametrize("name", LOOP_NAMES)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -149,18 +137,20 @@ def test_virtual_rates_match_reference(name, data):
     loop, theta = _loop(name)
     state, _, t, inject = _draw_point(data, loop)
     theta_hat = tuple(data.draw(VALUES) for _ in range(loop.spec.param_dim))
-    _, virtual_rates = _compile_loop(loop, theta, "virtual")
+    _, virtual_rates = _kernels(loop, theta, "virtual")
     deriv, (psi, u) = virtual_rates(state, theta_hat, t, inject)
 
     ref_u = control(loop.spec, loop.goal, loop.shaper, state, theta_hat, t)
     ref_state_dot = _reference_state_rate(loop, theta, state, t, inject, ref_u)
     grad = np.asarray(loop.goal.grad_state(state, t), dtype=float)
     psi_dot = loop.goal.d_time(state, t) + float(grad @ ref_state_dot)
-    ref_deriv = np.concatenate([
-        ref_state_dot, virtual_estimate_rate(loop, state, t, psi_dot)
+    ref_psi = loop.goal.psi(state, t)
+    alpha = np.asarray(loop.param.alpha(state, t), dtype=float)
+    ref_deriv = np.concatenate([  # the reduced update law gain @ ((psi_dot + phi) * alpha)
+        ref_state_dot, loop.gain @ ((psi_dot + loop.shaper.phi(ref_psi, t)) * alpha)
     ])
     _assert_close(u, ref_u)
-    _assert_close(psi, loop.goal.psi(state, t))
+    _assert_close(psi, ref_psi)
     _assert_close(deriv, ref_deriv)
 
 
@@ -175,100 +165,39 @@ def _values(lo, hi):
     return st.one_of(integers, integers.map(lambda v: -v), st.floats(lo, hi))
 
 
-def _assert_same_bits(got, want):
-    got, want = list(got), list(want)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
-
-
-# The general kernel pair the generated kernels replaced, verbatim.
-def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
-    """(rates, virtual_rates) of `_compile_loop` for any layout.
-
-    Both closures run one shared evaluation of the certainty-equivalent
-    control input and the true plant rate (`closed_loop`).  The arithmetic
-    matches the reference operations in `controller` and `adaptation` term
-    for term; the closures only share sub-expressions.
-    """
-    spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
-    q = spec.layout.q
-    gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
-    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
-    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
-    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
-    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
-    phi = shaper.phi
-
-    def closed_loop(state, psi, theta_hat, t, inject2):
-        """Control input at the estimate theta_hat and the true plant rate.
-
-        Returns (grad, dpsidt, phi, u, f1, g1, state_dot, mismatch), with
-        mismatch the true drift of the goal function minus the estimated one.
-        """
-        grad = grad_fn(state, t)
-        gq = grad[:q]
-        gp = grad[q:]
-        f1v = f1_fn(state, t)
-        g1v = g1_fn(state)
-        g2v = g2_fn(state)
-        lf1 = _dot(gq, f1v)
-        drift_hat = lf1 + _dot(gp, f2_fn(state, theta_hat, t))
-        gain_u = _dot(gq, g1v) + _dot(gp, g2v)
-        if abs(gain_u) < floor:
-            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
-        phiv = phi(psi, t)
-        dpsidt = dpsidt_fn(state, t)
-        u = (-drift_hat - phiv - dpsidt) / gain_u
-
-        f2v = f2_fn(state, theta_true, t)
-        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
-        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
-        drift_true = lf1 + _dot(gp, f2v)
-        return grad, dpsidt, phiv, u, f1v, g1v, state_dot, drift_true - drift_hat
-
-    def rates(state, theta_i, t, inject2):
-        psi = psi_fn(state, t)
-        alpha = alpha_fn(state, t)
-        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, pot_fn(state, t), theta_i)]
-        theta_hat = [_dot(row, v) for row in gamma_rows]
-        grad, _, phiv, u, f1v, g1v, state_dot, mismatch = closed_loop(
-            state, psi, theta_hat, t, inject2
-        )
-
-        theta_i_dot = []
-        for a, da, dadt, dp, dpdt in zip(alpha, dalpha_fn(state, t), dalphadt_fn(state, t),
-                                         dpot_fn(state, t), dpotdt_fn(state, t)):
-            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
-            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
-            theta_i_dot.append(phiv * a + corr)
-        return state_dot + theta_i_dot, (psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
-
-    def virtual_rates(state, theta_hat, t, inject2):
-        psi = psi_fn(state, t)
-        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
-        psi_dot = dpsidt + _dot(grad, state_dot)
-        w = psi_dot + phiv
-        incr = [w * a for a in alpha_fn(state, t)]
-        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
-
-    return rates, virtual_rates
-
-
 @pytest.mark.parametrize("name", LOOP_NAMES)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_generated_kernels_match_general_bitwise(name, data):
+    """2-step `integrate_loop` and `integrate_virtual` runs equal `reference_rk4` on
+    `_general_kernels` bit for bit, signed zeros included, from integer-rich points."""
     loop, theta = _loop(name)
-    box = loop.spec.box
-    state = tuple(data.draw(_values(lo, hi)) for lo, hi in zip(box.lower, box.upper))
-    estimate = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.param_dim))
-    inject = tuple(data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.layout.p))
-    t = data.draw(TIMES)
-    generated = _compile_loop(loop, theta, "x")
-    general = _general_kernels(loop, tuple(float(v) for v in theta), SINGULARITY_FLOOR, "x")
-    for kernel, reference in zip(generated, general):
-        deriv, diag = kernel(state, estimate, t, inject)
-        ref_deriv, ref_diag = reference(state, estimate, t, inject)
-        _assert_same_bits(deriv, ref_deriv)
-        _assert_same_bits(diag, ref_diag)
+    box, n = loop.spec.box, loop.spec.layout.n
+    state = [data.draw(_values(lo, hi)) for lo, hi in zip(box.lower, box.upper)]
+    estimate = [data.draw(_values(-5.0, 5.0)) for _ in range(loop.spec.param_dim)]
+    signal, t0 = data.draw(_values(-5.0, 5.0)), data.draw(TIMES)
+    disturbance = Disturbance(signal=lambda t: signal)
+    inject = [signal * v for v in disturbance.resolve_direction(loop.spec.layout.p)]
+    cfg = IntegratorConfig(step=0.05, t_final=0.1)
+    args = (state + estimate, t0, cfg.step, cfg.n_steps, 1, cfg.divergence_bound)
+    for integrator, kernel in zip((integrate_loop, integrate_virtual), _kernels(loop, theta, "x")):
+        def rhs(t, z, kernel=kernel):
+            return kernel(z[:n], z[n:], t, inject)
+
+        try:
+            t, y, diag, status = reference_rk4(rhs, *args)
+        except ControlSingularityError:  # at the initial point
+            with pytest.raises(ControlSingularityError):
+                integrator(loop, theta, disturbance, cfg, state, estimate, t0)
+            continue
+        got = integrator(loop, theta, disturbance, cfg, state, estimate, t0)
+        if integrator is integrate_loop:
+            got_y, got_diag = (got.state, got.theta_i), (got.psi, got.u, got.mismatch, got.eps,
+                                                          got.theta_hat)
+        else:  # the reduced-form record keeps the psi of its diag
+            got_y, got_diag = (got.state, got.theta_hat), (got.psi,)
+        got_diag = np.column_stack(got_diag)
+        assert got.status == status
+        assert same_bits(got.t, t)
+        assert same_bits(np.column_stack(got_y), y)
+        assert same_bits(got_diag, diag[:, :got_diag.shape[1]])

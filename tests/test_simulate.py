@@ -31,14 +31,13 @@ from decadapt import (
     write_trajectory_csv,
     zero_potential,
 )
-from decadapt.controller import ControlSingularityError
+from decadapt.controller import SINGULARITY_FLOOR, ControlSingularityError
 from decadapt.model import _dot
 from decadapt.simulate import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_SINGULAR,
     _SLOTS,
-    _compile_loop,
     _constants,
     _runner,
     exponential_disturbance,
@@ -177,6 +176,88 @@ def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
     return t_log[:logged], y_log[:logged], diag_log[:logged], status
 
 
+# The hand-written general kernel pair the generated runners replaced, its code verbatim:
+# the per-point reference of every runner kind (`TestGeneratedRunners`).
+def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, tag: str):
+    """(rates, virtual_rates) of one loop of any layout, every map called.
+
+    - rates(state, theta_i, t, inject2) -> (state_dot + theta_i_dot, diag)
+      is the realizable PI estimator, with the flat
+      diag = (psi, u, mismatch, eps, *theta_hat);
+    - virtual_rates(state, theta_hat, t, inject2) ->
+      (state_dot + theta_hat_dot, (psi, u)) is the reduced update law
+      gain @ ((psi_dot + phi) * alpha), with psi_dot the chain-rule
+      derivative along the closed loop.
+
+    Both closures run one shared evaluation of the certainty-equivalent
+    control input and the true plant rate (`closed_loop`).  The arithmetic
+    matches the reference operations in `controller` and `adaptation` term
+    for term; the closures only share sub-expressions.
+    """
+    spec, goal, shaper, param, pot = loop.spec, loop.goal, loop.shaper, loop.param, loop.potential
+    q = spec.layout.q
+    gamma_rows = [tuple(r) for r in np.atleast_2d(loop.gain).tolist()]
+    psi_fn, grad_fn, dpsidt_fn = goal.psi, goal.grad_state, goal.d_time
+    alpha_fn, dalpha_fn, dalphadt_fn = param.alpha, param.grad_state, param.d_time
+    pot_fn, dpot_fn, dpotdt_fn = pot.value, pot.grad_state, pot.d_time
+    f1_fn, f2_fn, g1_fn, g2_fn = spec.f1, spec.f2, spec.g1, spec.g2
+    phi = shaper.phi
+
+    def closed_loop(state, psi, theta_hat, t, inject2):
+        """Control input at the estimate theta_hat and the true plant rate.
+
+        Returns (grad, dpsidt, phi, u, f1, g1, state_dot, mismatch), with
+        mismatch the true drift of the goal function minus the estimated one.
+        """
+        grad = grad_fn(state, t)
+        gq = grad[:q]
+        gp = grad[q:]
+        f1v = f1_fn(state, t)
+        g1v = g1_fn(state)
+        g2v = g2_fn(state)
+        lf1 = _dot(gq, f1v)
+        drift_hat = lf1 + _dot(gp, f2_fn(state, theta_hat, t))
+        gain_u = _dot(gq, g1v) + _dot(gp, g2v)
+        if abs(gain_u) < floor:
+            raise ControlSingularityError(state, t, gain_u, subsystem=tag)
+        phiv = phi(psi, t)
+        dpsidt = dpsidt_fn(state, t)
+        u = (-drift_hat - phiv - dpsidt) / gain_u
+
+        f2v = f2_fn(state, theta_true, t)
+        state_dot = [fv + gv * u for fv, gv in zip(f1v, g1v)]
+        state_dot += [fv + iv + gv * u for fv, iv, gv in zip(f2v, inject2, g2v)]
+        drift_true = lf1 + _dot(gp, f2v)
+        return grad, dpsidt, phiv, u, f1v, g1v, state_dot, drift_true - drift_hat
+
+    def rates(state, theta_i, t, inject2):
+        psi = psi_fn(state, t)
+        alpha = alpha_fn(state, t)
+        v = [psi * a - pv + ti for a, pv, ti in zip(alpha, pot_fn(state, t), theta_i)]
+        theta_hat = [_dot(row, v) for row in gamma_rows]
+        grad, _, phiv, u, f1v, g1v, state_dot, mismatch = closed_loop(
+            state, psi, theta_hat, t, inject2
+        )
+
+        theta_i_dot = []
+        for a, da, dadt, dp, dpdt in zip(alpha, dalpha_fn(state, t), dalphadt_fn(state, t),
+                                         dpot_fn(state, t), dpotdt_fn(state, t)):
+            corr = dpdt - psi * (dadt + _dot(da[:q], f1v)) + _dot(dp[:q], f1v)
+            corr -= (psi * _dot(da[:q], g1v) - _dot(dp[:q], g1v)) * u
+            theta_i_dot.append(phiv * a + corr)
+        return state_dot + theta_i_dot, (psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
+
+    def virtual_rates(state, theta_hat, t, inject2):
+        psi = psi_fn(state, t)
+        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
+        psi_dot = dpsidt + _dot(grad, state_dot)
+        w = psi_dot + phiv
+        incr = [w * a for a in alpha_fn(state, t)]
+        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
+
+    return rates, virtual_rates
+
+
 def same_bits(a, b):
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a), np.signbit(b)))
@@ -239,7 +320,7 @@ LAYOUTS = st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(1, 3))
 
 
 class TestGeneratedRunners:
-    """The integrators' runners equal `reference_rk4` on `_compile_loop`'s kernels, bit for bit."""
+    """The integrators' runners equal `reference_rk4` on `_general_kernels`, bit for bit."""
 
     @staticmethod
     def both(kind, layouts, c, signal, y0, n_steps, every, bound, nan_after, singular,
@@ -269,8 +350,8 @@ class TestGeneratedRunners:
             got = _runner(kind, layouts[0] + layouts[1], mask)(
                 loop_x, thetas[0], loop_y, thetas[1], into_x2, into_y2, *args)
             loop_x, loop_y = loops()
-            rates_x, _ = _compile_loop(loop_x, thetas[0], "x")
-            rates_y, _ = _compile_loop(loop_y, thetas[1], "y")
+            rates_x, _ = _general_kernels(loop_x, thetas[0], SINGULARITY_FLOOR, "x")
+            rates_y, _ = _general_kernels(loop_y, thetas[1], SINGULARITY_FLOOR, "y")
 
             def rhs(t, z):  # the coupled rate function of the rhs-driven integrator
                 x, ti_x, y, ti_y = z[:n], z[n:n + d_x], z[n + d_x:n + d_x + n_y], z[n + d_x + n_y:]
@@ -283,7 +364,8 @@ class TestGeneratedRunners:
             loop, = loops()
             got = _runner(kind, layouts[0], _constants(loop))(loop, thetas[0], signal, direction,
                                                               *args)
-            kernel = _compile_loop(*loops(), thetas[0], kind)[kind == "virtual"]
+            rates, virtual = _general_kernels(*loops(), thetas[0], SINGULARITY_FLOOR, kind)
+            kernel = virtual if kind == "virtual" else rates
 
             def rhs(t, z):
                 s = signal(t)
@@ -415,8 +497,9 @@ class TestConstantMaps:
     @pytest.mark.parametrize("slot", ["pot", "dpot", "dpotdt", "dalpha", "dalphadt"])
     def test_reduced_form_reads_only_the_maps_of_its_law(self, slot):
         # the reduced-form law evaluates neither the potential nor the alpha
-        # Jacobian: a wrong-length `Constant` there changes nothing, as for
-        # `_compile_loop`'s virtual_rates, while the realizable runner rejects it
+        # Jacobian (`_general_kernels`' virtual_rates calls neither): a
+        # wrong-length `Constant` there changes nothing, while the realizable
+        # runner rejects it
         owner, name = _SLOTS[slot][0].split(".")
         loop, wrong = probe_loop(1, 1, 1, [1.0, 0.8]), probe_loop(1, 1, 1, [1.0, 0.8])
         setattr(getattr(wrong, owner), name, Constant((0.0,) * 5))
@@ -424,9 +507,6 @@ class TestConstantMaps:
         got, want = (_runner("virtual", (1, 1, 1), _constants(m))(m, *args) for m in (wrong, loop))
         assert got[3] == want[3] == STATUS_COMPLETED
         assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
-        point = ([0.1, -0.2], [0.05], 0.0, [0.0])
-        assert (_compile_loop(wrong, (0.3,), "virtual")[1](*point)
-                == _compile_loop(loop, (0.3,), "virtual")[1](*point))
         with pytest.raises(ValueError, match="unpack"):
             _runner("loop", (1, 1, 1), _constants(wrong))(wrong, *args)
 

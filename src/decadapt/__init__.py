@@ -49,6 +49,7 @@ from .certify import (
     check_small_gain,
     monitor_loop_bounds,
     monitor_tail_convergence,
+    monotonicity_sample,
     small_gain_problem,
     verify_coupling_bound,
     verify_monotonicity,

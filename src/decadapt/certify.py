@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,14 +48,13 @@ from .simulate import STATUS_COMPLETED, IntegratorConfig, LoopTrajectory, Trajec
 __all__ = [
     "CertificateEntry",
     "CertificateReport",
-    "MonotonicityCertificate",
     "SmallGainProblem",
     "certify_closed_loop",
     "check_poincare",
     "check_small_gain",
-    "check_tail_arguments",
     "monitor_loop_bounds",
     "monitor_tail_convergence",
+    "monotonicity_sample",
     "realizability_residual",
     "small_gain_problem",
     "verify_coupling_bound",
@@ -68,18 +67,10 @@ GROWTH_REL_SLACK = 1e-6
 MONITOR_TOL = 1e-6
 STEP_MONOTONE_TOL = 1e-8
 SCAN_LOWER = 1e-6
+SCAN_UPPER = 1e3
 SCAN_POINTS = 64
+PROBE_DELTAS = (1e-6, 1e-3, 1e-2, 0.1, 0.5)
 LOOP_MONITOR_TOL = 1e-4  # tolerance of the adaptation-bound monitors in the certify pass
-
-
-@dataclass(frozen=True, eq=False)
-class MonotonicityCertificate:
-    """Outcome of the sampled monotonicity and growth-rate check."""
-
-    entry: CertificateEntry
-    d_hat: float
-    d1_hat: float
-    n_ratio_samples: int
 
 
 def _first_below(values: np.ndarray, bound: float):
@@ -121,45 +112,36 @@ def monotonicity_sample(state_box: DomainBox, theta_box: DomainBox, n_samples: i
     return joint_sample([state_box, theta_box, theta_box, time_box], n_samples, seed=seed)
 
 
-def verify_monotonicity(
-    param: Parametrization,
-    f: Callable,
-    state_box: DomainBox,
-    theta_box: DomainBox,
-    n_samples: int = 1000,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    time_range: tuple = (0.0, 0.0),
-    samples: Optional[list] = None,
-) -> MonotonicityCertificate:
+def verify_monotonicity(param: Parametrization, f: Callable, samples: list) -> CertificateEntry:
     """Sample the sign condition and estimate the growth-rate constants.
 
-    f(state, theta, t) is the scalar drift channel of the goal function.
-    For quasi-random tuples (state, theta, theta_alt, t) the check requires
+    f(state, theta, t) is the scalar drift channel of the goal function, and
+    samples the joint draw (states, thetas, thetas_alt, times) of
+    `monotonicity_sample`.  For each sampled tuple the check requires
     (f(theta_alt) - f(theta)) * alpha^T (theta_alt - theta) >= -1e-10, and
     estimates the extreme ratios |f difference| / |alpha^T difference| over
     samples whose denominator exceeds 1e-9.  Because samples for a larger
     count extend those for a smaller one, the upper estimate can only grow
-    and the lower only shrink with n_samples.
+    and the lower only shrink with the sample count.
 
     Passes when the sign condition holds everywhere and the estimates stay
     within the parametrization's declared growth constants up to relative
-    slack 1e-6.  A NaN or infinite f or alpha^T difference fails, margin -inf,
-    at its first sample, the witness; f raising NonFiniteValueError (as
-    `model.goal_drift` does) counts as NaN.  Returns an inconclusive entry when
-    no sample clears the denominator floor.  Raises ValueError when n_samples < 1
-    and DimensionMismatchError when alpha's length differs from theta_box's.
+    slack 1e-6; the witness then records the estimates (d_hat, d1_hat) and
+    the number of ratio samples.  A NaN or infinite f or alpha^T difference
+    fails, margin -inf, at its first sample, the witness; f raising
+    NonFiniteValueError (as `model.goal_drift` does) counts as NaN.  Returns
+    an inconclusive entry when no sample clears the denominator floor.
+    Raises DimensionMismatchError when alpha's length differs from theta's.
 
     f and param.alpha are first called once on the sample columns (state
     and theta as tuples of 1-D arrays, t a 1-D array), and on plain floats
     per sample when that fails or differs bit for bit at the first sample or
     a reported extreme, as every sampled check in `decadapt.model` does.
-    A caller checking several drifts on one draw passes its `monotonicity_sample` as `samples`.
     """
-    states, thetas, thetas_alt, times = samples if samples is not None else monotonicity_sample(
-        state_box, theta_box, n_samples, seed, time_range)
+    states, thetas, thetas_alt, times = samples
     n_alpha = len(param.alpha(states[0].tolist(), float(times[0, 0])))
-    if n_alpha != theta_box.dim:  # _dot below would silently truncate
-        raise DimensionMismatchError("alpha", theta_box.dim, n_alpha)
+    if n_alpha != thetas.shape[1]:  # _dot below would silently truncate
+        raise DimensionMismatchError("alpha", thetas.shape[1], n_alpha)
 
     def drift(state, theta, t):
         try:
@@ -181,10 +163,9 @@ def verify_monotonicity(
     if i_bad is not None:
         witness = sample(i_bad, drift_difference=float(df[i_bad]),
                          alpha_difference=float(s[i_bad]))
-        entry = entry_from_margin("monotonicity-growth", -math.inf, witness, SIGN_CONDITION_TOL)
-        return MonotonicityCertificate(entry, math.nan, math.nan, n_ratio)
+        return entry_from_margin("monotonicity-growth", -math.inf, witness, SIGN_CONDITION_TOL)
     if n_ratio == 0:
-        entry = CertificateEntry(
+        return CertificateEntry(
             name="monotonicity-growth",
             status=INCONCLUSIVE,
             margin=0.0,
@@ -192,7 +173,6 @@ def verify_monotonicity(
                      "floor": RATIO_FLOOR},
             tolerance=SIGN_CONDITION_TOL,
         )
-        return MonotonicityCertificate(entry, float("nan"), float("nan"), 0)
 
     def ratio_witness(i):
         ratio = abs(float(df[i])) / abs(float(s[i]))
@@ -217,8 +197,23 @@ def verify_monotonicity(
         witness = d1_hat_witness
     witness = dict(witness)
     witness.update({"d_hat": d_hat, "d1_hat": d1_hat, "n_ratio_samples": n_ratio})
-    entry = entry_from_margin("monotonicity-growth", margin, witness, SIGN_CONDITION_TOL)
-    return MonotonicityCertificate(entry, d_hat, d1_hat, n_ratio)
+    return entry_from_margin("monotonicity-growth", margin, witness, SIGN_CONDITION_TOL)
+
+
+def _running_bound(name: str, t, value, bound, tol: float, sides: bool = False,
+                   **witness) -> CertificateEntry:
+    """Entry of the running bound value <= bound at every logged T, within tol.
+
+    The margin is the minimum over T of (bound + tol) - value; the witness
+    is T at its first argmin plus the caller's `witness` keys, and with
+    `sides` also value (lhs) and bound + tol (rhs) there.
+    """
+    rhs = bound + tol
+    slack = rhs - value
+    i = int(np.argmin(slack))
+    if sides:
+        witness.update(lhs=float(value[i]), rhs=float(rhs[i]))
+    return entry_from_margin(name, float(slack[i]), {"t": float(t[i]), **witness}, tol)
 
 
 def monitor_loop_bounds(
@@ -251,31 +246,14 @@ def monitor_loop_bounds(
 
     err0 = theta_true - traj.theta_hat[0]
     base = float(err0 @ weight @ err0)
-
-    rhs_a = np.sqrt(0.5 * d_up * base) + (d_up / d_lo) * traj.l2_eps + tol
-    slack_a = rhs_a - traj.l2_mismatch
-    i_a = int(np.argmin(slack_a))
-    entry_a = entry_from_margin(
-        "mismatch-energy-bound",
-        float(slack_a[i_a]),
-        {"t": float(traj.t[i_a]), "lhs": float(traj.l2_mismatch[i_a]),
-         "rhs": float(rhs_a[i_a])},
-        tol,
-    )
-
     errs = theta_true[None, :] - traj.theta_hat
     sq = np.einsum("ki,ij,kj->k", errs, weight, errs)
-    rhs_b = base + 0.5 * d_up / (d_lo * d_lo) * traj.l2_eps**2 + tol
-    slack_b = rhs_b - sq
-    i_b = int(np.argmin(slack_b))
-    entry_b = entry_from_margin(
-        "parameter-error-bound",
-        float(slack_b[i_b]),
-        {"t": float(traj.t[i_b]), "lhs": float(sq[i_b]), "rhs": float(rhs_b[i_b])},
-        tol,
-    )
-
-    entries = [entry_a, entry_b]
+    entries = [
+        _running_bound("mismatch-energy-bound", traj.t, traj.l2_mismatch,
+                       np.sqrt(0.5 * d_up * base) + (d_up / d_lo) * traj.l2_eps, tol, sides=True),
+        _running_bound("parameter-error-bound", traj.t, sq,
+                       base + 0.5 * d_up / (d_lo * d_lo) * traj.l2_eps**2, tol, sides=True),
+    ]
     if np.all(traj.eps == 0.0):
         v = 0.5 * sq
         dv = np.diff(v)
@@ -301,9 +279,9 @@ class SmallGainProblem:
     target dynamics; beta_x / beta_y the declared coupling growth bounds;
     ratio_x / ratio_y the declared growth-constant ratios (upper over
     lower, hence >= 1), all finite.  For non-linear gains the condition is
-    scanned over 64 logarithmically spaced amplitudes in [1e-6, delta_max]
-    with the finite family of linear probes (1 + delta) * identity, delta in
-    probe_deltas (at least one, each > 0).
+    scanned over SCAN_POINTS logarithmically spaced amplitudes in
+    [SCAN_LOWER, SCAN_UPPER] with the finite family of linear probes
+    (1 + delta) * identity, delta in PROBE_DELTAS.
     """
 
     gain_x22: GainDescriptor
@@ -312,19 +290,12 @@ class SmallGainProblem:
     beta_y: float
     ratio_x: float
     ratio_y: float
-    probe_deltas: tuple = (1e-6, 1e-3, 1e-2, 0.1, 0.5)
-    delta_max: float = 1e3
 
     def __post_init__(self):
         if not (0 <= self.beta_x < math.inf and 0 <= self.beta_y < math.inf):
             raise ValueError("coupling bounds must be finite and >= 0")
         if not (1 <= self.ratio_x < math.inf and 1 <= self.ratio_y < math.inf):
             raise ValueError("growth ratios must be finite and >= 1")
-        if not self.probe_deltas or not all(0 < d < math.inf for d in self.probe_deltas):
-            raise ValueError("probe deltas must be one or more finite values > 0 "
-                             "(probes must exceed identity)")
-        if not self.delta_max > SCAN_LOWER:
-            raise ValueError(f"delta_max must exceed the scan lower end {SCAN_LOWER}")
 
 
 def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
@@ -358,7 +329,7 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
             strict=True,
         )
 
-    deltas = np.geomspace(SCAN_LOWER, prob.delta_max, SCAN_POINTS)
+    deltas = np.geomspace(SCAN_LOWER, SCAN_UPPER, SCAN_POINTS)
 
     def composed(delta, d1, d2, d3):
         s = (prob.ratio_x + 1.0) * delta
@@ -374,9 +345,9 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
     best = -np.inf
     best_probe = None
     last_range_error = None
-    for d1 in prob.probe_deltas:
-        for d2 in prob.probe_deltas:
-            for d3 in prob.probe_deltas:
+    for d1 in PROBE_DELTAS:
+        for d2 in PROBE_DELTAS:
+            for d3 in PROBE_DELTAS:
                 try:
                     slack = min(
                         (delta - composed(delta, d1, d2, d3)) / delta for delta in deltas
@@ -408,19 +379,16 @@ def verify_coupling_bound(
     traj: Trajectory,
     channel: str,
     beta: float,
-    mode: str = "l2",
     offset: float = 0.0,
 ) -> CertificateEntry:
     """Check a declared coupling growth bound along a coupled trajectory.
 
     channel is "into_x" or "into_y", naming the goal-error equation the
     disturbance enters; the comparison signal is the goal error of the
-    loop that generates the channel (the partner).  Pointwise mode checks
-    |h(t)| <= beta |psi_partner(t)| + MONITOR_TOL at every sample; l2 mode
-    checks the running norms, |h| <= beta |psi_partner| + offset +
-    MONITOR_TOL, at every logged horizon.  Couplings that depend on partner
-    state rather than on its goal error generally fail the pointwise form
-    and satisfy only the l2 form with a nonzero offset.
+    loop that generates the channel (the partner).  The running norms must
+    satisfy |h| <= beta |psi_partner| + offset + MONITOR_TOL at every logged
+    horizon.  Couplings that depend on partner state rather than on its
+    goal error need a nonzero offset.
     """
     if channel == "into_x":
         into, src = traj.loops["x"], traj.loops["y"]
@@ -428,70 +396,40 @@ def verify_coupling_bound(
         into, src = traj.loops["y"], traj.loops["x"]
     else:
         raise ValueError("channel must be 'into_x' or 'into_y'")
-
-    if mode == "pointwise":
-        slack = beta * np.abs(src.psi) + MONITOR_TOL - np.abs(into.eps)
-        name = f"coupling-bound-pointwise-{channel}"
-    elif mode == "l2":
-        slack = beta * src.l2_psi + offset + MONITOR_TOL - into.l2_eps
-        name = f"coupling-bound-l2-{channel}"
-    else:
-        raise ValueError("mode must be 'pointwise' or 'l2'")
-    i = int(np.argmin(slack))
-    return entry_from_margin(
-        name, float(slack[i]), {"t": float(traj.t[i]), "beta": beta, "offset": offset},
-        MONITOR_TOL,
-    )
+    return _running_bound(f"coupling-bound-l2-{channel}", traj.t, into.l2_eps,
+                          beta * src.l2_psi + offset, MONITOR_TOL, beta=beta, offset=offset)
 
 
-def check_tail_arguments(window: float, psi_threshold: float, mismatch_threshold: float) -> None:
+def _check_tail_arguments(window: float, threshold: float) -> None:
     """Reject a tail window or threshold that cannot be honoured, naming it."""
     if not window >= 0:
         raise ValueError(f"tail window must be >= 0, got {window!r}")
-    if math.isnan(psi_threshold) or math.isnan(mismatch_threshold):
-        raise ValueError(f"tail thresholds must not be NaN, got {psi_threshold!r}, "
-                         f"{mismatch_threshold!r}")
+    if math.isnan(threshold):
+        raise ValueError(f"tail threshold must not be NaN, got {threshold!r}")
 
 
-def monitor_tail_convergence(
-    traj,
-    window: float,
-    psi_threshold: float,
-    mismatch_threshold: float,
-) -> list:
-    """Report tail suprema of goal errors and drift mismatches.
+def monitor_tail_convergence(traj: Trajectory, window: float, threshold: float) -> list:
+    """Report tail suprema of goal errors and drift mismatches of a coupled run.
 
-    Works on coupled trajectories (four entries) and single-loop ones (two
-    entries).  The trajectory must have completed; asymptotic convergence
-    is attested only as finite-horizon tail bounds over the trailing
-    `window` time units.
+    Four entries, each a bound `threshold` on one signal's supremum over the
+    trailing `window` time units.  The trajectory must have completed;
+    asymptotic convergence is attested only as these finite-horizon tail
+    bounds.
     """
-    check_tail_arguments(window, psi_threshold, mismatch_threshold)
+    _check_tail_arguments(window, threshold)
     if traj.status != STATUS_COMPLETED:
         raise ValueError(f"convergence monitor needs a completed trajectory, got {traj.status!r}")
     t = traj.t
     cutoff = t[-1] - window
     mask = t >= cutoff
     entries = []
-
-    def tail_entry(name, values, threshold):
-        sup = float(np.max(np.abs(values[mask])))
-        entries.append(
-            entry_from_margin(
-                name, threshold - sup,
-                {"tail_sup": sup, "window": window, "from_t": float(cutoff)},
-                0.0,
-            )
-        )
-
-    if isinstance(traj, Trajectory):
-        named = [("-x", traj.loops["x"]), ("-y", traj.loops["y"])]
-    else:
-        named = [("", traj)]
-    for suffix, loop in named:
-        tail_entry(f"tail-psi{suffix}", loop.psi, psi_threshold)
-    for suffix, loop in named:
-        tail_entry(f"tail-mismatch{suffix}", loop.mismatch, mismatch_threshold)
+    for signal in ("psi", "mismatch"):
+        for tag in ("x", "y"):
+            sup = float(np.max(np.abs(getattr(traj.loops[tag], signal)[mask])))
+            entries.append(entry_from_margin(
+                f"tail-{signal}-{tag}", threshold - sup,
+                {"tail_sup": sup, "window": window, "from_t": float(cutoff)}, 0.0,
+            ))
     return entries
 
 
@@ -532,7 +470,7 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
     simulation-status entry instead of the runtime monitors, so the tail
     arguments are checked first.
     """
-    check_tail_arguments(tail_window, tail_threshold, tail_threshold)
+    _check_tail_arguments(tail_window, tail_threshold)
     report = CertificateReport()
     loops = (("x", sys.loop_x, sys.theta_true_x), ("y", sys.loop_y, sys.theta_true_y))
 
@@ -553,9 +491,7 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
         if key not in draws:  # loops on the same boxes share one draw
             draws[key] = monotonicity_sample(state_box, theta_box, n_monotonicity_samples)
         drift = functools.partial(goal_drift, loop.spec, loop.goal)
-        cert = verify_monotonicity(loop.param, drift, state_box, theta_box,
-                                   n_monotonicity_samples, samples=draws[key])
-        report.add(_renamed(cert.entry, tag))
+        report.add(_renamed(verify_monotonicity(loop.param, drift, draws[key]), tag))
 
     report.add(check_small_gain(small_gain_problem(sys)))
 
@@ -570,6 +506,6 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
             report.add(_renamed(entry, tag))
     betas = (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
     for channel, beta, offset in zip(("into_x", "into_y"), betas, offsets, strict=True):
-        report.add(verify_coupling_bound(traj, channel, beta, mode="l2", offset=offset))
-    report.extend(monitor_tail_convergence(traj, tail_window, tail_threshold, tail_threshold))
+        report.add(verify_coupling_bound(traj, channel, beta, offset=offset))
+    report.extend(monitor_tail_convergence(traj, tail_window, tail_threshold))
     return report, traj

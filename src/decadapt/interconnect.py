@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .adaptation import AdaptiveLoopSpec
+from .model import _require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +41,7 @@ class Coupling:
     beta_into_y: float = 0.0
 
     def __post_init__(self):
+        _require_finite(beta_into_x=self.beta_into_x, beta_into_y=self.beta_into_y)
         if self.beta_into_x < 0 or self.beta_into_y < 0:
             raise ValueError("declared coupling growth bounds must be >= 0")
 

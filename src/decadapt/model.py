@@ -175,6 +175,7 @@ class DomainBox:
         if len(lo) != len(hi):
             raise DimensionMismatchError("box bounds", len(lo), len(hi))
         for a, b in zip(lo, hi):
+            _require_finite(**{"box lower bound": a, "box upper bound": b})
             if not (a <= b):
                 raise ValueError(f"box lower bound {a} exceeds upper bound {b}")
         object.__setattr__(self, "lower", lo)
@@ -287,6 +288,7 @@ class Parametrization:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        _require_finite(growth_upper=self.growth_upper, growth_lower=self.growth_lower)
         if not (self.growth_upper >= self.growth_lower > 0):
             raise ValueError(
                 f"growth constants must satisfy upper >= lower > 0, "

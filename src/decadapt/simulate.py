@@ -12,8 +12,9 @@ law of its loops (`_loop_body`), every map result unpacked to its declared
 length (a `Constant`'s once per run) and every dot product written out.  It
 logs raw samples of the state and of the law's diagnostics on the thinned
 grid.  Running signal norms are computed after the run from the logged
-samples by trapezoidal quadrature (`running_l2`); their quadrature error is
-folded into the tolerances of the checks that consume them.
+samples by trapezoidal quadrature (`running_l2`).  Their quadrature error is
+not estimated: the checks that consume them use the fixed tolerances
+`certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from textwrap import indent
@@ -58,7 +60,7 @@ class IntegratorConfig:
             raise ValueError("step must not exceed t_final")
         if abs(self.n_steps * self.step - self.t_final) > 1e-9 * self.t_final:
             raise ValueError("step must divide t_final into a whole number of steps")
-        if self.log_every < 1 or int(self.log_every) != self.log_every:
+        if not isinstance(self.log_every, numbers.Integral) or self.log_every < 1:
             raise ValueError("log_every must be a positive integer")
         if not self.divergence_bound > 0:
             raise ValueError("divergence_bound must be > 0")

@@ -28,6 +28,7 @@ from decadapt import (
     integrate_loop,
     integrate_virtual,
     monitor_loop_bounds,
+    monotonicity_sample,
     verify_monotonicity,
 )
 from decadapt.model import check_gradient
@@ -197,9 +198,10 @@ def test_criterion_6_monotonicity_certification():
         return state[1] + s + 0.5 * math.sin(s)
 
     cert = verify_monotonicity(
-        sys.loop_x.param, drift_x, state_box, theta_box, n_samples=10000
+        sys.loop_x.param, drift_x, monotonicity_sample(state_box, theta_box, 10000)
     )
-    in_brackets = (1.0 < cert.d_hat <= 1.5 + 1e-6) and (0.5 - 1e-6 <= cert.d1_hat < 1.0)
+    d_hat, d1_hat = cert.witness["d_hat"], cert.witness["d1_hat"]
+    in_brackets = (1.0 < d_hat <= 1.5 + 1e-6) and (0.5 - 1e-6 <= d1_hat < 1.0)
 
     anti_box = DomainBox((0.5, -1.0), (2.0, 1.0))
     anti_param = Parametrization(
@@ -209,13 +211,13 @@ def test_criterion_6_monotonicity_certification():
         dim=1, growth_upper=1.0, growth_lower=1.0,
     )
     anti = verify_monotonicity(
-        anti_param, lambda s, th, t: -th[0] * s[0], anti_box, theta_box, n_samples=2000
+        anti_param, lambda s, th, t: -th[0] * s[0], monotonicity_sample(anti_box, theta_box, 2000)
     )
-    ok = cert.entry.passed and in_brackets and not anti.entry.passed
+    ok = cert.passed and in_brackets and not anti.passed
     verdict(
         "criterion-6 monotonicity certification", ok,
-        f"estimates ({cert.d_hat:.6f}, {cert.d1_hat:.6f}) in ((1,1.5], [0.5,1)); "
-        f"anti-monotone fails={not anti.entry.passed}",
+        f"estimates ({d_hat:.6f}, {d1_hat:.6f}) in ((1,1.5], [0.5,1)); "
+        f"anti-monotone fails={not anti.passed}",
     )
 
 

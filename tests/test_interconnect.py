@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,14 @@ class TestCoupling:
         with pytest.raises(ValueError):
             Coupling(into_x2=lambda y, t: (0.0,), into_y2=lambda x, t: (0.0,),
                      beta_into_x=-0.1, beta_into_y=0.0)
+
+    @pytest.mark.parametrize("bounds, name", [
+        ({"beta_into_x": math.nan}, "beta_into_x"), ({"beta_into_y": math.inf}, "beta_into_y"),
+    ])
+    def test_non_finite_declared_bounds_rejected(self, bounds, name):
+        # NaN passes the >= 0 test; the small-gain data would reject it only later
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Coupling(into_x2=lambda y, t: (0.0,), into_y2=lambda x, t: (0.0,), **bounds)
 
 
 class TestAugmentedRhs:

@@ -97,6 +97,16 @@ class TestDomainBox:
         with pytest.raises(ValueError):
             DomainBox((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("lower, upper, name", [
+        ((-math.inf,), (math.inf,), "lower"),
+        ((0.0, 0.0), (1.0, math.inf), "upper"),
+        ((math.nan,), (1.0,), "lower"),
+    ])
+    def test_non_finite_bounds_rejected(self, lower, upper, name):
+        # an infinite box samples NaN points, which every sampled check misreports
+        with pytest.raises(ValueError, match=f"box {name} bound must be finite"):
+            DomainBox(lower, upper)
+
 
 class TestLieDerivative:
     def test_zero_field(self):
@@ -355,6 +365,17 @@ class TestTargetShaper:
 
 
 class TestParametrization:
+    @pytest.mark.parametrize("growth, name", [
+        ((math.inf, 0.5), "growth_upper"), ((math.nan, 0.5), "growth_upper"),
+        ((1.5, math.nan), "growth_lower"),
+    ])
+    def test_non_finite_growth_constants_rejected(self, growth, name):
+        # an infinite growth_upper would pass the monotonicity check vacuously
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Parametrization(alpha=lambda s, t: (s[0],), grad_state=lambda s, t: ((1.0, 0.0),),
+                            d_time=lambda s, t: (0.0,), dim=1,
+                            growth_upper=growth[0], growth_lower=growth[1])
+
     def test_growth_constants_validated(self):
         with pytest.raises(ValueError):
             Parametrization(

@@ -63,11 +63,19 @@ class TestIntegratorConfig:
             {"step": 1e-3, "t_final": math.nan},
             {"step": math.inf, "t_final": 1.0},
             {"step": math.nan, "t_final": 1.0},
+            {"step": 1e-3, "t_final": 1.0, "log_every": 2.0},
+            {"step": 1e-3, "t_final": 1.0, "log_every": math.inf},
+            {"step": 1e-3, "t_final": 1.0, "log_every": math.nan},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             IntegratorConfig(**kwargs)
+        if "log_every" in kwargs:
+            assert str(err.value) == "log_every must be a positive integer"
+
+    def test_accepts_numpy_integer_log_every(self):
+        assert IntegratorConfig(step=1e-3, t_final=1.0, log_every=np.int64(4)).log_every == 4
 
 
 def decay_loop() -> AdaptiveLoopSpec:

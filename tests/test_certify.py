@@ -722,9 +722,12 @@ class TestTailArguments:
         with pytest.raises(ValueError, match="window"):
             monitor_tail_convergence(coupled_traj, window, 1e-2)
 
-    def test_nan_threshold(self, coupled_traj):
+    # (window, threshold): a NaN threshold is rejected over a positive window
+    # and over the zero window that keeps only the last sample
+    @pytest.mark.parametrize("thresholds", [(1.0, math.nan), (0.0, math.nan)])
+    def test_nan_threshold(self, coupled_traj, thresholds):
         with pytest.raises(ValueError, match="threshold"):
-            monitor_tail_convergence(coupled_traj, 1.0, math.nan)
+            monitor_tail_convergence(coupled_traj, *thresholds)
 
     def test_zero_window_is_valid(self, coupled_traj):
         entries = monitor_tail_convergence(coupled_traj, 0.0, 1e-2)

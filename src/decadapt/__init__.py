@@ -17,7 +17,6 @@ from .model import (
     TargetShaper,
     goal_drift,
     input_gain,
-    lie_derivative,
 )
 from .controller import ControlSingularityError, control
 from .adaptation import (
@@ -35,7 +34,6 @@ from .simulate import (
     IntegratorConfig,
     LoopTrajectory,
     Trajectory,
-    goal_attainment,
     integrate,
     integrate_loop,
     integrate_virtual,

@@ -9,6 +9,14 @@ potential Psi whose second-block gradient matches psi * (second-block
 gradient of alpha); this module validates supplied potentials and constructs
 them by quadrature in the single-coordinate case.  The reduced "virtual"
 update law, the numerical oracle of this algorithm, is `simulate.integrate_virtual`.
+
+`AdaptiveLoopSpec` draws REALIZABILITY_POINTS states of its spec box once:
+the gradient checks read the first GRAD_SAMPLE_POINTS of them at t = 0, the
+time-partial checks the same states with times evenly spaced over [0, 1],
+and the realizability check all of them at t = 0.  A smaller draw equals
+the first rows of a larger one, so each check sees the samples a draw of
+its own would give.  `check_poincare` takes its samples from the certify
+pass, which draws POINCARE_POINTS states of each loop's box.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    DEFAULT_SAMPLE_SEED,
     Constant,
     DomainBox,
     GoalFunction,
@@ -28,6 +35,7 @@ from .model import (
     TargetShaper,
     _evaluate_samples,
     _moved,
+    _require_finite,
     _worst,
     check_gradient,
     check_time_derivative,
@@ -37,9 +45,11 @@ from .report import CertificateEntry, entry_from_margin
 
 REALIZABILITY_TOL = 1e-7
 REALIZABILITY_POINTS = 200
+GRAD_SAMPLE_POINTS = 100
 SINGLE_COORD_TOL = 1e-9
 POINCARE_TOL = 1e-6
 POINCARE_FD_STEP = 1e-4
+POINCARE_POINTS = 50
 QUADRATURE_ABS_TOL = 1e-10
 POTENTIAL_CHECK_POINTS = 50
 GAMMA_SYMMETRY_TOL = 1e-12
@@ -71,17 +81,10 @@ def zero_potential(dim: int, n: int) -> AuxiliaryPotential:
     return AuxiliaryPotential(value=val, grad_state=Constant(((0.0,) * n,) * dim), d_time=val)
 
 
-def realizability_residual(
-    potential: AuxiliaryPotential,
-    goal: GoalFunction,
-    param: Parametrization,
-    layout,
-    box: DomainBox,
-    n_points: int = REALIZABILITY_POINTS,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    time_value: float = 0.0,
-) -> float:
-    """Worst absolute violation of the realizability identity on box samples.
+def realizability_residual(potential: AuxiliaryPotential, goal: GoalFunction,
+                           param: Parametrization, layout, states: np.ndarray,
+                           times: np.ndarray) -> float:
+    """Worst absolute violation of the realizability identity at `states` (N, n), `times` (N).
 
     A non-finite violation is the worst, inf.
     """
@@ -90,8 +93,7 @@ def realizability_residual(
         ga, gp = param.grad_state(state, t), potential.grad_state(state, t)
         return [b[j] - psi * a[j] for a, b in zip(ga, gp) for j in range(layout.q, layout.n)]
 
-    samples = (box.sample(n_points, seed=seed), np.full(n_points, float(time_value)))
-    return _evaluate_samples(terms, samples, _worst)[1][0]
+    return _evaluate_samples(terms, (states, times), _worst)[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +101,14 @@ class AdaptiveLoopSpec:
     """One subsystem with everything its adaptive controller needs.
 
     Construction validates the pieces against each other: the adaptation
-    gain matrix must be symmetric positive definite, analytic gradients of
-    the goal function and parametrization (and their time partials, for t
-    in [0, 1]) must match finite differences on the subsystem's domain box,
-    and the auxiliary potential must satisfy the realizability identity
-    there.  The worst relative gradient errors and the realizability
-    residual found are kept, so certification reports them without
-    sampling the box again.
+    gain matrix must be finite, symmetric and positive definite, analytic
+    gradients of the goal function and parametrization (and their time
+    partials, for t in [0, 1]) must match finite differences on the
+    subsystem's domain box, and the auxiliary potential must satisfy the
+    realizability identity there.  All of these checks read one draw of the
+    box (see the module docstring).  The worst relative gradient errors and
+    the realizability residual found are kept, so certification reports
+    them without sampling the box again.
     """
 
     spec: SubsystemSpec
@@ -128,6 +131,7 @@ class AdaptiveLoopSpec:
         d = self.param.dim
         if gain.shape != (d, d):
             raise ValueError(f"gain must be {d}x{d}, got shape {gain.shape}")
+        _require_finite(gain=float(np.max(np.abs(gain))))
         if np.max(np.abs(gain - gain.T)) > GAMMA_SYMMETRY_TOL:
             raise ValueError("gain matrix must be symmetric")
         eigs = np.linalg.eigvalsh(gain)
@@ -135,14 +139,17 @@ class AdaptiveLoopSpec:
             raise ValueError(f"gain matrix must be positive definite, eigenvalues {eigs}")
         object.__setattr__(self, "gain", gain)
 
-        box = self.spec.box
+        states = self.spec.box.sample(REALIZABILITY_POINTS)
+        head, at_rest = states[:GRAD_SAMPLE_POINTS], np.zeros(GRAD_SAMPLE_POINTS)
+        ramp = np.linspace(0.0, 1.0, GRAD_SAMPLE_POINTS)
         object.__setattr__(self, "goal_grad_error",
-                           check_gradient(self.goal.psi, self.goal.grad_state, box))
+                           check_gradient(self.goal.psi, self.goal.grad_state, head, at_rest))
         object.__setattr__(self, "alpha_grad_error",
-                           check_gradient(self.param.alpha, self.param.grad_state, box))
-        check_time_derivative(self.goal.psi, self.goal.d_time, box)
-        check_time_derivative(self.param.alpha, self.param.d_time, box)
-        res = realizability_residual(self.potential, self.goal, self.param, self.spec.layout, box)
+                           check_gradient(self.param.alpha, self.param.grad_state, head, at_rest))
+        check_time_derivative(self.goal.psi, self.goal.d_time, head, ramp)
+        check_time_derivative(self.param.alpha, self.param.d_time, head, ramp)
+        res = realizability_residual(self.potential, self.goal, self.param, self.spec.layout,
+                                     states, np.zeros(REALIZABILITY_POINTS))
         if res > REALIZABILITY_TOL:
             raise ValueError(
                 f"auxiliary potential violates realizability: residual {res:.3e} "
@@ -316,15 +323,8 @@ def build_potential_single_coordinate(
     return AuxiliaryPotential(value=value, grad_state=grad_state, d_time=d_time)
 
 
-def check_poincare(
-    goal: GoalFunction,
-    param: Parametrization,
-    layout,
-    box: DomainBox,
-    n_samples: int = 50,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    time_value: float = 0.0,
-) -> CertificateEntry:
+def check_poincare(goal: GoalFunction, param: Parametrization, layout, states: np.ndarray,
+                   times: np.ndarray) -> CertificateEntry:
     """Test existence of an auxiliary potential via mixed-partial symmetry.
 
     For each alpha component, the Jacobian with respect to the second block
@@ -332,11 +332,10 @@ def check_poincare(
     symmetric; by the Poincare lemma this is necessary and sufficient for a
     potential to exist locally.  Second-order terms are formed by central
     differences of the analytic first derivatives, with step
-    1e-4 max(1, |coordinate|).  An asymmetry above POINCARE_TOL is reported
-    as a failing entry, not raised.
+    1e-4 max(1, |coordinate|), at `states` (N, n) and `times` (N).  An
+    asymmetry above POINCARE_TOL is reported as a failing entry, not raised.
     """
     q, p = layout.q, layout.p
-    pts = box.sample(n_samples, seed=seed)
 
     def field(state, t):  # psi times the second-block alpha partials, component-major
         psi = goal.psi(state, t)
@@ -349,10 +348,9 @@ def check_poincare(
         return [jac[l][i * p + k] - jac[k][i * p + l]
                 for i in range(param.dim) for k in range(p) for l in range(p)]
 
-    steps = POINCARE_FD_STEP * np.maximum(1.0, np.abs(pts[:, q:]))
-    samples = (pts, steps, np.full(n_samples, float(time_value)))
-    worst, at = _evaluate_samples(terms, samples, _worst)[1]
+    steps = POINCARE_FD_STEP * np.maximum(1.0, np.abs(states[:, q:]))
+    worst, at = _evaluate_samples(terms, (states, steps, times), _worst)[1]
     witness = {} if at is None else {
-        "state": pts[at[0]].tolist(), "component": at[1] // (p * p), "residual": worst,
+        "state": states[at[0]].tolist(), "component": at[1] // (p * p), "residual": worst,
     }
     return entry_from_margin("poincare-symmetry", POINCARE_TOL - worst, witness, POINCARE_TOL)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptation import (REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare,
+from .adaptation import (POINCARE_POINTS, REALIZABILITY_TOL, AdaptiveLoopSpec, check_poincare,
                          realizability_residual)
 from .interconnect import CoupledClosedLoop
 from .model import (
@@ -69,7 +69,7 @@ STEP_MONOTONE_TOL = 1e-8
 SCAN_LOWER = 1e-6
 SCAN_UPPER = 1e3
 SCAN_POINTS = 64
-PROBE_DELTAS = (1e-6, 1e-3, 1e-2, 0.1, 0.5)
+PROBE_DELTA = 1e-6
 LOOP_MONITOR_TOL = 1e-4  # tolerance of the adaptation-bound monitors in the certify pass
 
 
@@ -280,8 +280,12 @@ class SmallGainProblem:
     ratio_x / ratio_y the declared growth-constant ratios (upper over
     lower, hence >= 1), all finite.  For non-linear gains the condition is
     scanned over SCAN_POINTS logarithmically spaced amplitudes in
-    [SCAN_LOWER, SCAN_UPPER] with the finite family of linear probes
-    (1 + delta) * identity, delta in PROBE_DELTAS.
+    [SCAN_LOWER, SCAN_UPPER] with the linear probe (1 + PROBE_DELTA) *
+    identity on each of the loop's three junctions.  Every gain is
+    non-decreasing, so the composed map is non-decreasing in each probe's
+    delta: a larger delta on any junction only lowers the slack, and it
+    queries each gain at least as far out, so it leaves a table whenever
+    this probe does.  A small delta therefore decides the scan alone.
     """
 
     gain_x22: GainDescriptor
@@ -309,9 +313,12 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
     slope.
 
     General case: the composed amplitude map is scanned over a logarithmic
-    amplitude grid and the probe family; the pass verdict then certifies
-    the scanned range only, as recorded in the witness.  A tabulated gain
-    that does not cover the scan range yields an inconclusive entry.
+    amplitude grid with the probe (1 + PROBE_DELTA) * identity on all three
+    junctions, which has the best slack of any probe (see
+    SmallGainProblem); the pass verdict then certifies the scanned range
+    only, as recorded in the witness.  A tabulated gain that does not cover
+    the scan range yields an inconclusive entry whose reason names the
+    probe's query beyond the table.
     """
     if prob.gain_x22.is_linear and prob.gain_y22.is_linear:
         product = (
@@ -330,49 +337,25 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
         )
 
     deltas = np.geomspace(SCAN_LOWER, SCAN_UPPER, SCAN_POINTS)
+    grow = 1.0 + PROBE_DELTA
 
-    def composed(delta, d1, d2, d3):
-        s = (prob.ratio_x + 1.0) * delta
-        s = (1.0 + d2) * s
-        s = prob.gain_x22.evaluate(s)
-        s = prob.beta_x * s
-        s = (1.0 + d3) * s
-        s = (prob.ratio_y + 1.0) * s
-        s = (1.0 + d1) * s
-        s = prob.gain_y22.evaluate(s)
-        return prob.beta_y * s
+    def composed(delta):
+        s = prob.gain_x22.evaluate(grow * ((prob.ratio_x + 1.0) * delta))
+        s = grow * ((prob.ratio_y + 1.0) * (grow * (prob.beta_x * s)))
+        return prob.beta_y * prob.gain_y22.evaluate(s)
 
-    best = -np.inf
-    best_probe = None
-    last_range_error = None
-    for d1 in PROBE_DELTAS:
-        for d2 in PROBE_DELTAS:
-            for d3 in PROBE_DELTAS:
-                try:
-                    slack = min(
-                        (delta - composed(delta, d1, d2, d3)) / delta for delta in deltas
-                    )
-                except GainRangeError as err:
-                    last_range_error = err  # this probe needs more table; try others
-                    continue
-                if slack > best:
-                    best = slack
-                    best_probe = (d1, d2, d3)
-    if best_probe is None:
-        return CertificateEntry(
-            name="small-gain",
-            status=INCONCLUSIVE,
-            margin=0.0,
-            witness={"regime": "scanned", "reason": str(last_range_error)},
-            tolerance=0.0,
-        )
+    try:
+        slack = min((delta - composed(delta)) / delta for delta in deltas)
+    except GainRangeError as err:
+        return CertificateEntry(name="small-gain", status=INCONCLUSIVE, margin=0.0,
+                                witness={"regime": "scanned", "reason": str(err)}, tolerance=0.0)
     witness = {
         "regime": "scanned",
         "scan_range": [float(deltas[0]), float(deltas[-1])],
-        "probe": list(best_probe),
+        "probe": [PROBE_DELTA] * 3,
         "note": "pass certifies the scanned amplitude range only",
     }
-    return entry_from_margin("small-gain", float(best), witness, 0.0, strict=True)
+    return entry_from_margin("small-gain", float(slack), witness, 0.0, strict=True)
 
 
 def verify_coupling_bound(
@@ -456,7 +439,8 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
     """Full certification pass of a built system: assumption checks, small gain, monitors.
 
     Per loop (x, then y): the gradient errors and realizability residual
-    found when the loop was built, the Poincare symmetry, and the
+    found when the loop was built, the Poincare symmetry at t = 0 on
+    POINCARE_POINTS states drawn from the loop's spec box, and the
     monotonicity of the loop's own drift channel, `model.goal_drift` of its
     spec and goal, on its (state box, theta box) pair of `boxes`; one
     sample is drawn per distinct pair.  Then the small-gain condition of
@@ -482,8 +466,9 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
         res = loop.realizability_residual
         report.add(entry_from_margin(f"realizability-{tag}", REALIZABILITY_TOL - res,
                                      {"residual": res}, REALIZABILITY_TOL))
-        report.add(_renamed(check_poincare(loop.goal, loop.param, loop.spec.layout,
-                                           loop.spec.box), tag))
+        states = loop.spec.box.sample(POINCARE_POINTS)
+        report.add(_renamed(check_poincare(loop.goal, loop.param, loop.spec.layout, states,
+                                           np.zeros(POINCARE_POINTS)), tag))
 
     draws = {}
     for (tag, loop, _), (state_box, theta_box) in zip(loops, boxes, strict=True):

@@ -19,6 +19,14 @@ first calls its callables once with tuples of sample-column arrays, and
 walks the samples on plain-float tuples when that call raises TypeError or
 ValueError or its results differ bit for bit from the plain-float call at
 a spot-checked sample.
+
+The checks take the states (N, n) and times (N) they evaluate; their
+callers make the draws.  `AdaptiveLoopSpec` draws its spec box once at
+construction, for the gradient, time-partial and realizability checks;
+`certify.certify_closed_loop` draws each loop's Poincare sample, and one
+monotonicity sample (`joint_sample`) per distinct box pair; and
+`build_potential_single_coordinate` draws its own scan.  Every box draw
+goes through `DomainBox.sample`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ DEFAULT_SAMPLE_SEED = 0
 
 GRAD_REL_TOL = 1e-5
 GRAD_ABS_TOL = 1e-8
-GRAD_SAMPLE_POINTS = 100
 
 
 class DimensionMismatchError(ValueError):
@@ -388,6 +395,7 @@ class TargetShaper:
         1/rate; the offset accounts for an initial condition no larger than
         `psi0_bound`.
         """
+        _require_finite(rate=rate, psi0_bound=psi0_bound)
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
         if psi0_bound < 0:
@@ -400,20 +408,6 @@ class TargetShaper:
             phi=phi,
             gain_l2_from_l2=GainDescriptor.linear(psi0_bound / math.sqrt(2.0 * rate), 1.0 / rate),
         )
-
-
-def lie_derivative(fld: Callable, grad_slice: Callable, state, t: float) -> float:
-    """Derivative of a scalar function along a sub-block vector field.
-
-    `fld(state, t)` must return the field values over one partition block and
-    `grad_slice(state, t)` the matching block of the scalar function's state
-    gradient.  The result is their exact dot product.
-    """
-    f = fld(state, t)
-    g = grad_slice(state, t)
-    if len(f) != len(g):
-        raise DimensionMismatchError("lie_derivative field vs gradient slice", len(g), len(f))
-    return _dot(g, f)
 
 
 def goal_drift(spec: SubsystemSpec, goal: GoalFunction, state, theta, t: float) -> float:
@@ -536,33 +530,25 @@ def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.n
     return worst, None if at is None else (at[0], at[1] % k, coords[at[1] // k])
 
 
-def check_gradient(
-    fn: Callable,
-    grad_fn: Callable,
-    box: DomainBox,
-    n_points: int = GRAD_SAMPLE_POINTS,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    time_value: float = 0.0,
-    raise_on_fail: bool = True,
-) -> float:
+def check_gradient(fn: Callable, grad_fn: Callable, states: np.ndarray, times: np.ndarray,
+                   raise_on_fail: bool = True) -> float:
     """Compare analytic state partials with five-point central differences.
 
     `fn(state, t)` may be scalar or vector valued; `grad_fn` must return the
     matching gradient (length n) or Jacobian (out_dim, n).  Returns the worst
-    relative error over quasi-random box points, where the relative scale
-    floors at GRAD_ABS_TOL / GRAD_REL_TOL so that near-zero partials are
-    judged absolutely; a non-finite error is the worst, inf.  Raises
-    GradientCheckError beyond GRAD_REL_TOL unless raise_on_fail is cleared
-    (certification drivers turn the result into a report entry instead).
+    relative error over the samples, `states` (N, n) at `times` (N), where
+    the relative scale floors at GRAD_ABS_TOL / GRAD_REL_TOL so that
+    near-zero partials are judged absolutely; a non-finite error is the
+    worst, inf.  Raises GradientCheckError beyond GRAD_REL_TOL unless
+    raise_on_fail is cleared (certification drivers turn the result into a
+    report entry instead).
     """
-    pts = box.sample(n_points, seed=seed)
-    worst, at = _five_point(fn, grad_fn, pts, np.full(n_points, float(time_value)),
-                            list(range(box.dim)))
+    worst, at = _five_point(fn, grad_fn, states, times, list(range(states.shape[1])))
     if worst > GRAD_REL_TOL and raise_on_fail:
         row, i, j = at
         raise GradientCheckError(
             f"analytic partial ({i},{j}) disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e}) at state {pts[row].tolist()}"
+            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e}) at state {states[row].tolist()}"
         )
     return worst
 
@@ -571,26 +557,18 @@ class GradientCheckError(ValueError):
     """Analytic derivatives disagree with finite differences on the domain box."""
 
 
-def check_time_derivative(
-    fn: Callable,
-    dt_fn: Callable,
-    box: DomainBox,
-    n_points: int = GRAD_SAMPLE_POINTS,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    time_range: tuple = (0.0, 1.0),
-) -> float:
+def check_time_derivative(fn: Callable, dt_fn: Callable, states: np.ndarray,
+                          times: np.ndarray) -> float:
     """Same check as `check_gradient` for the partial with respect to time.
 
-    Times are evenly spaced over `time_range`, with step 1e-3 max(1, |t|).
+    The time step is 1e-3 max(1, |t|).
     """
-    pts = box.sample(n_points, seed=seed)
-    times = np.linspace(time_range[0], time_range[1], n_points)
-    vector = np.ndim(dt_fn(tuple(pts[0].tolist()), float(times[0]))) == 1
+    vector = np.ndim(dt_fn(tuple(states[0].tolist()), float(times[0]))) == 1
 
     def partial(state, t):  # as a gradient or Jacobian with t the only coordinate
         return [[v] for v in dt_fn(state, t)] if vector else [dt_fn(state, t)]
 
-    worst, _ = _five_point(fn, partial, pts, times, [box.dim])
+    worst, _ = _five_point(fn, partial, states, times, [states.shape[1]])
     if worst > GRAD_REL_TOL:
         raise GradientCheckError(
             f"analytic time partial disagrees with finite differences by relative "

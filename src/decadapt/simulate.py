@@ -546,34 +546,6 @@ def integrate_virtual(
                              status=status)
 
 
-def first_attainment_time(t: np.ndarray, values: np.ndarray, threshold: float,
-                          window: float = 0.0):
-    """Earliest logged time from which |values| stays within threshold.
-
-    Requires at least `window` time units of trailing data to support the
-    claim; returns None when no suffix qualifies.
-    """
-    t = np.asarray(t, dtype=float)
-    v = np.abs(np.asarray(values, dtype=float))
-    suffix_max = np.maximum.accumulate(v[::-1])[::-1]
-    ok = (suffix_max <= threshold) & (t <= t[-1] - window + 1e-15)
-    idx = np.nonzero(ok)[0]
-    return float(t[idx[0]]) if idx.size else None
-
-
-def goal_attainment(traj: Trajectory, eps_x: float, eps_y: float, window: float = 0.0):
-    """Earliest logged time from which both goal errors stay within bounds.
-
-    Returns None if the trajectory never settles (or did not complete with
-    enough trailing data).
-    """
-    tx = first_attainment_time(traj.t, traj.loops["x"].psi, eps_x, window)
-    ty = first_attainment_time(traj.t, traj.loops["y"].psi, eps_y, window)
-    if tx is None or ty is None:
-        return None
-    return max(tx, ty)
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Export a coupled trajectory as CSV with 17-significant-digit floats."""
     lx, ly = traj.loops["x"], traj.loops["y"]

@@ -31,8 +31,10 @@ from decadapt import (
     monotonicity_sample,
     verify_monotonicity,
 )
+from decadapt.adaptation import POINCARE_POINTS
 from decadapt.model import check_gradient
 from decadapt.simulate import STATUS_COMPLETED, zero_disturbance
+from tests.test_model import drawn
 from tests.test_simulate import decay_error
 
 
@@ -226,7 +228,7 @@ def test_criterion_7_poincare_checker():
     sc = OscillatorScenario()
     sys = build_oscillator(sc)
     osc = check_poincare(sys.loop_x.goal, sys.loop_x.param, sys.loop_x.spec.layout,
-                         sys.loop_x.spec.box)
+                         *drawn(sys.loop_x.spec.box, POINCARE_POINTS))
 
     layout2 = PartitionLayout(q=0, p=2)
     box2 = DomainBox((-2.0, -2.0), (2.0, 2.0))
@@ -241,7 +243,7 @@ def test_criterion_7_poincare_checker():
         d_time=lambda s, t: (0.0,),
         dim=1, growth_upper=1.0, growth_lower=1.0,
     )
-    single = check_poincare(single_goal, single_param, layout2, box2)
+    single = check_poincare(single_goal, single_param, layout2, *drawn(box2, POINCARE_POINTS))
 
     asym_goal = GoalFunction(
         psi=lambda s, t: s[0] + s[1],
@@ -254,7 +256,7 @@ def test_criterion_7_poincare_checker():
         d_time=lambda s, t: (0.0,),
         dim=1, growth_upper=1.0, growth_lower=1.0,
     )
-    asym = check_poincare(asym_goal, asym_param, layout2, box2)
+    asym = check_poincare(asym_goal, asym_param, layout2, *drawn(box2, POINCARE_POINTS))
 
     residual = asym.witness["residual"]
     ok = osc.passed and single.passed and (not asym.passed) and residual >= 0.9
@@ -274,9 +276,9 @@ def test_criterion_8_integrator_order_and_gradients():
     worst = 0.0
     for loop in (sys.loop_x, sys.loop_y):
         worst = max(worst, check_gradient(loop.goal.psi, loop.goal.grad_state,
-                                          loop.spec.box, raise_on_fail=False))
+                                          *drawn(loop.spec.box), raise_on_fail=False))
         worst = max(worst, check_gradient(loop.param.alpha, loop.param.grad_state,
-                                          loop.spec.box, raise_on_fail=False))
+                                          *drawn(loop.spec.box), raise_on_fail=False))
     ok = ratio >= 14.0 and worst <= 1e-5
     verdict(
         "criterion-8 integrator order and gradient fidelity", ok,

@@ -25,6 +25,8 @@ from decadapt import (
     zero_potential,
 )
 from decadapt.adaptation import (
+    POINCARE_POINTS,
+    REALIZABILITY_POINTS,
     PotentialConstructionError,
     _adaptive_simpson,
     realizability_residual,
@@ -32,7 +34,7 @@ from decadapt.adaptation import (
 from decadapt.controller import control
 from decadapt.model import GradientCheckError
 from decadapt.simulate import zero_disturbance
-from tests.test_model import GOAL, make_damping_spec
+from tests.test_model import GOAL, drawn, make_damping_spec
 
 
 def make_loop(gain=1.0, rate=2.0, growth=(1.5, 0.5)):
@@ -199,6 +201,12 @@ class TestAdaptiveLoopValidation:
         with pytest.raises(ValueError, match="positive definite"):
             make_loop(gain=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        # a NaN gain passed the symmetry and eigenvalue tests; inf passed with a RuntimeWarning
+        with pytest.raises(ValueError, match="gain must be finite"):
+            make_loop(gain=bad)
+
     def test_bad_goal_gradient_rejected(self):
         spec = make_damping_spec()
         bad_goal = GoalFunction(
@@ -268,7 +276,8 @@ class TestAdaptiveLoopValidation:
             grad_state=lambda s, t: ((0.0, float("nan")),),
             d_time=lambda s, t: (0.0,),
         )
-        args = (pot, loop.goal, loop.param, loop.spec.layout, loop.spec.box)
+        args = (pot, loop.goal, loop.param, loop.spec.layout,
+                *drawn(loop.spec.box, REALIZABILITY_POINTS))
         assert realizability_residual(*args) == math.inf
         with pytest.raises(ValueError, match="realizability"):
             replace(loop, potential=pot)
@@ -301,7 +310,8 @@ class TestPotentialConstruction:
         pot = build_potential_single_coordinate(GOAL, param, layout, box, coord_index=0)
         for state in [(-1.0, 0.5), (2.0, -2.0)]:
             assert tuple(pot.value(state, 0.0)) == (0.0,)
-            assert realizability_residual(pot, GOAL, param, layout, box) == 0.0
+            assert realizability_residual(pot, GOAL, param, layout,
+                                          *drawn(box, REALIZABILITY_POINTS)) == 0.0
 
     def test_quadratic_antiderivative(self):
         # psi = x2, alpha = x2: the potential is x2^2 / 2 up to a constant
@@ -322,7 +332,7 @@ class TestPotentialConstruction:
         for x2 in (0.0, 0.7, 1.9, 3.0):
             got = pot.value((0.0, x2), 0.0)[0]
             assert got == pytest.approx(0.5 * x2 * x2, abs=1e-9)
-        res = realizability_residual(pot, goal, param, layout, box)
+        res = realizability_residual(pot, goal, param, layout, *drawn(box, REALIZABILITY_POINTS))
         assert res <= 1e-7
 
     def test_constant_alpha_gives_zero(self):
@@ -534,7 +544,7 @@ class TestPoincare:
             d_time=lambda s, t: (0.0,),
             dim=1, growth_upper=1.5, growth_lower=0.5,
         )
-        entry = check_poincare(GOAL, param, layout, box)
+        entry = check_poincare(GOAL, param, layout, *drawn(box, POINCARE_POINTS))
         assert entry.passed
         assert entry.margin >= 0
 
@@ -552,7 +562,7 @@ class TestPoincare:
             d_time=lambda s, t: (0.0,),
             dim=1, growth_upper=1.0, growth_lower=1.0,
         )
-        entry = check_poincare(goal, param, layout, box)
+        entry = check_poincare(goal, param, layout, *drawn(box, POINCARE_POINTS))
         assert entry.passed
 
     def test_asymmetric_case_fails_with_unit_residual(self):
@@ -569,7 +579,7 @@ class TestPoincare:
             d_time=lambda s, t: (0.0,),
             dim=1, growth_upper=1.0, growth_lower=1.0,
         )
-        entry = check_poincare(goal, param, layout, box)
+        entry = check_poincare(goal, param, layout, *drawn(box, POINCARE_POINTS))
         assert not entry.passed
         assert entry.witness["residual"] == pytest.approx(1.0, abs=1e-6)
 
@@ -583,7 +593,7 @@ class TestPoincare:
             d_time=lambda s, t: (0.0,),
             dim=1, growth_upper=1.5, growth_lower=0.5,
         )
-        entry = check_poincare(GOAL, param, layout, box)
+        entry = check_poincare(GOAL, param, layout, *drawn(box, POINCARE_POINTS))
         assert not entry.passed
         assert entry.margin == -math.inf
         assert entry.witness["residual"] == math.inf

@@ -1,10 +1,11 @@
 import functools
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tests.test_adaptation as adaptation_tests
@@ -36,7 +37,7 @@ from decadapt import (
 )
 from decadapt import certify, model
 from decadapt.certify import GROWTH_REL_SLACK, RATIO_FLOOR, SIGN_CONDITION_TOL
-from decadapt.model import DEFAULT_SAMPLE_SEED, NonFiniteValueError, joint_sample
+from decadapt.model import DEFAULT_SAMPLE_SEED, GainRangeError, NonFiniteValueError, joint_sample
 from decadapt.report import (
     FAIL,
     INCONCLUSIVE,
@@ -271,6 +272,18 @@ def counting(f):
     return counted
 
 
+def counted_draws(monkeypatch):
+    """The list to which every later Halton draw appends its (dim, count)."""
+    draws, halton = [], model._scrambled_halton
+
+    def counted(dim, count, seed):
+        draws.append((dim, count))
+        return halton(dim, count, seed)
+
+    monkeypatch.setattr(model, "_scrambled_halton", counted)
+    return draws
+
+
 class TestMonotonicityMatchesRowLoop:
     """The column path and the per-sample walk reproduce the per-row numpy loop."""
 
@@ -402,17 +415,31 @@ class TestColumnDrift:
 
     def test_certify_draws_the_monotonicity_sample_once(self, monkeypatch):
         # both loops check the same boxes, count and seed: one joint draw serves both
-        draws, halton = [], model._scrambled_halton
-
-        def counting(dim, count, seed):
-            draws.append((dim, count))
-            return halton(dim, count, seed)
-
-        monkeypatch.setattr(model, "_scrambled_halton", counting)
+        draws = counted_draws(monkeypatch)
         sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=0.5))
         certify_oscillator(sc, n_monotonicity_samples=1234, tail_window=0.25,
                            tail_threshold=1e6)
         assert [d for d in draws if d[1] == 1234] == [(5, 1234)]
+
+
+class TestDraws:
+    """Where the sampled checks' Halton draws are made, and how many."""
+
+    def test_build_oscillator_draws_each_spec_box_once(self, monkeypatch):
+        # the gradient and time-partial checks read the first 100 rows of
+        # the realizability check's 200
+        draws = counted_draws(monkeypatch)
+        build_oscillator(OscillatorScenario())
+        assert draws == [(2, 200), (2, 200)]
+
+    def test_certify_pass_draws_five_times(self, monkeypatch):
+        # one spec-box draw per loop at build, one Poincare draw per loop,
+        # and one monotonicity draw for both loops' shared boxes
+        draws = counted_draws(monkeypatch)
+        sc = OscillatorScenario(integrator=IntegratorConfig(step=1e-3, t_final=0.5))
+        certify_oscillator(sc, n_monotonicity_samples=1234, tail_window=0.25,
+                           tail_threshold=1e6)
+        assert draws == [(2, 200), (2, 200), (2, 50), (2, 50), (5, 1234)]
 
 
 def nan_spec(edge, columns):
@@ -496,14 +523,8 @@ class TestCertifyClosedLoop:
                                    tail_window=0.5, tail_threshold=1e6)
 
     def test_full_report(self, monkeypatch):
-        draws, halton = [], model._scrambled_halton
-
-        def counted(dim, count, seed):
-            draws.append((dim, count))
-            return halton(dim, count, seed)
-
         sys = self.build()
-        monkeypatch.setattr(model, "_scrambled_halton", counted)
+        draws = counted_draws(monkeypatch)
         report, traj = self.certify(sys)
         assert traj.status == STATUS_COMPLETED
         # one draw per pair: state, theta, theta_alt and time coordinates
@@ -575,7 +596,78 @@ class TestSmallGainLinear:
         assert check_small_gain(with_offsets).passed
 
 
+def reference_small_gain(prob):
+    """The earlier scan of check_small_gain over 125 probe triples, kept as an oracle.
+
+    Each junction of the loop takes its own probe (1 + d) * identity, d in
+    PROBES; the best slack wins, and a probe that leaves a gain table is
+    skipped.  Scanned regime only.
+    """
+    deltas = np.geomspace(certify.SCAN_LOWER, certify.SCAN_UPPER, certify.SCAN_POINTS)
+
+    def composed(delta, d1, d2, d3):
+        s = (prob.ratio_x + 1.0) * delta
+        s = (1.0 + d2) * s
+        s = prob.gain_x22.evaluate(s)
+        s = prob.beta_x * s
+        s = (1.0 + d3) * s
+        s = (prob.ratio_y + 1.0) * s
+        s = (1.0 + d1) * s
+        s = prob.gain_y22.evaluate(s)
+        return prob.beta_y * s
+
+    best, best_probe, last_range_error = -np.inf, None, None
+    for d1, d2, d3 in itertools.product(PROBES, repeat=3):
+        try:
+            slack = min((delta - composed(delta, d1, d2, d3)) / delta for delta in deltas)
+        except GainRangeError as err:
+            last_range_error = err
+            continue
+        if slack > best:
+            best, best_probe = slack, (d1, d2, d3)
+    if best_probe is None:
+        return CertificateEntry(name="small-gain", status=INCONCLUSIVE, margin=0.0,
+                                witness={"regime": "scanned", "reason": str(last_range_error)})
+    witness = {"regime": "scanned", "scan_range": [float(deltas[0]), float(deltas[-1])],
+               "probe": list(best_probe), "note": "pass certifies the scanned amplitude range only"}
+    return entry_from_margin("small-gain", float(best), witness, 0.0, strict=True)
+
+
+PROBES = (1e-6, 1e-3, 1e-2, 0.1, 0.5)  # the probe deltas the scan once tried
+
+
+@st.composite
+def gains(draw):
+    """A linear or tabulated gain whose slopes lie in [0, 2], often with a zero offset."""
+    offset = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return GainDescriptor.linear(offset, draw(st.floats(0.0, 2.0)))
+    points = [(0.0, offset)]
+    for exponent, slope in draw(st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 2.0)),
+                                         min_size=1, max_size=3)):
+        x, y = points[-1]
+        points.append((x + 10.0**exponent, y + slope * 10.0**exponent))
+    return GainDescriptor.tabulated(points)
+
+
 class TestSmallGainScanned:
+    @settings(max_examples=40, deadline=None)
+    @given(gain_x=gains(), gain_y=gains(), beta_x=st.floats(0.0, 2.0),
+           beta_y=st.floats(0.0, 2.0), ratio_x=st.floats(1.0, 4.0), ratio_y=st.floats(1.0, 4.0))
+    def test_one_probe_matches_probe_family(self, gain_x, gain_y, beta_x, beta_y, ratio_x,
+                                            ratio_y):
+        # every gain is non-decreasing, so the smallest probe on all three
+        # junctions has the best slack, and leaves a table only when every
+        # probe does; the inconclusive reason now names its own query
+        assume(not (gain_x.is_linear and gain_y.is_linear))
+        prob = SmallGainProblem(gain_x, gain_y, beta_x, beta_y, ratio_x, ratio_y)
+        got, want = check_small_gain(prob), reference_small_gain(prob)
+        assert (got.status, got.margin.hex()) == (want.status, want.margin.hex())
+        if got.status == INCONCLUSIVE:
+            assert got.witness.pop("reason").startswith("gain table covers inputs up to")
+            want.witness.pop("reason")
+        assert got.witness == want.witness
+
     def test_tabulated_gain_pass(self):
         prob = SmallGainProblem(
             gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (1e4, 4e3)]),

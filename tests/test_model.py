@@ -15,8 +15,8 @@ from decadapt import (
     TargetShaper,
     goal_drift,
     input_gain,
-    lie_derivative,
 )
+from decadapt.adaptation import GRAD_SAMPLE_POINTS
 from decadapt.model import (
     DimensionMismatchError,
     GainRangeError,
@@ -26,6 +26,14 @@ from decadapt.model import (
     check_time_derivative,
     joint_sample,
 )
+
+
+def drawn(box, n=GRAD_SAMPLE_POINTS, times=0.0):
+    """(states, times) of an n-point draw of box, the arguments of a sampled check.
+
+    `times` is one time for every sample or one per sample.
+    """
+    return box.sample(n), np.full(n, times)
 
 
 def make_damping_spec(wobble=0.5, offset=1.0, box=None):
@@ -109,44 +117,10 @@ class TestDomainBox:
 
 
 class TestLieDerivative:
-    def test_zero_field(self):
-        val = lie_derivative(
-            lambda s, t: (0.0, 0.0), lambda s, t: (3.0, -7.0), (1.0, 2.0), 0.0
-        )
-        assert val == 0.0
-
-    def test_oscillator_first_block(self):
-        # psi = x1 + x2, first-block field is the velocity: derivative is x2
-        val = lie_derivative(
-            lambda s, t: (s[1],), lambda s, t: (1.0,), (3.0, -2.0), 0.0
-        )
-        assert val == -2.0
-
     def test_unit_input_gain(self):
         spec = make_damping_spec()
         for state in [(-1.0, 0.0), (2.0, 3.0), (0.0, 0.0)]:
             assert input_gain(spec, GOAL, state, 0.0) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            lie_derivative(lambda s, t: (1.0, 2.0), lambda s, t: (1.0,), (0.0,), 0.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=st.floats(-10, 10), b=st.floats(-10, 10),
-        f1=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        f2=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-        g=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-    )
-    def test_bilinear(self, a, b, f1, f2, g):
-        grad = lambda s, t: g
-        combo = lie_derivative(
-            lambda s, t: tuple(a * u + b * v for u, v in zip(f1, f2)), grad, (0.0, 0.0), 0.0
-        )
-        parts = a * lie_derivative(lambda s, t: f1, grad, (0.0, 0.0), 0.0) + b * lie_derivative(
-            lambda s, t: f2, grad, (0.0, 0.0), 0.0
-        )
-        assert combo == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 
 class TestGoalDrift:
@@ -208,13 +182,16 @@ class TestGoalDrift:
         assert len(inspect.signature(spec.f2).parameters) == 3
 
 
+RAMP = np.linspace(0.0, 1.0, GRAD_SAMPLE_POINTS)  # the time-partial checks' times
+
+
 class TestGradientChecks:
     def test_accepts_correct_gradient(self):
         box = DomainBox((-2.0, -2.0), (2.0, 2.0))
         worst = check_gradient(
             lambda s, t: s[0] ** 2 + math.sin(s[1]),
             lambda s, t: (2.0 * s[0], math.cos(s[1])),
-            box,
+            *drawn(box),
         )
         assert worst <= 1e-5
 
@@ -224,7 +201,7 @@ class TestGradientChecks:
             check_gradient(
                 lambda s, t: s[0] ** 2 + math.sin(s[1]),
                 lambda s, t: (2.0 * s[0], -math.cos(s[1])),
-                box,
+                *drawn(box),
             )
 
     def test_vector_valued(self):
@@ -232,26 +209,29 @@ class TestGradientChecks:
         worst = check_gradient(
             lambda s, t: (s[0] * s[1], s[0] ** 3),
             lambda s, t: ((s[1], s[0]), (3 * s[0] ** 2, 0.0)),
-            box,
+            *drawn(box),
         )
         assert worst <= 1e-5
 
     def test_time_partial(self):
         box = DomainBox((-1.0,), (1.0,))
         worst = check_time_derivative(
-            lambda s, t: s[0] * math.exp(-t), lambda s, t: -s[0] * math.exp(-t), box
+            lambda s, t: s[0] * math.exp(-t), lambda s, t: -s[0] * math.exp(-t),
+            *drawn(box, times=RAMP),
         )
         assert worst <= 1e-5
 
     def test_rejects_wrong_time_partial(self):
         box = DomainBox((-1.0, -1.0), (1.0, 1.0))
         with pytest.raises(GradientCheckError, match="time partial"):
-            check_time_derivative(lambda s, t: s[0] + s[1] + math.sin(t), lambda s, t: 0.0, box)
+            check_time_derivative(lambda s, t: s[0] + s[1] + math.sin(t), lambda s, t: 0.0,
+                                  *drawn(box, times=RAMP))
 
     def test_vector_time_partial(self):
         box = DomainBox((-1.0,), (1.0,))
         worst = check_time_derivative(
-            lambda s, t: (s[0] * t, t * t), lambda s, t: (s[0], 2.0 * t), box
+            lambda s, t: (s[0] * t, t * t), lambda s, t: (s[0], 2.0 * t),
+            *drawn(box, times=RAMP),
         )
         assert worst <= 1e-5
 
@@ -266,18 +246,19 @@ class TestNonFiniteGradients:
 
     @pytest.mark.parametrize("partial", [NAN, INF, -INF])
     def test_non_finite_partial_fails(self, partial):
-        args = (lambda s, t: s[0] ** 2 + s[1], lambda s, t: (partial, 1.0), self.BOX)
+        args = (lambda s, t: s[0] ** 2 + s[1], lambda s, t: (partial, 1.0), *drawn(self.BOX))
         with pytest.raises(GradientCheckError, match="relative error inf"):
             check_gradient(*args)
         assert check_gradient(*args, raise_on_fail=False) == INF
 
     def test_nan_valued_function_fails(self):
         with pytest.raises(GradientCheckError, match="relative error inf"):
-            check_gradient(lambda s, t: NAN, lambda s, t: (0.0, 0.0), self.BOX)
+            check_gradient(lambda s, t: NAN, lambda s, t: (0.0, 0.0), *drawn(self.BOX))
 
     def test_nan_time_partial_fails(self):
         with pytest.raises(GradientCheckError, match="relative error inf"):
-            check_time_derivative(lambda s, t: s[0], lambda s, t: NAN, self.BOX)
+            check_time_derivative(lambda s, t: s[0], lambda s, t: NAN,
+                                  *drawn(self.BOX, times=RAMP))
 
     def test_first_non_finite_sample_is_the_witness(self):
         # finite errors everywhere except a NaN partial on part of the box
@@ -286,7 +267,7 @@ class TestNonFiniteGradients:
 
         first = next(row for row in self.BOX.sample(100) if row[0] > 1.0)
         with pytest.raises(GradientCheckError) as exc:
-            check_gradient(lambda s, t: s[0] ** 2 + s[1], grad, self.BOX)
+            check_gradient(lambda s, t: s[0] ** 2 + s[1], grad, *drawn(self.BOX))
         assert str(first.tolist()) in str(exc.value)
 
 
@@ -362,6 +343,14 @@ class TestTargetShaper:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             TargetShaper.linear(0.0)
+
+    @pytest.mark.parametrize("rate, psi0_bound, name", [
+        (math.inf, 0.0, "rate"), (math.nan, 0.0, "rate"), (2.0, math.inf, "psi0_bound"),
+    ])
+    def test_non_finite_arguments_rejected(self, rate, psi0_bound, name):
+        # an infinite rate would declare the zero gain slope 1/inf
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TargetShaper.linear(rate, psi0_bound)
 
 
 class TestParametrization:

@@ -26,12 +26,17 @@ from decadapt import (
     build_oscillator,
     check_poincare,
 )
-from decadapt.adaptation import POINCARE_TOL, realizability_residual
+from decadapt.adaptation import (
+    GRAD_SAMPLE_POINTS,
+    POINCARE_POINTS,
+    POINCARE_TOL,
+    REALIZABILITY_POINTS,
+    realizability_residual,
+)
 from decadapt.model import (
     DEFAULT_SAMPLE_SEED,
     GRAD_ABS_TOL,
     GRAD_REL_TOL,
-    GRAD_SAMPLE_POINTS,
     GradientCheckError,
     check_gradient,
     check_time_derivative,
@@ -41,44 +46,35 @@ from decadapt.report import entry_from_margin
 from tests.test_certify import counting
 
 
-def reference_gradient(
-    fn, grad_fn, box, n_points=GRAD_SAMPLE_POINTS, rel_tol=GRAD_REL_TOL,
-    abs_tol=GRAD_ABS_TOL, seed=DEFAULT_SAMPLE_SEED, time_value=0.0, raise_on_fail=True,
-):
+def reference_gradient(fn, grad_fn, states, times, raise_on_fail=True):
     """The earlier per-row loop of check_gradient, kept as an oracle."""
-    pts = box.sample(n_points, seed=seed)
     worst = 0.0
     worst_at = None
-    for row in pts:
-        analytic = np.atleast_2d(np.asarray(grad_fn(row, time_value), dtype=float))
-        for j in range(box.dim):
+    for row, t in zip(states, times):
+        analytic = np.atleast_2d(np.asarray(grad_fn(row, t), dtype=float))
+        for j in range(states.shape[1]):
             h = 1e-3 * max(1.0, abs(row[j]))
-            fd = np.atleast_1d(fd_state_partial(fn, row, j, time_value, h))
+            fd = np.atleast_1d(fd_state_partial(fn, row, j, t, h))
             for i in range(analytic.shape[0]):
-                scale = max(abs(fd[i]), abs(analytic[i, j]), abs_tol / rel_tol)
+                scale = max(abs(fd[i]), abs(analytic[i, j]), GRAD_ABS_TOL / GRAD_REL_TOL)
                 err = abs(analytic[i, j] - fd[i]) / scale
                 if err > worst:
                     worst = err
                     worst_at = (row.copy(), i, j)
-    if worst > rel_tol and raise_on_fail:
+    if worst > GRAD_REL_TOL and raise_on_fail:
         row, i, j = worst_at
         raise GradientCheckError(
             f"analytic partial ({i},{j}) disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {rel_tol:.1e}) at state {row.tolist()}"
+            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e}) at state {row.tolist()}"
         )
     return worst
 
 
-def reference_time_derivative(
-    fn, dt_fn, box, n_points=GRAD_SAMPLE_POINTS, rel_tol=GRAD_REL_TOL,
-    abs_tol=GRAD_ABS_TOL, seed=DEFAULT_SAMPLE_SEED, time_range=(0.0, 1.0),
-):
+def reference_time_derivative(fn, dt_fn, states, times):
     """The earlier per-row loop of check_time_derivative, kept as an oracle."""
-    pts = box.sample(n_points, seed=seed)
-    ts = np.linspace(time_range[0], time_range[1], n_points)
     worst = 0.0
     h = 1e-3
-    for row, t in zip(pts, ts):
+    for row, t in zip(states, times):
         analytic = np.atleast_1d(np.asarray(dt_fn(row, t), dtype=float))
         fd = (
             -np.asarray(fn(row, t + 2 * h), dtype=float)
@@ -88,35 +84,33 @@ def reference_time_derivative(
         ) / (12.0 * h)
         fd = np.atleast_1d(fd)
         for i, (a, b) in enumerate(zip(analytic, fd)):
-            scale = max(abs(a), abs(b), abs_tol / rel_tol)
+            scale = max(abs(a), abs(b), GRAD_ABS_TOL / GRAD_REL_TOL)
             err = abs(a - b) / scale
             if err > worst:
                 worst = err
-    if worst > rel_tol:
+    if worst > GRAD_REL_TOL:
         raise GradientCheckError(
             f"analytic time partial disagrees with finite differences by relative "
-            f"error {worst:.3e} (tolerance {rel_tol:.1e})"
+            f"error {worst:.3e} (tolerance {GRAD_REL_TOL:.1e})"
         )
     return worst
 
 
-def reference_realizability(potential, goal, param, layout, box, n_points=200,
-                            seed=DEFAULT_SAMPLE_SEED, time_value=0.0):
+def reference_realizability(potential, goal, param, layout, states, times):
     """The earlier per-row loop of realizability_residual, kept as an oracle."""
     q = layout.q
     worst = 0.0
-    for row in box.sample(n_points, seed=seed):
-        psi = goal.psi(row, time_value)
-        ga = np.asarray(param.grad_state(row, time_value), dtype=float)
-        gp = np.asarray(potential.grad_state(row, time_value), dtype=float)
+    for row, t in zip(states, times):
+        psi = goal.psi(row, t)
+        ga = np.asarray(param.grad_state(row, t), dtype=float)
+        gp = np.asarray(potential.grad_state(row, t), dtype=float)
         res = np.max(np.abs(gp[:, q:] - psi * ga[:, q:]))
         if res > worst:
             worst = float(res)
     return worst
 
 
-def reference_poincare(goal, param, layout, box, n_samples=50, tol=POINCARE_TOL,
-                       seed=DEFAULT_SAMPLE_SEED, time_value=0.0, fd_step=1e-4):
+def reference_poincare(goal, param, layout, states, times, fd_step=1e-4):
     """The earlier per-row loop of check_poincare, kept as an oracle."""
     q, p = layout.q, layout.p
     worst = 0.0
@@ -129,7 +123,7 @@ def reference_poincare(goal, param, layout, box, n_samples=50, tol=POINCARE_TOL,
 
         return comp
 
-    for row in box.sample(n_samples, seed=seed):
+    for row, t in zip(states, times):
         row = row.astype(float)
         for i in range(param.dim):
             comp = field_component(i)
@@ -140,7 +134,7 @@ def reference_poincare(goal, param, layout, box, n_samples=50, tol=POINCARE_TOL,
                 plus[q + l] += h
                 minus = row.copy()
                 minus[q + l] -= h
-                jac[:, l] = (comp(plus, time_value) - comp(minus, time_value)) / (2.0 * h)
+                jac[:, l] = (comp(plus, t) - comp(minus, t)) / (2.0 * h)
             res = float(np.max(np.abs(jac - jac.T)))
             if res > worst:
                 worst = res
@@ -149,7 +143,7 @@ def reference_poincare(goal, param, layout, box, n_samples=50, tol=POINCARE_TOL,
                     "component": i,
                     "residual": res,
                 }
-    return entry_from_margin("poincare-symmetry", tol - worst, witness, tol)
+    return entry_from_margin("poincare-symmetry", POINCARE_TOL - worst, witness, POINCARE_TOL)
 
 
 def scalar_only(f):
@@ -164,10 +158,10 @@ def scalar_only(f):
     return plain
 
 
-def outcome(check, *args, **kwargs):
+def outcome(check, *args):
     """A check's result as comparable data: value bits, entry fields or error text."""
     try:
-        got = check(*args, **kwargs)
+        got = check(*args)
     except GradientCheckError as err:
         return "raised", str(err)
     if isinstance(got, float):
@@ -269,26 +263,45 @@ def walked_poincare_args(goal, param, layout, box):
     return scalar_goal(goal), scalar_param(param), layout, box
 
 
-# (check, oracle, cases, forced-walk arguments, name of the sample-count argument)
+# (check, oracle, cases, forced-walk arguments)
 CHECKS = {
     "gradient": (check_gradient, reference_gradient, GRADIENT_CASES,
-                 lambda fn, grad, box: (scalar_only(fn), scalar_only(grad), box), "n_points"),
+                 lambda fn, grad, box: (scalar_only(fn), scalar_only(grad), box)),
     "time": (check_time_derivative, reference_time_derivative, TIME_CASES,
-             lambda fn, dt, box: (scalar_only(fn), scalar_only(dt), box), "n_points"),
+             lambda fn, dt, box: (scalar_only(fn), scalar_only(dt), box)),
     "realizability": (realizability_residual, reference_realizability, REALIZABILITY_CASES,
-                      walked_realizability_args, "n_points"),
-    "poincare": (check_poincare, reference_poincare, POINCARE_CASES, walked_poincare_args,
-                 "n_samples"),
+                      walked_realizability_args),
+    "poincare": (check_poincare, reference_poincare, POINCARE_CASES, walked_poincare_args),
 }
 CASE_IDS = [(check, case) for check, spec in CHECKS.items() for case in spec[2]]
+# the sample counts of the library's draws, in AdaptiveLoopSpec and in the certify pass
+POINTS = {"gradient": GRAD_SAMPLE_POINTS, "time": GRAD_SAMPLE_POINTS,
+          "realizability": REALIZABILITY_POINTS, "poincare": POINCARE_POINTS}
 
 
-def extra_kwargs(check, draw):
-    """Drawn time arguments for a check, in [-1, 1] where the time step is 1e-3."""
+def sampled(check, args, n=None, seed=DEFAULT_SAMPLE_SEED, times=None):
+    """A case's arguments with its box replaced by the (states, times) of an n-point draw.
+
+    By default n and the times are those of the library's own draw: the
+    time partial over [0, 1], every other check at t = 0.
+    """
+    *head, box = args
+    n = POINTS[check] if n is None else n
+    if times is None:
+        times = np.linspace(0.0, 1.0, n) if check == "time" else np.zeros(n)
+    return (*head, box.sample(n, seed=seed), times)
+
+
+def drawn_times(check, n, draw):
+    """Drawn times for an n-point check, in [-1, 1] where the time step is 1e-3.
+
+    The time partial takes an evenly spaced range, every other check one
+    time for all samples.
+    """
     if check == "time":
         a, b = sorted((draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
-        return {"time_range": (a, b)}
-    return {"time_value": draw(st.floats(-1.0, 1.0))}
+        return np.linspace(a, b, n)
+    return np.full(n, draw(st.floats(-1.0, 1.0)))
 
 
 class TestMatchesRowLoop:
@@ -296,12 +309,12 @@ class TestMatchesRowLoop:
 
     @pytest.mark.parametrize("check, case", CASE_IDS, ids=[f"{c}-{k}" for c, k in CASE_IDS])
     def test_default_settings(self, check, case):
-        fn, oracle, cases, _, _ = CHECKS[check]
-        args, _ = cases[case]
+        fn, oracle, cases, _ = CHECKS[check]
+        args = sampled(check, cases[case][0])
         assert outcome(fn, *args) == outcome(oracle, *args)
 
     def test_gradient_witness_without_raising(self):
-        args, _ = GRADIENT_CASES["wrong-gradient"]
+        args = sampled("gradient", GRADIENT_CASES["wrong-gradient"][0])
         got = check_gradient(*args, raise_on_fail=False)
         assert got == reference_gradient(*args, raise_on_fail=False) > GRAD_REL_TOL
 
@@ -313,23 +326,23 @@ class TestColumnsMatchWalk:
     @given(data=st.data())
     def test_bitwise_equal(self, data):
         check, case = data.draw(st.sampled_from(CASE_IDS))
-        fn, oracle, cases, walked, count = CHECKS[check]
+        fn, oracle, cases, walked = CHECKS[check]
         args, _ = cases[case]
-        kwargs = {count: data.draw(st.integers(1, 120)),
-                  "seed": data.draw(st.integers(0, 2**32 - 1)), **extra_kwargs(check, data.draw)}
-        got = outcome(fn, *args, **kwargs)
-        assert got == outcome(fn, *walked(*args), **kwargs)
-        assert got == outcome(oracle, *args, **kwargs)
+        n, seed = data.draw(st.integers(1, 120)), data.draw(st.integers(0, 2**32 - 1))
+        times = drawn_times(check, n, data.draw)
+        got = outcome(fn, *sampled(check, args, n, seed, times))
+        assert got == outcome(fn, *sampled(check, walked(*args), n, seed, times))
+        assert got == outcome(oracle, *sampled(check, args, n, seed, times))
 
     @pytest.mark.parametrize("check, case", CASE_IDS, ids=[f"{c}-{k}" for c, k in CASE_IDS])
     def test_path(self, check, case):
         # oscillator and product fixtures take the columns: a few calls on
         # columns and on the spot-checked rows; fixtures built on math.*
         # walk, at least one call per sample
-        fn, _, cases, _, count = CHECKS[check]
+        fn, _, cases, _ = CHECKS[check]
         args, path = cases[case]
         args, counted = counted_args(check, args)
-        outcome(fn, *args, **{count: 100})
+        outcome(fn, *sampled(check, args, 100))
         assert (counted.calls < 100) == (path == "columns"), counted.calls
 
 
@@ -348,7 +361,7 @@ class TestOscillatorOnColumns:
             potential = replace(loop.potential,
                                 grad_state=counting(loop.potential.grad_state))
             rebuilt = replace(loop, goal=goal, param=param, potential=potential)
-            check_poincare(goal, param, loop.spec.layout, loop.spec.box)
+            check_poincare(*sampled("poincare", (goal, param, loop.spec.layout, loop.spec.box)))
             assert rebuilt.goal_grad_error == loop.goal_grad_error
             assert rebuilt.alpha_grad_error == loop.alpha_grad_error
             counted = (goal.psi, goal.grad_state, goal.d_time, param.alpha,

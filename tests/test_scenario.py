@@ -17,9 +17,10 @@ from decadapt import (
     save_scenario,
     small_gain_problem,
 )
-from decadapt.adaptation import integral_state_rate, realizability_residual
+from decadapt.adaptation import REALIZABILITY_POINTS, integral_state_rate, realizability_residual
 from decadapt.model import check_gradient
 from decadapt.scenario import GROWTH_X, GROWTH_Y, coupling_offsets, damping
+from tests.test_model import drawn
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FLOAT_FIELDS = tuple(f.name for f in fields(OscillatorScenario) if f.name != "integrator")
@@ -107,12 +108,14 @@ class TestStoredValidation:
     def test_matches_fresh_checks(self, oscillator, tag):
         loop = oscillator.loop_x if tag == "x" else oscillator.loop_y
         box = loop.spec.box
-        assert loop.goal_grad_error == check_gradient(loop.goal.psi, loop.goal.grad_state, box)
+        assert loop.goal_grad_error == check_gradient(loop.goal.psi, loop.goal.grad_state,
+                                                      *drawn(box))
         assert loop.alpha_grad_error == check_gradient(
-            loop.param.alpha, loop.param.grad_state, box
+            loop.param.alpha, loop.param.grad_state, *drawn(box)
         )
         assert loop.realizability_residual == realizability_residual(
-            loop.potential, loop.goal, loop.param, loop.spec.layout, box
+            loop.potential, loop.goal, loop.param, loop.spec.layout,
+            *drawn(box, REALIZABILITY_POINTS)
         )
 
 

@@ -9,6 +9,7 @@ relies on.
 from .model import (
     Constant,
     DomainBox,
+    Formula,
     GainDescriptor,
     GoalFunction,
     Parametrization,

@@ -64,7 +64,7 @@ class AuxiliaryPotential:
     """Vector potential Psi(state, t) of the adaptation algorithm.
 
     value returns a length-d vector, grad_state a (d, n) array of state
-    partials, d_time a length-d vector; each may be a `Constant`.  A valid
+    partials, d_time a length-d vector.  A valid
     potential satisfies the realizability identity: its second-block
     partials equal psi times the second-block partials of alpha (checked at
     loop construction).

@@ -345,7 +345,8 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
         return prob.beta_y * prob.gain_y22.evaluate(s)
 
     try:
-        slack = min((delta - composed(delta)) / delta for delta in deltas)
+        with np.errstate(over="ignore"):  # a slack that overflows is -inf: the entry fails
+            slack = min((delta - composed(delta)) / delta for delta in deltas)
     except GainRangeError as err:
         return CertificateEntry(name="small-gain", status=INCONCLUSIVE, margin=0.0,
                                 witness={"regime": "scanned", "reason": str(err)}, tolerance=0.0)

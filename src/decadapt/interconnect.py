@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .adaptation import AdaptiveLoopSpec
-from .model import _require_finite
+from .model import Constant, _require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +47,7 @@ class Coupling:
 
 
 def zero_coupling(p_x: int, p_y: int) -> Coupling:
-    zx = tuple(0.0 for _ in range(p_x))
-    zy = tuple(0.0 for _ in range(p_y))
-    return Coupling(into_x2=lambda y, t: zx, into_y2=lambda x, t: zy,
-                    beta_into_x=0.0, beta_into_y=0.0)
+    return Coupling(into_x2=Constant((0.0,) * p_x), into_y2=Constant((0.0,) * p_y))
 
 
 @dataclass(frozen=True, eq=False)

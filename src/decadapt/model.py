@@ -5,9 +5,9 @@ coordinates is independent of the unknown parameters, the second block is
 not), a scalar goal function whose smallness encodes the control objective,
 a monotone parametrization of the uncertainty, and a target shaper that
 fixes the desired goal-error dynamics.  All maps are user-supplied callables
-together with user-supplied analytic derivatives; a finite-difference
-validator is run when specs are assembled into a loop, so there is no
-symbolic or automatic differentiation anywhere in the package.
+or `Formula`s together with user-supplied analytic derivatives; a
+finite-difference validator is run when specs are assembled into a loop, so
+there is no symbolic or automatic differentiation anywhere in the package.
 
 Vector-valued callables may return any sequence of floats (list, tuple or
 1-D numpy array).  Scalar-valued callables must return a plain float.
@@ -31,6 +31,8 @@ goes through `DomainBox.sample`.
 
 from __future__ import annotations
 
+import ast
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,18 +63,122 @@ class NonFiniteValueError(ArithmeticError):
         self.value = value
 
 
-@dataclass(frozen=True, eq=False)
-class Constant:
-    """A map that ignores its arguments: Constant(value)(*args) -> value.
+FUNCTIONS = ("sin", "cos", "exp", "tanh", "sqrt")  # a Formula's calls, in `math` and `numpy` alike
+_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Tuple, ast.Constant, ast.Load, ast.Store, ast.Add,
+               ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
+_PARSED: dict = {}  # text -> (lambda AST, parameters, constants read, reads an argument, code)
 
-    Every check calls it like any map; the integrators read `value` once per
-    run.  The spec dataclasses name the fields that may be one.
+
+def _parse(text: str) -> tuple:
+    """The `_PARSED` entry of a formula text; a ValueError names the text and what is wrong."""
+    tree = ast.parse(text, mode="eval")
+    node = tree.body
+    a = getattr(node, "args", None)
+    if not isinstance(node, ast.Lambda) or a.kwonlyargs or a.kwarg or a.defaults:
+        raise ValueError(f"formula {text!r}: not a lambda with positional parameters only")
+    params, nodes = [x.arg for x in a.posonlyargs + a.args], list(ast.walk(node.body))
+    calls = {id(n.func): n for n in nodes if isinstance(n, ast.Call)}
+    names = {n.id: n for n in nodes if isinstance(n, ast.Name) and id(n) not in calls}
+    bound = {n.target.id for n in nodes if isinstance(n, ast.NamedExpr)}
+    for n in nodes:  # a `:=` name read before it is bound fails on the first call, inline too
+        if isinstance(n, ast.Name):
+            ok = (n.id in FUNCTIONS) == (id(n) in calls) and n.id not in bound & {
+                *params, *FUNCTIONS}
+        elif isinstance(n, ast.Subscript):
+            ok = isinstance(n.value, ast.Name) and n.value.id in params and isinstance(
+                n.slice, ast.Constant) and type(n.slice.value) is int and n.slice.value >= 0
+        elif isinstance(n, ast.Call):
+            ok = getattr(n.func, "id", None) not in params and len(n.args) == 1 and not \
+                n.keywords
+        else:
+            ok = isinstance(n, ast.NamedExpr) or isinstance(n, _ARITHMETIC) and type(
+                getattr(n, "value", 0.0)) in (int, float)
+        if not ok:
+            raise ValueError(f"formula {text!r} may not hold {type(n).__name__} "
+                             f"{ast.unparse(n)!r}")
+    free = sorted(names.keys() - {*params, *bound})
+    return node, params, free, bool(names.keys() & {*params}), compile(tree, "<formula>", "eval")
+
+
+class Formula:
+    """A map written as one lambda expression: Formula("lambda state, t: (c * state[0],)", c=2.0).
+
+    Its body holds only parameters, named finite float constants, int and
+    float literals, + - * / ** and unary minus, tuples, int-literal
+    subscripts of parameters, `:=` and calls of `FUNCTIONS`; construction
+    rejects anything else with a ValueError naming the formula.  Each text
+    is checked and compiled once.  A call runs `math`'s functions on floats,
+    and `numpy`'s on sample columns after a TypeError.  The integrators
+    write it into their runner instead.
     """
 
-    value: object
+    def __init__(self, text: str, **constants):
+        if text not in _PARSED:
+            _PARSED[text] = _parse(text)
+        self.text, (self.tree, self.params, self.free, self.reads, code) = text, _PARSED[text]
+        self.constants = {name: float(v) for name, v in constants.items()}
+        _require_finite(**{f"formula {text!r}: {k}": v for k, v in self.constants.items()})
+        unknown = [name for name in self.free if name not in constants]  # free is sorted
+        if unknown:
+            raise ValueError(f"formula {text!r}: name {unknown[0]!r} is not a parameter or "
+                             "a constant")
+        values = {name: self.constants[name] for name in self.free}
+        self._floats, self._columns = (eval(code, {f: getattr(m, f) for f in FUNCTIONS} | values)
+                                       for m in (math, np))
 
     def __call__(self, *args):
-        return self.value
+        try:
+            return self._floats(*args)
+        except TypeError:  # sample columns
+            return self._columns(*args)
+
+    def __getstate__(self):  # pickled as its text and constants; the compiled maps are rebuilt
+        return self.text, self.constants
+
+    def __setstate__(self, state):
+        Formula.__init__(self, state[0], **state[1])
+
+    def inline(self, args: list, prefix: str):
+        """The body's source with parameters replaced by their args, other names prefixed.
+
+        An arg is a scalar's source or a vector's element sources, which the
+        subscripts read; a wrong argument count or index is a ValueError.
+        """
+        k = len(self.params)
+        if len(args) < k or len(args) > k and not self.tree.args.vararg:
+            raise ValueError(f"formula {self.text!r} cannot take {len(args)} arguments")
+        args = dict(zip(self.params, args))
+
+        def sub(n):
+            if isinstance(n, ast.Subscript):
+                arg, i = args[n.value.id], n.slice.value
+                if isinstance(arg, str) or i >= len(arg):
+                    raise ValueError(f"formula {self.text!r}: {ast.unparse(n)} is out of range")
+                return ast.Name(arg[i])
+            if isinstance(n, ast.Name) and n.id not in FUNCTIONS:
+                arg = args.get(n.id, prefix + n.id)
+                return ast.Name(arg if isinstance(arg, str) else f"[{', '.join(arg)}]")
+            for field, value in ast.iter_fields(n):
+                setattr(n, field, [*map(sub, value)] if isinstance(value, list) else
+                        sub(value) if isinstance(value, ast.AST) else value)
+            return n
+
+        return ast.unparse(sub(copy.deepcopy(self.tree.body)))
+
+
+class Constant(Formula):
+    """The formula Constant(value)(*args) -> value, a float or nested float tuples."""
+
+    def __init__(self, value):
+        names = {}
+
+        def shape(v):  # c0 for a float, (c0, c1, ) for a pair
+            if isinstance(v, (tuple, list, np.ndarray)):
+                return f"({''.join(f'{shape(x)}, ' for x in v)})"
+            names[f"c{len(names)}"] = v
+            return f"c{len(names) - 1}"
+
+        super().__init__(f"lambda *args: {shape(value)}", **names)
 
 
 def _dot(a, b) -> float:
@@ -237,8 +343,8 @@ class SubsystemSpec:
     layout : PartitionLayout
     f1 : callable (state, t) -> sequence of length q
     f2 : callable (state, theta, t) -> sequence of length p
-    g1 : callable (state) -> sequence of length q, or a `Constant`
-    g2 : callable (state) -> sequence of length p, or a `Constant`
+    g1 : callable (state) -> sequence of length q
+    g2 : callable (state) -> sequence of length p
     param_dim : int, length of theta
     box : DomainBox of dimension q + p, the declared state domain
     """
@@ -263,8 +369,7 @@ class GoalFunction:
     """Scalar goal function psi(state, t) with analytic first derivatives.
 
     `grad_state` returns the length-n gradient with respect to the state,
-    `d_time` the partial derivative with respect to time.  `grad_state` and
-    `d_time` may be a `Constant`.
+    `d_time` the partial derivative with respect to time.
     """
 
     psi: Callable
@@ -282,7 +387,7 @@ class Parametrization:
     are declared here and checked empirically by the certify module.
 
     `grad_state` returns a (d, n) array of partials, `d_time` a length-d
-    vector; either may be a `Constant`.
+    vector.
     """
 
     alpha: Callable
@@ -401,11 +506,8 @@ class TargetShaper:
         if psi0_bound < 0:
             raise ValueError("psi0_bound must be >= 0")
 
-        def phi(p: float, t: float) -> float:
-            return rate * p
-
         return cls(
-            phi=phi,
+            phi=Formula("lambda psi, t: rate * psi", rate=rate),
             gain_l2_from_l2=GainDescriptor.linear(psi0_bound / math.sqrt(2.0 * rate), 1.0 / rate),
         )
 

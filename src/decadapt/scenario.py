@@ -13,9 +13,10 @@ with goal functions x1 + x2 and y1 + y2, linear target shapers, and a
 scalar monotone parametrization (position minus offset) whose growth
 constants are 1.5 / 0.5 for the x loop and 1.6 / 0.4 for the y loop.  Its
 small-gain condition reduces to k1 k2 < lambda_x lambda_y / 20.
+Every map of the pair is a `model.Formula`, so the integrators write it
+into their runner and the certify checks call it on sample columns.
 `certify_oscillator` is `certify.certify_closed_loop` of the built pair,
-given the monotonicity boxes and coupling offsets below; the loops' f2
-(`damping`) takes floats and sample columns alike.
+given the monotonicity boxes and coupling offsets below.
 
 Custom systems are declared in code against the library interfaces;
 scenario files cover only this built-in family, since arbitrary callables
@@ -27,7 +28,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, fields, replace
-from math import sin
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .interconnect import Coupling, CoupledClosedLoop
 from .model import (
     Constant,
     DomainBox,
+    Formula,
     GoalFunction,
     Parametrization,
     PartitionLayout,
@@ -93,32 +94,18 @@ class OscillatorScenario:
         )
 
 
-def damping(position, theta, offset: float, wobble: float):
-    """Nonlinear damping force: linear-in-shifted-position plus a bounded sine.
-
-    On floats, as the integrators call it, the sine is `math.sin`, about
-    three times faster there than `np.sin`; on sample columns, as the
-    certify pass evaluates the loop's f2, it is `np.sin`, elementwise the
-    same bits (the certificate's column spot check compares them).
-    """
-    s = theta * (position - offset)
-    try:
-        return s + wobble * sin(s)  # math.sin, bound once: the integrators' float path
-    except TypeError:  # a sample column
-        return s + wobble * np.sin(s)
-
-
 def _make_loop(rate: float, psi0: float, offset: float, gain: float, wobble: float,
                growth: tuple) -> AdaptiveLoopSpec:
     """One oscillator loop; its target shaper is sized for the initial goal error psi0."""
     spec = SubsystemSpec(
-        layout=PartitionLayout(q=1, p=1), f1=lambda state, t: (state[1],),
-        f2=lambda state, theta, t: (damping(state[0], theta[0], offset, wobble),),
+        layout=PartitionLayout(q=1, p=1), f1=Formula("lambda state, t: (state[1],)"),
+        f2=Formula("lambda state, theta, t: ((s := theta[0] * (state[0] - offset))"
+                   " + wobble * sin(s),)", offset=offset, wobble=wobble),
         g1=Constant((0.0,)), g2=Constant((1.0,)), param_dim=1, box=STATE_BOX,
     )
-    goal = GoalFunction(psi=lambda state, t: state[0] + state[1],
+    goal = GoalFunction(psi=Formula("lambda state, t: state[0] + state[1]"),
                         grad_state=Constant((1.0, 1.0)), d_time=Constant(0.0))
-    param = Parametrization(alpha=lambda state, t: (state[0] - offset,),
+    param = Parametrization(alpha=Formula("lambda state, t: (state[0] - offset,)", offset=offset),
                             grad_state=Constant(((1.0, 0.0),)), d_time=Constant((0.0,)),
                             dim=1, growth_upper=growth[0], growth_lower=growth[1])
     return AdaptiveLoopSpec(spec=spec, goal=goal, param=param, potential=zero_potential(1, 2),
@@ -132,9 +119,9 @@ def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
                         GROWTH_X)
     loop_y = _make_loop(sc.lambda_y, sc.y1_0 + sc.y2_0, sc.offset_y, sc.gamma_y, WOBBLE_Y,
                         GROWTH_Y)
-    k1, k2 = sc.k1, sc.k2
-    coupling = Coupling(into_x2=lambda y, t: (k1 * y[0],), into_y2=lambda x, t: (k2 * x[0],),
-                        beta_into_x=abs(k1), beta_into_y=abs(k2))
+    field = "lambda state, t: (k * state[0],)"  # the partner's position, scaled
+    coupling = Coupling(into_x2=Formula(field, k=sc.k1), into_y2=Formula(field, k=sc.k2),
+                        beta_into_x=abs(sc.k1), beta_into_y=abs(sc.k2))
     return CoupledClosedLoop(loop_x=loop_x, loop_y=loop_y, coupling=coupling,
                              theta_true_x=(sc.theta_x,), theta_true_y=(sc.theta_y,))
 

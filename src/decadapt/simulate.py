@@ -5,16 +5,16 @@ and the realizable-versus-virtual equivalence tests need a deterministic,
 shared time grid, so reproducibility outranks solver efficiency here.
 
 Every integrator runs one RK4 runner, generated on first use (as
-`dataclasses` generates `__init__`) once per run kind, layout and mask of
-`Constant` maps (`_runner`): `_RK4_TEMPLATE` with the state in float locals,
-the stages unrolled, and each stage evaluation written out as the closed-loop
-law of its loops (`_loop_body`), every map result unpacked to its declared
-length (a `Constant`'s once per run) and every dot product written out.  It
+`dataclasses` generates `__init__`) once per run kind, layout and the
+loops' `Formula` texts (`_runner`): `_RK4_TEMPLATE` with the state in float
+locals, the stages unrolled, and each stage evaluation written out as the
+closed-loop law of its loops (`_loop_body`), each `Formula` in place (once
+per run if it reads no argument), every other map called, every result
+unpacked to its declared length and every dot product written out.  It
 logs raw samples of the state and of the law's diagnostics on the thinned
 grid.  Running signal norms are computed after the run from the logged
-samples by trapezoidal quadrature (`running_l2`).  Their quadrature error is
-not estimated: the checks that consume them use the fixed tolerances
-`certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
+samples by trapezoidal quadrature (`running_l2`), checked with the fixed
+tolerances `certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -28,6 +28,8 @@ import linecache
 import math
 import numbers
 import operator
+import re
+import zlib
 from dataclasses import dataclass
 from textwrap import indent
 from typing import Callable, Optional
@@ -37,7 +39,7 @@ import numpy as np
 from .adaptation import AdaptiveLoopSpec
 from .controller import SINGULARITY_FLOOR, ControlSingularityError
 from .interconnect import CoupledClosedLoop
-from .model import Constant, DimensionMismatchError, _require_finite
+from .model import FUNCTIONS, DimensionMismatchError, Formula, _require_finite
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -177,66 +179,64 @@ def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
     return (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim), theta_true
 
 
-# The callables and gain rows of the loop {P}loop, bound to locals with its prefix {P}.
+# The gain rows and true parameters of the loop {P}loop, bound to locals with its prefix {P}.
 _BIND_TEMPLATE = """\
-{P}psi_fn, {P}alpha_fn = {P}loop.goal.psi, {P}loop.param.alpha
-{P}f1_fn, {P}f2_fn, {P}phi = {P}loop.spec.f1, {P}loop.spec.f2, {P}loop.shaper.phi
-({gain}) = np.atleast_2d({P}loop.gain).tolist()"""
-# The maps that may be a `Constant`, in mask order, each the {slot} line of the templates:
-# slot -> (attribute of the loop, the locals its result unpacks to, arguments after the state).
+({gain}) = np.atleast_2d({P}loop.gain).tolist()
+({tt}) = {P}theta_true"""
+# Every map of a loop, in `_maps` order, each the {slot} line of the templates: slot ->
+# (attribute of the loop or, for the coupling field into it, None; its arguments: s state,
+# e estimate, T true parameters, t time, p goal value, o the partner loop's state).
 _SLOTS = {
-    "pot": ("potential.value", "({pv})", ", {t}"),
-    "dpot": ("potential.grad_state", "({dp})", ", {t}"),
-    "dpotdt": ("potential.d_time", "({dpdt})", ", {t}"),
-    "grad": ("goal.grad_state", "({gq}{gp})", ", {t}"),
-    "dpsidt": ("goal.d_time", "{P}dpsidt", ", {t}"),
-    "dalpha": ("param.grad_state", "({da})", ", {t}"),
-    "dalphadt": ("param.d_time", "({dadt})", ", {t}"),
-    "g1": ("spec.g1", "({g1_})", ""),
-    "g2": ("spec.g2", "({g2_})", ""),
+    "psi": ("goal.psi", "st"), "alpha": ("param.alpha", "st"), "pot": ("potential.value", "st"),
+    "dpot": ("potential.grad_state", "st"), "dpotdt": ("potential.d_time", "st"),
+    "grad": ("goal.grad_state", "st"), "dpsidt": ("goal.d_time", "st"),
+    "dalpha": ("param.grad_state", "st"), "dalphadt": ("param.d_time", "st"),
+    "f1": ("spec.f1", "st"), "g1": ("spec.g1", "s"), "g2": ("spec.g2", "s"),
+    "fh": ("spec.f2", "set"), "f2": ("spec.f2", "sTt"), "phi": ("shaper.phi", "pt"),
+    "inj": (None, "ot"),
 }
-# One evaluation of the closed-loop law of one loop layout.  Callable results
-# are unpacked into float locals and dot products written out in `model._dot`'s
+# One evaluation of the closed-loop law of one loop layout.  Map results are
+# unpacked into float locals and dot products written out in `model._dot`'s
 # order: the arithmetic of `controller` and `adaptation`, term for term.
 # {control} is `_CONTROL_TEMPLATE`: the control input at the estimate and the
 # state rates.  Locals carry the loop's prefix {P}.
 _KERNEL_TEMPLATE = """\
-{P}psi = {P}psi_fn({P}state, {t})
-({a}) = {P}alpha_fn({P}state, {t})
+{inj}
+{psi}
+{alpha}
 {pot}
-({ti}) = {est}
 {v_eqs}
 {th_eqs}
-{P}theta_hat = ({th})
+{theta_hat}
 {control}
 {dalpha}
 {dalphadt}
 {dpot}
 {dpotdt}
 {theta_i_dot}"""
-# The reduced-form oracle: the estimate {est} is itself a state.
+# The reduced-form oracle: the estimate is itself a state.
 _VIRTUAL_TEMPLATE = """\
-{P}psi = {P}psi_fn({P}state, {t})
+{inj}
+{psi}
 {control}
 {P}w = {P}dpsidt + {grad_s} + {P}phiv
-({a}) = {P}alpha_fn({P}state, {t})
+{alpha}
 {theta_hat_dot}"""
 _CONTROL_TEMPLATE = """\
 {grad}
-({f1_}) = {P}f1_fn({P}state, {t})
+{f1}
 {g1}
 {g2}
 {P}lf1 = {gq_f1}
-({fh}) = {P}f2_fn({P}state, {theta_hat}, {t})
+{fh}
 {P}drift_hat = {P}lf1 + {gp_fh}
-{P}gain_u = {gq_g1} + {gp_g2}
+{gain_u}
 if abs({P}gain_u) < floor:
-    raise ControlSingularityError({P}state, {t}, {P}gain_u, subsystem={P}tag)
-{P}phiv = {P}phi({P}psi, {t})
+    raise ControlSingularityError([{state}], {t}, {P}gain_u, subsystem={P}tag)
+{phi}
 {dpsidt}
 {P}u = (-{P}drift_hat - {P}phiv - {P}dpsidt) / {P}gain_u
-({f2_}) = {P}f2_fn({P}state, {P}theta_true, {t})
-({inj}) = {inject}
+{f2}
 {s_eqs}"""
 
 
@@ -252,40 +252,78 @@ def _dot(a, b) -> str:  # `model._dot(a, b)` written out: ((0.0 + a0 * (b0)) + a
     return functools.reduce(lambda s, xy: f"({s} + {xy[0]} * ({xy[1]}))", zip(a, b), "0.0")
 
 
-def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", virtual=False):
+def _slot(fn, P: str, slot: str, obj: str, target, args: list, binds: list) -> str:
+    """The body line assigning map fn of `slot` at args to target; obj reads fn in the bind text.
+
+    A callable is bound and called on the args' containers.  A `Formula` is
+    written on their elements (a tuple of the target's length unpacks to
+    plain stores), its constants bound, and in the bind text if it reads no
+    argument.
+    """
+    lhs = target if isinstance(target, str) else f"({_tup(target)})"
+    if not isinstance(fn, Formula):
+        binds.append(f"{P}{slot}_fn = {obj}")
+        call = ", ".join(a if isinstance(a, str) else a[0] for a in args)
+        return f"{lhs} = {P}{slot}_fn({call})"
+    binds += [f"{P}{slot}__{c} = {obj}.constants[{c!r}]" for c in fn.free]
+    line = f"{lhs} = {fn.inline([a if isinstance(a, str) else a[1] for a in args], f'{P}{slot}__')}"
+    binds += [] if fn.reads else [line]
+    return line if fn.reads else ""
+
+
+def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t", virtual=False):
     """(bind, body, diag) source of a (q, p, d) loop whose locals carry the prefix P.
 
-    The body evaluates the loop at the state list {P}state, the time `t`,
-    the estimator `est` (integral state, or the estimate if `virtual`) and
-    the injection `inject`, and assigns the n state and d estimator rates to
-    the locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or
-    (psi, u).  The bind text binds the `_SLOTS` maps the law reads (the
-    reduced form: grad, dpsidt, g1, g2), and reads those mask marks once.
+    The body evaluates the loop's maps at the state and estimator sources z
+    (integral state, or the estimate if `virtual`) and the time `t`, injected
+    with the coupling field maps["inj"] of partner = (its bind source, the
+    partner's state container and sources), or signal(t) * direction if
+    partner is None, and assigns the n state and d estimator rates to the
+    locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or (psi, u).
+    The bind text binds what the body reads, and the terms built from the
+    values of formulas that read no argument alone.
     """
     q, p, d = layout
     n, psi, u, s, lines = q + p, P + "psi", P + "u", rates[:q + p], "\n".join
     names = {x: _names(P + x, m) for x, m in zip(
-        ("gq", "gp", "f1_", "g1_", "g2_", "fh", "f2_", "inj", "a", "pv", "ti", "v", "th", "dadt",
-         "dpdt"), (q, p, q, q, p, p, p, p) + (d,) * 7)}
-    gq, gp, f1, g1, g2, fh, f2, inj, a, pv, ti, v, th, dadt, dpdt = names.values()
-    gain = [_names(f"{P}G{r}_", d) for r in range(d)]
+        ("gq", "gp", "f1_", "g1_", "g2_", "fh", "f2_", "inj", "a", "pv", "v", "th", "dadt", "dpdt",
+         "tt"), (q, p, q, q, p, p, p, p) + (d,) * 7)}
+    gq, gp, f1, g1, g2, fh, f2, inj, a, pv, v, th, dadt, dpdt, tt = names.values()
+    ti, gain = z[n:], [_names(f"{P}G{r}_", d) for r in range(d)]
     da, dp = ([_names(f"{P}{x}{j}_", n) for j in range(d)] for x in ("da", "dp"))
-    fields = dict(
-        {x: _tup(seq) for x, seq in names.items()}, P=P, t=t, est=est, inject=inject,
-        theta_hat=est if virtual else P + "theta_hat", da=_tup(da), dp=_tup(dp),
-        gq_f1=_dot(gq, f1), gp_fh=_dot(gp, fh), gq_g1=_dot(gq, g1), gp_g2=_dot(gp, g2),
+    args = dict(s=(P + "state", z[:n]), T=(P + "theta_true", tt), t=t, p=psi,
+                e=(f"[{', '.join(ti)}]", ti) if virtual else (P + "theta_hat", th),
+                o=partner and partner[1:])
+    targets = dict(psi=psi, alpha=a, pot=pv, dpot=dp, dpotdt=dpdt, grad=gq + gp, f1=f1, g1=g1,
+                   g2=g2, dpsidt=P + "dpsidt", dalpha=da, dalphadt=dadt, fh=fh, f2=f2,
+                   phi=P + "phiv", inj=inj)
+    binds = [_BIND_TEMPLATE.format(P=P, gain=_tup(gain), tt=_tup(tt))]
+    law, fields = _CONTROL_TEMPLATE + (_VIRTUAL_TEMPLATE if virtual else _KERNEL_TEMPLATE), {}
+    for slot, (attr, params) in _SLOTS.items():
+        if f"{{{slot}}}" in law and (attr or partner):
+            fields[slot] = _slot(maps[slot], P, slot, f"{P}loop.{attr}" if attr else partner[0],
+                                 targets[slot], [args[x] for x in params], binds)
+    if partner is None:
+        fields["inj"] = f"sig = signal({t})\n" + lines(
+            f"{x} = sig * dir{i}" for i, x in enumerate(inj))
+    fixed = {slot for slot, fn in maps.items() if isinstance(fn, Formula) and not fn.reads}
+    fields["gain_u"] = f"{P}gain_u = {_dot(gq, g1)} + {_dot(gp, g2)}"
+    if {"grad", "g1", "g2"} <= fixed:
+        binds.append(fields["gain_u"])
+        fields["gain_u"] = ""
+    lg1 = {x: [_dot(r[:q], g1) for r in rows] for x, rows in (("dalpha", da), ("dpot", dp))}
+    for x in () if virtual else lg1:
+        if {x, "g1"} <= fixed:
+            binds += [f"{P}{x}_g1_{j} = {term}" for j, term in enumerate(lg1[x])]
+            lg1[x] = _names(f"{P}{x}_g1_", d)
+    fields.update(
+        P=P, t=t, state=", ".join(z[:n]),
+        gq_f1=_dot(gq, f1), gp_fh=_dot(gp, fh),
+        theta_hat="" if virtual or isinstance(maps["fh"], Formula) else
+        f"{P}theta_hat = ({_tup(th)})",
         s_eqs=lines([f"{s[i]} = {f1[i]} + {g1[i]} * {u}" for i in range(q)]
                     + [f"{s[q + i]} = {f2[i]} + {inj[i]} + {g2[i]} * {u}" for i in range(p)]),
     )
-    binds = [_BIND_TEMPLATE.format(P=P, gain=_tup(gain))]
-    law = _CONTROL_TEMPLATE + (_VIRTUAL_TEMPLATE if virtual else _KERNEL_TEMPLATE)
-    for (slot, (attr, result, args)), const in zip(_SLOTS.items(), mask, strict=True):
-        if f"{{{slot}}}" not in law:
-            continue
-        call = f"{P}loop.{attr}.value" if const else f"{P}{slot}_fn({P}state{args})"
-        line = f"{result} = {call}".format(**fields)
-        binds.append(line if const else f"{P}{slot}_fn = {P}loop.{attr}")
-        fields[slot] = "" if const else line
     fields["control"], bind = _CONTROL_TEMPLATE.format(**fields), lines(binds)
     if virtual:
         return bind, _VIRTUAL_TEMPLATE.format(grad_s=_dot(gq + gp, s), theta_hat_dot=lines(
@@ -296,14 +334,14 @@ def _loop_body(layout, mask, P: str, est: str, inject: str, rates: list, t="t", 
         th_eqs=lines(f"{th[r]} = {_dot(gain[r], v)}" for r in range(d)),
         theta_i_dot=lines(
             f"{rates[n + j]} = {P}phiv * {a[j]} + ({dpdt[j]} - {psi} * ({dadt[j]} + "
-            f"{_dot(da[j][:q], f1)}) + {_dot(dp[j][:q], f1)} - ({psi} * {_dot(da[j][:q], g1)}"
-            f" - {_dot(dp[j][:q], g1)}) * {u})" for j in range(d)), **fields,
+            f"{_dot(da[j][:q], f1)}) + {_dot(dp[j][:q], f1)} - ({psi} * {lg1['dalpha'][j]}"
+            f" - {lg1['dpot'][j]}) * {u})" for j in range(d)), **fields,
     ), [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj), *th]
 
 
 # The body of every RK4 run, generated by `_runner`: its stages are written
-# out as the loop bodies.  Only the kind and integers derived from the layout
-# reach the text.
+# out as the loop bodies.  Only the kind, integers derived from the layout and
+# the unparse of validated formula ASTs reach the text.
 _RK4_TEMPLATE = """\
 def {name}({args}y_init, t0, h, n_steps, every, bound):
 {bind}
@@ -344,8 +382,8 @@ def {name}({args}y_init, t0, h, n_steps, every, bound):
 _GENERATED: dict = {}
 
 
-def _runner(kind: str, layout: tuple, mask: tuple):
-    """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and mask.
+def _runner(kind: str, layout: tuple, maps: tuple):
+    """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and map texts.
 
     A runner keeps the state in float locals with the stages unrolled and
     returns (t, y, diag, status), one row per sample logged every `every`
@@ -360,57 +398,60 @@ def _runner(kind: str, layout: tuple, mask: tuple):
     - loop / virtual(loop, theta_true, signal, direction, y0, ...) for one
       realizable / reduced-form loop injected with signal(t) * direction.
 
-    Loop stages are `_loop_body`'s text, and so is their diag.  mask is the
-    loops' `_constants`, one after the other.  Only `kind` and the integers
-    of layout and mask reach the source, which is compiled on first use,
-    cached, and kept without blank lines in `linecache`, so tracebacks
-    through it show its lines.
+    Loop stages are `_loop_body`'s text, and so is their diag.  maps are the
+    loops' `_maps`, one after the other.  Only `kind`, the integers of layout
+    and the unparse of validated formula ASTs reach the source, never raw
+    user text or constant values.  It is compiled on first use, cached, and
+    kept without blank lines in `linecache` under a name holding a digest of
+    the formula texts, so tracebacks through it show its lines.
     """
-    key = tuple(tuple(operator.index(m) for m in part) for part in (layout, mask))
-    filename = f"<generated {kind} {' '.join(map(str, key))}>"
-    if filename not in _GENERATED:
-        source = "".join(line for line in _runner_source(kind, *key).splitlines(True)
+    texts = tuple(fn.text if isinstance(fn, Formula) else None for fn in maps)
+    key = (kind, tuple(map(operator.index, layout)), texts)
+    if key not in _GENERATED:
+        filename = f"<generated {kind} {key[1]} {zlib.crc32(repr(texts).encode()):08x}>"
+        source = "".join(line for line in _runner_source(kind, key[1], maps).splitlines(True)
                          if line.strip())
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         namespace = {}
         exec(compile(source, filename, "exec"), globals(), namespace)
-        _GENERATED[filename] = namespace[kind]
-    return _GENERATED[filename]
+        _GENERATED[key] = namespace[kind]
+    return _GENERATED[key]
 
 
-def _constants(loop) -> tuple:  # the `_runner` mask of a loop: 1 per `Constant` of `_SLOTS`
-    return tuple(int(isinstance(operator.attrgetter(attr)(loop), Constant))
-                 for attr, _, _ in _SLOTS.values())
+def _maps(loop, inject=None) -> tuple:  # the `_SLOTS` maps of a loop injected with `inject`
+    return tuple(operator.attrgetter(a)(loop) if a else inject for a, _ in _SLOTS.values())
 
 
-def _runner_source(kind: str, layout: tuple, mask: tuple) -> str:
-    """Source of `_runner(kind, layout, mask)`."""
-    n, stages = sum(layout), []
+def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
+    """Source of `_runner(kind, layout, maps)`."""
+    n, m, stages = sum(layout), len(_SLOTS), []
     if kind == "coupled":
         args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
             'floor, x_tag, y_tag = SINGULARITY_FLOOR, "x", "y"']
-        loops = [("x_", layout[:3], 0, "x_inj2 = into_x2(y_state, {t})", "x_inj2"),
-                 ("y_", layout[3:], sum(layout[:3]), "y_inj2 = into_y2(x_state, {t})", "y_inj2")]
+        loops = [("x_", layout[:3], 0, "into_x2"), ("y_", layout[3:], sum(layout[:3]), "into_y2")]
     else:
         dirs = _names("dir", layout[1])
         args, binds = "loop, theta_true, signal, direction, ", [
             f"floor, tag = SINGULARITY_FLOOR, {kind!r}", f"({_tup(dirs)}) = direction"]
-        loops = [("", layout, 0, "sig = signal({t})", f"({_tup(f'sig * {v}' for v in dirs)})")]
+        loops = [("", layout, 0, None)]
+    binds.append(f"{', '.join(FUNCTIONS)} = {', '.join(f'math.{f}' for f in FUNCTIONS)}")
     for j, (t, c) in enumerate([("t", ""), ("t + half", "half"), ("t + half", "half"),
                                 ("t + h", "h")]):
-        inputs = [f"y{i}" + (f" + {c} * k{j}_{i}" if j else "") for i in range(n)]
-        rates, lines, diag = _names(f"k{j + 1}_", n), [f"ts = {t}"] if j else [], []
+        z = _names("z" if j else "y", n)
+        rates, diag, bodies = _names(f"k{j + 1}_", n), [], []
+        lines = [f"ts = {t}"] + [f"z{i} = y{i} + {c} * k{j}_{i}" for i in range(n)] if j else []
         t = "ts" if j else "t"
-        lines += [f"{P}state = [{', '.join(inputs[a:a + q + p])}]" for P, (q, p, _), a, *_ in loops]
-        for i, (P, (q, p, d), a, pre, inject) in enumerate(loops):
-            est, m = inputs[a + q + p:a + q + p + d], len(_SLOTS)
+        for i, (P, (q, p, d), a, inject) in enumerate(loops):
+            o = loops[1 - i] if inject else None
+            partner = o and (inject, o[0] + "state", z[o[2]:o[2] + o[1][0] + o[1][1]])
             bind, body, loop_diag = _loop_body(
-                (q, p, d), mask[i * m:(i + 1) * m], P,
-                f"[{', '.join(est)}]" if kind == "virtual" else f"({_tup(est)})",
-                inject, rates[a:a + q + p + d], t, kind == "virtual")
-            lines += [pre.format(t=t), body]
+                (q, p, d), dict(zip(_SLOTS, maps[i * m:(i + 1) * m])), P, z[a:a + q + p + d],
+                rates[a:a + q + p + d], partner, t, kind == "virtual")
+            bodies.append(body)
             diag += loop_diag
             binds += [] if j else [bind]
+        lines += [f"{P}state = [{', '.join(z[a:a + q + p])}]" for P, (q, p, _), a, _ in loops
+                  if re.search(rf"\b{P}state\b", "\n".join(bodies))] + bodies
         stages.append("\n".join(lines))
     return _RK4_TEMPLATE.format(
         name=kind, args=args, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
@@ -465,7 +506,8 @@ def integrate(
                          f"got {len(aug0)}")
     layout_x, theta_x = _checked(sys.loop_x, sys.theta_true_x)
     layout_y, theta_y = _checked(sys.loop_y, sys.theta_true_y)
-    run = _runner("coupled", layout_x + layout_y, _constants(sys.loop_x) + _constants(sys.loop_y))
+    run = _runner("coupled", layout_x + layout_y, _maps(sys.loop_x, sys.coupling.into_x2)
+                  + _maps(sys.loop_y, sys.coupling.into_y2))
     t, aug, diag, status = run(sys.loop_x, theta_x, sys.loop_y, theta_y, sys.coupling.into_x2,
                                sys.coupling.into_y2, aug0, t0, cfg.step, cfg.n_steps,
                                cfg.log_every, cfg.divergence_bound)
@@ -487,7 +529,7 @@ def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Dist
         raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
                          f"got {len(state0)} and {len(est0)}")
     direction = disturbance.resolve_direction(loop.spec.layout.p)
-    t, z, diag, status = _runner(kind, layout, _constants(loop))(
+    t, z, diag, status = _runner(kind, layout, _maps(loop))(
         loop, theta_true, disturbance.signal, direction, state0 + est0, t0, cfg.step,
         cfg.n_steps, cfg.log_every, cfg.divergence_bound)
     return t, z[:, :n], z[:, n:], diag, status

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ from decadapt import (
     verify_monotonicity,
 )
 from decadapt import certify, model
-from decadapt.certify import GROWTH_REL_SLACK, RATIO_FLOOR, SIGN_CONDITION_TOL
+from decadapt.adaptation import REALIZABILITY_TOL
+from decadapt.certify import (GROWTH_REL_SLACK, RATIO_FLOOR, SIGN_CONDITION_TOL,
+                              STEP_MONOTONE_TOL)
 from decadapt.model import DEFAULT_SAMPLE_SEED, GainRangeError, NonFiniteValueError, joint_sample
 from decadapt.report import (
     FAIL,
@@ -52,9 +55,9 @@ from decadapt.scenario import (
     WOBBLE_X,
     WOBBLE_Y,
     certify_oscillator,
-    damping,
 )
-from decadapt.simulate import STATUS_COMPLETED, integrate_loop, zero_disturbance
+from decadapt.simulate import (STATUS_COMPLETED, LoopTrajectory, integrate_loop,
+                               zero_disturbance)
 
 
 def shifted_alpha(growth=(1.5, 0.5)):
@@ -377,22 +380,22 @@ class TestMonotonicityMatchesRowLoop:
 
 
 class TestColumnDrift:
-    def test_damping_on_columns_matches_floats(self):
-        # the certify pass evaluates the loops' f2, hence damping, on the
-        # monotonicity sample columns, where damping takes np.sin; the golden
-        # monotonicity entries rely on it matching the per-float math.sin
-        # calls bit for bit
+    def test_damping_on_columns_matches_floats(self, oscillator):
+        # the certify pass evaluates the loops' f2 formulas, hence the damping,
+        # on the monotonicity sample columns, where they take np.sin; the
+        # golden monotonicity entries rely on it matching the per-float
+        # math.sin calls bit for bit
         time_box = DomainBox((0.0,), (0.0,))
         states, thetas, thetas_alt, _ = joint_sample(
             [MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX, MONOTONICITY_THETA_BOX, time_box],
             100_000,
         )
-        sc = OscillatorScenario()
-        for offset, wobble in ((sc.offset_x, WOBBLE_X), (sc.offset_y, WOBBLE_Y)):
+        for f2 in (oscillator.loop_x.spec.f2, oscillator.loop_y.spec.f2):
             for th in (thetas[:, 0], thetas_alt[:, 0]):
-                got = damping(states[:, 0], th, offset, wobble)
-                want = np.array([damping(p, q, offset, wobble)
-                                 for p, q in zip(states[:, 0].tolist(), th.tolist())])
+                (got,) = f2(tuple(states.T), (th,), 0.0)
+                want = np.array([f2(row, (q,), 0.0)[0]
+                                 for row, q in zip(states.tolist(), th.tolist())])
+                assert isinstance(got, np.ndarray)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_certify_calls_drift_on_columns(self, monkeypatch):
@@ -553,6 +556,19 @@ class TestCertifyClosedLoop:
         assert (prob.beta_x, prob.beta_y) == (0.1, 0.2)
         assert (prob.ratio_x, prob.ratio_y) == (4.0, 1.0)
 
+    def test_realizability_margin_reads_the_residual(self, oscillator):
+        # a potential whose second-block partial is off by 1e-9 builds, and
+        # the entry's margin is the tolerance minus that residual
+        loop = oscillator.loop_x
+        loop = replace(loop, potential=replace(loop.potential, grad_state=Constant(((0.0, 1e-9),))))
+        assert loop.realizability_residual == 1e-9
+        boxes = ((MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX),) * 2
+        report, _ = certify_closed_loop(replace(oscillator, loop_x=loop), self.CFG,
+                                        OscillatorScenario().initial_state(), boxes,
+                                        self.OFFSETS, 500, tail_window=0.5, tail_threshold=1e6)
+        entry = next(e for e in report.entries if e.name == "realizability-x")
+        assert entry.passed and entry.margin == REALIZABILITY_TOL - 1e-9
+
     def test_one_box_pair_per_loop(self):
         with pytest.raises(ValueError):
             self.certify(self.build(), self.BOXES[:1])
@@ -696,6 +712,17 @@ class TestSmallGainScanned:
         entry = check_small_gain(prob)
         assert not entry.passed
 
+    def test_overflowing_slack_fails_without_warning(self):
+        # at the smallest amplitude (delta - composed) / delta overflows; the
+        # package's test settings turn numpy's overflow warning into an error
+        prob = SmallGainProblem(
+            gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (1e4, 1e4)]),
+            gain_y22=GainDescriptor.linear(0.0, 1e308),
+            beta_x=1.0, beta_y=1.0, ratio_x=4.0, ratio_y=4.0,
+        )
+        entry = check_small_gain(prob)
+        assert (entry.status, entry.margin) == (FAIL, -math.inf)
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             SmallGainProblem(
@@ -728,6 +755,20 @@ class TestLoopBoundMonitor:
             "mismatch-energy-bound", "parameter-error-bound", "parameter-error-monotone",
         ]
         assert all(e.passed for e in entries)
+
+    def test_growing_parameter_error_fails_monotone_check(self, oscillator):
+        # a zero-eps record whose weighted parameter error grows: the margin
+        # is the tolerance minus the largest one-step increase of half the
+        # squared error (gain 1), 0.5 * (0.5**2 - 0.1**2) = 0.12
+        t, zero = np.array([0.0, 1.0, 2.0]), np.zeros(3)
+        traj = LoopTrajectory(
+            t=t, state=np.zeros((3, 2)), theta_hat=np.array([[1.0], [0.9], [0.5]]),
+            theta_i=np.zeros((3, 1)), psi=zero, u=zero, eps=zero, mismatch=zero, l2_psi=zero,
+            l2_eps=zero, l2_mismatch=zero, linf_psi=zero, status=STATUS_COMPLETED)
+        entry = monitor_loop_bounds(traj, oscillator.loop_x, (1.0,))[-1]
+        assert entry.name == "parameter-error-monotone" and entry.status == FAIL
+        assert entry.witness == {"t": 2.0, "increase": pytest.approx(0.12)}
+        assert entry.margin == STEP_MONOTONE_TOL - entry.witness["increase"]
 
     def test_no_monotonicity_entry_under_disturbance(self, coupled_traj, oscillator):
         entries = monitor_loop_bounds(coupled_traj.loops["x"], oscillator.loop_x, (1.0,))

@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decadapt import (
+    Constant,
     DomainBox,
+    Formula,
     GainDescriptor,
     GoalFunction,
     Parametrization,
@@ -54,6 +58,68 @@ GOAL = GoalFunction(
     grad_state=lambda s, t: (1.0, 1.0),
     d_time=lambda s, t: 0.0,
 )
+
+
+class TestFormula:
+    """`Formula` construction checks the text once; a call runs math, then numpy on columns."""
+
+    DAMPING = "lambda state, theta, t: ((s := theta[0] * (state[0] - c)) + w * sin(s),)"
+
+    @pytest.mark.parametrize("text,constants", [
+        ("lambda state, t: (state[0] + c,)", {}),  # a name outside everything
+        ("lambda state, t: (math.sin(state[0]),)", {}),  # attribute access
+        ("lambda state, t: (state.real,)", {}),
+        ("lambda state, t: (state[i],)", {"i": 0.0}),  # a non-literal subscript
+        ("lambda state, t: (state[-1],)", {}),
+        ("lambda state, t: (state[0:1],)", {}),
+        ("lambda state, t: (c[0],)", {"c": 1.0}),  # a subscript of a constant
+        ("lambda state, t: (abs(state[0]),)", {}),  # any other call
+        ("lambda state, t: (log(state[0]),)", {}),
+        ("lambda state, t: (sin(state[0], 2.0),)", {}),
+        ("lambda state, t: (sin,)", {}),  # a function not called
+        ("lambda sin, t: (sin(t),)", {}),  # a parameter shadowing a function
+        ("lambda state, t: ((state := 1.0),)", {}),  # `:=` rebinding a parameter
+        ("lambda state, t: (state[0] if t else 0.0,)", {}),
+        ("lambda state, t: (state[0] < t,)", {}),
+        ("lambda state, t: [state[0]]", {}),
+        ("lambda state, t: (True,)", {}),
+        ("lambda state, t: ('a',)", {}),
+        ("lambda state, t=0.0: (state[0],)", {}),
+        ("state[0] + 1.0", {}),
+        ("lambda state, t: (c * state[0],)", {"c": math.nan}),  # a non-finite constant
+        ("lambda state, t: (c * state[0],)", {"c": math.inf}),
+        ("lambda state, t: (c * state[0],)", {"c": 1.0, "d": -math.inf}),
+    ])
+    def test_rejects(self, text, constants):
+        with pytest.raises(ValueError, match=f"formula {re.escape(repr(text))}"):
+            Formula(text, **constants)
+
+    def test_floats_and_columns(self):
+        f2 = Formula(self.DAMPING, c=1.0, w=0.5)
+        assert f2.params == ["state", "theta", "t"] and f2.free == ["c", "w"] and f2.reads
+        assert f2((0.5, 2.0), (3.0,), 0.0) == (-1.5 + 0.5 * math.sin(-1.5),)
+        states, thetas = np.linspace(-3.0, 3.0, 101), np.linspace(0.2, 2.0, 101)
+        (got,) = f2((states, states), (thetas,), 0.0)  # math.sin raised TypeError on columns
+        want = [f2((x, x), (th,), 0.0)[0] for x, th in zip(states.tolist(), thetas.tolist())]
+        assert np.array_equal(got, want)
+
+    def test_constant(self):
+        for value in (0.0, (), (1.0, -0.0), ((1.0, 0.0), (2.0, 3.0))):
+            const = Constant(value)
+            assert const([1.0], 0.0) == const() == value and not const.reads
+        assert Constant([[1, 2]])("any", "args") == ((1.0, 2.0),)
+        with pytest.raises(ValueError, match="must be finite"):
+            Constant((1.0, math.nan))
+
+    def test_pickles(self):
+        for fn in (Formula(self.DAMPING, c=1.0, w=0.5), Constant(((1.0, -0.0),))):
+            copy = pickle.loads(pickle.dumps(fn))
+            assert type(copy) is type(fn) and copy.constants == fn.constants
+            assert copy((0.5, 1.0), (2.0,), 0.0) == fn((0.5, 1.0), (2.0,), 0.0)
+
+    def test_compiled_once_per_text(self):
+        a, b = Formula(self.DAMPING, c=1.0, w=0.5), Formula(self.DAMPING, c=2.0, w=0.6)
+        assert a.tree is b.tree and a((0.5, 0.0), (1.0,), 0.0) != b((0.5, 0.0), (1.0,), 0.0)
 
 
 class TestPartitionLayout:

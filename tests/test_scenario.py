@@ -19,7 +19,7 @@ from decadapt import (
 )
 from decadapt.adaptation import REALIZABILITY_POINTS, integral_state_rate, realizability_residual
 from decadapt.model import check_gradient
-from decadapt.scenario import GROWTH_X, GROWTH_Y, coupling_offsets, damping
+from decadapt.scenario import GROWTH_X, GROWTH_Y, coupling_offsets
 from tests.test_model import drawn
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -76,7 +76,7 @@ class TestBuildOscillator:
             th = (float(rng.uniform(-2.0, 2.0)),)
             got = control(loop.spec, loop.goal, loop.shaper, s, th, 0.0)
             psi = s[0] + s[1]
-            want = -2.0 * psi - s[1] - damping(s[0], th[0], 1.0, 0.5)
+            want = -2.0 * psi - s[1] - loop.spec.f2(s, th, 0.0)[0]
             worst = max(worst, abs(got - want))
         assert worst <= 1e-12
 

@@ -1,4 +1,5 @@
 import math
+import re
 import traceback
 from dataclasses import replace
 from types import SimpleNamespace
@@ -31,13 +32,13 @@ from decadapt import (
     zero_potential,
 )
 from decadapt.controller import SINGULARITY_FLOOR, ControlSingularityError
-from decadapt.model import _dot
+from decadapt.model import FUNCTIONS, Formula, _dot
 from decadapt.simulate import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_SINGULAR,
     _SLOTS,
-    _constants,
+    _maps,
     _runner,
     exponential_disturbance,
     pulse_disturbance,
@@ -269,14 +270,18 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1, mask=(0,) * len(_SLOTS)):
+# The maps of a loop that may be a `Constant`, in mask order.
+CONSTANT_SLOTS = ("pot", "dpot", "dpotdt", "grad", "dpsidt", "dalpha", "dalphadt", "g1", "g2")
+
+
+def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1, mask=(0,) * len(CONSTANT_SLOTS)):
     """A duck-typed loop of layout (q, p, d) whose callables mix every coordinate.
 
     c holds n = q + p goal-gradient weights.  The plant grows quadratically
     in its own coordinates, so a small divergence bound ends a run; from
     time nan_after on f2 is NaN, and goal-gradient call number
     singular_call (0 = the initial point) is zero, so the input gain
-    vanishes there.  Each `_SLOTS` map that mask marks is a `Constant`: the
+    vanishes there.  Each `CONSTANT_SLOTS` map that mask marks is a `Constant`: the
     map's value at a fixed point.  The loop need not be consistent: the
     runners and the per-point kernels only have to agree on it.
     """
@@ -313,9 +318,9 @@ def probe_loop(q, p, d, c, nan_after=math.inf, singular_call=-1, mask=(0,) * len
         gain=np.eye(d) + 0.1,
     )
     point = [0.3 - 0.1 * i for i in range(n)]
-    for (attr, _, _), const in zip(_SLOTS.values(), mask):
+    for slot, const in zip(CONSTANT_SLOTS, mask):
         if const:
-            owner, name = attr.split(".")
+            owner, name = _SLOTS[slot][0].split(".")
             fn = getattr(getattr(loop, owner), name)
             args = [point] if owner == "spec" else [point, 0.1]
             setattr(getattr(loop, owner), name, Constant(fn(*args)))
@@ -330,7 +335,7 @@ class TestGeneratedRunners:
 
     @staticmethod
     def both(kind, layouts, c, signal, y0, n_steps, every, bound, nan_after, singular,
-             masks=((0,) * len(_SLOTS),) * 2):
+             masks=((0,) * len(CONSTANT_SLOTS),) * 2):
         """(runner result, reference result); singular = (loop index, call number).
 
         masks marks the maps of each loop that are `Constant`s.
@@ -352,8 +357,8 @@ class TestGeneratedRunners:
                 return [0.2 * math.cos(x[i % n]) - 0.1 for i in range(py)]
 
             loop_x, loop_y = loops()
-            mask = _constants(loop_x) + _constants(loop_y)
-            got = _runner(kind, layouts[0] + layouts[1], mask)(
+            maps = _maps(loop_x, into_x2) + _maps(loop_y, into_y2)
+            got = _runner(kind, layouts[0] + layouts[1], maps)(
                 loop_x, thetas[0], loop_y, thetas[1], into_x2, into_y2, *args)
             loop_x, loop_y = loops()
             rates_x, _ = _general_kernels(loop_x, thetas[0], SINGULARITY_FLOOR, "x")
@@ -368,8 +373,8 @@ class TestGeneratedRunners:
             (q, p, d), = layouts
             direction = tuple(1.0 - 0.5 * i for i in range(p))
             loop, = loops()
-            got = _runner(kind, layouts[0], _constants(loop))(loop, thetas[0], signal, direction,
-                                                              *args)
+            got = _runner(kind, layouts[0], _maps(loop))(loop, thetas[0], signal, direction,
+                                                         *args)
             rates, virtual = _general_kernels(*loops(), thetas[0], SINGULARITY_FLOOR, kind)
             kernel = virtual if kind == "virtual" else rates
 
@@ -393,11 +398,12 @@ class TestGeneratedRunners:
         scale, rate = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.0, 2.0))
         y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sum(map(sum, layouts)),
                                 max_size=sum(map(sum, layouts))))
-        masks = [list(data.draw(st.tuples(*[st.integers(0, 1)] * len(_SLOTS)))) for _ in layouts]
+        masks = [list(data.draw(st.tuples(*[st.integers(0, 1)] * len(CONSTANT_SLOTS))))
+                 for _ in layouts]
         bound, nan_after, singular = math.inf, math.inf, (0, -1)
         if stop == "singular":  # the singular call number counts goal-gradient calls
             for mask in masks:
-                mask[list(_SLOTS).index("grad")] = 0
+                mask[CONSTANT_SLOTS.index("grad")] = 0
         if stop == "diverge":  # some coordinate moves further out than it starts
             bound = max(map(abs, y0)) + data.draw(st.floats(0.0, 0.2))
         elif stop == "nan":
@@ -441,37 +447,47 @@ class TestGeneratedRunners:
         assert all(type(v) is np.float64 for v in y0)
         args = (y0, 0.0, 0.05, 2, 1, math.inf)
         if kind == "coupled":
-            _runner(kind, (1, 1, 1) * 2, _constants(loops[0]) * 2)(
-                loops[0], (0.3,), loops[1], (0.3,), lambda y, t: [0.0], lambda x, t: [0.0], *args)
+            into = [lambda y, t: [0.0], lambda x, t: [0.0]]
+            _runner(kind, (1, 1, 1) * 2, _maps(loops[0], into[0]) + _maps(loops[1], into[1]))(
+                loops[0], (0.3,), loops[1], (0.3,), *into, *args)
         else:
-            _runner(kind, (1, 1, 1), _constants(loops[0]))(loops[0], (0.3,), math.cos, (1.0,),
-                                                           *args)
+            _runner(kind, (1, 1, 1), _maps(loops[0]))(loops[0], (0.3,), math.cos, (1.0,), *args)
         # f2 sees the state with the estimate (virtual) or with theta_true and theta_hat
         assert seen and all(type(v) is float for values in seen for v in values)
 
 
+def plain(fn):
+    """The plain lambda equal to a `Formula`: its text, run with `math`'s functions."""
+    return eval(fn.text, {**{f: getattr(math, f) for f in FUNCTIONS}, **fn.constants})
+
+
 class TestConstantMaps:
-    """The runners read `Constant` maps once per run; nothing else may change."""
+    """The runners write `Formula` maps into their source; nothing else may change."""
 
     CFG = IntegratorConfig(step=1e-3, t_final=2.0)
 
     @staticmethod
     def with_lambdas(loop):
-        """The loop with each `Constant` map replaced by a lambda returning its value."""
-        def plain(part):
-            return replace(part, **{name: (lambda *a, v=fn.value: v)
-                                    for name, fn in vars(part).items() if isinstance(fn, Constant)})
+        """The loop with each `Formula` map replaced by the equal plain lambda."""
+        def swap(part):
+            return replace(part, **{name: plain(fn) for name, fn in vars(part).items()
+                                    if isinstance(fn, Formula)})
 
-        return replace(loop, spec=plain(loop.spec), goal=plain(loop.goal),
-                       param=plain(loop.param), potential=plain(loop.potential))
+        return replace(loop, spec=swap(loop.spec), goal=swap(loop.goal), param=swap(loop.param),
+                       potential=swap(loop.potential), shaper=swap(loop.shaper))
 
     def test_oscillator_same_as_with_lambdas(self, oscillator):
-        plain = replace(oscillator, loop_x=self.with_lambdas(oscillator.loop_x),
-                        loop_y=self.with_lambdas(oscillator.loop_y))
-        assert _constants(oscillator.loop_x) == (1,) * len(_SLOTS)
-        assert _constants(plain.loop_x) == (0,) * len(_SLOTS)
+        plain_sys = replace(oscillator, loop_x=self.with_lambdas(oscillator.loop_x),
+                            loop_y=self.with_lambdas(oscillator.loop_y),
+                            coupling=replace(oscillator.coupling,
+                                             into_x2=plain(oscillator.coupling.into_x2),
+                                             into_y2=plain(oscillator.coupling.into_y2)))
+        for sys, formulas in ((oscillator, True), (plain_sys, False)):
+            for maps in (_maps(sys.loop_x, sys.coupling.into_x2),
+                         _maps(sys.loop_y, sys.coupling.into_y2)):
+                assert [isinstance(fn, Formula) for fn in maps] == [formulas] * len(_SLOTS)
         y0 = OscillatorScenario().initial_state()
-        got, want = integrate(oscillator, self.CFG, y0), integrate(plain, self.CFG, y0)
+        got, want = integrate(oscillator, self.CFG, y0), integrate(plain_sys, self.CFG, y0)
         assert got.status == want.status == STATUS_COMPLETED
         assert same_bits(got.t, want.t)
         for which in "xy":
@@ -491,12 +507,31 @@ class TestConstantMaps:
             self.run(kind, oscillator, loop)
         assert calls == []
 
+    @pytest.mark.parametrize("f1,error", [
+        ("lambda state, t: (state[2],)", r"state\[2\] is out of range"),
+        ("lambda state, t: (state[1], state[0])", "too many values to unpack"),
+        ("lambda state: (state[1],)", "cannot take 2 arguments"),
+    ], ids=["index", "length", "arguments"])
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_formula_misfit_is_rejected_before_the_first_step(self, oscillator, kind, f1, error):
+        # rejected when the runner is written or at its first evaluation: before any step
+        calls = []
+        loop = oscillator.loop_x
+        f2 = loop.spec.f2
+        loop = replace(loop, spec=replace(loop.spec, f1=Formula(f1),
+                                          f2=lambda s, th, t: calls.append(t) or f2(s, th, t)))
+        with pytest.raises(ValueError, match=error):
+            self.run(kind, oscillator, loop)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
     def test_zero_input_gain_is_singular_at_the_initial_point(self, oscillator, kind):
         # g1 = (0,), g2 = (0,) and the goal gradient (1, 1): the input gain is zero
         loop = oscillator.loop_x
         loop = replace(loop, spec=replace(loop.spec, g2=Constant((0.0,))))
-        assert _constants(loop) == (1,) * len(_SLOTS)
+        # read once per run, so the input gain is computed in the runner's bind text
+        assert all(isinstance(fn, Formula) and not fn.reads
+                   for fn in (loop.goal.grad_state, loop.spec.g1, loop.spec.g2))
         with pytest.raises(ControlSingularityError):
             self.run(kind, oscillator, loop)
 
@@ -510,11 +545,11 @@ class TestConstantMaps:
         loop, wrong = probe_loop(1, 1, 1, [1.0, 0.8]), probe_loop(1, 1, 1, [1.0, 0.8])
         setattr(getattr(wrong, owner), name, Constant((0.0,) * 5))
         args = ((0.3,), math.cos, (1.0,), [0.1, -0.2, 0.05], 0.0, 0.05, 10, 1, math.inf)
-        got, want = (_runner("virtual", (1, 1, 1), _constants(m))(m, *args) for m in (wrong, loop))
+        got, want = (_runner("virtual", (1, 1, 1), _maps(m))(m, *args) for m in (wrong, loop))
         assert got[3] == want[3] == STATUS_COMPLETED
         assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
         with pytest.raises(ValueError, match="unpack"):
-            _runner("loop", (1, 1, 1), _constants(wrong))(wrong, *args)
+            _runner("loop", (1, 1, 1), _maps(wrong))(wrong, *args)
 
     @classmethod
     def run(cls, kind, oscillator, loop_x):
@@ -523,6 +558,123 @@ class TestConstantMaps:
                              OscillatorScenario().initial_state())
         integrator = integrate_loop if kind == "loop" else integrate_virtual
         return integrator(loop_x, (1.0,), zero_disturbance(), cls.CFG, (-1.0, 0.0), (-1.0,))
+
+
+COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1.5, 1.5)
+# the parameter names of each `_SLOTS` argument letter, and the shape of each map's value:
+# None a scalar, "q", "p", "d", "n" a vector of that length, ("d", "n") rows
+PARAMETERS = {"s": "state", "e": "theta", "T": "theta", "t": "t", "p": "psi", "o": "other"}
+SHAPES = {"psi": None, "alpha": "d", "pot": "d", "dpot": ("d", "n"), "dpotdt": "d", "grad": "n",
+          "dpsidt": None, "dalpha": ("d", "n"), "dalphadt": "d", "f1": "q", "g1": "q", "g2": "p",
+          "f2": "p", "phi": None, "inj": "p"}
+
+
+@st.composite
+def formula_maps(draw, layout, n_other, singular_at=None):
+    """slot -> (Formula, the equal plain lambda) for a probe loop of layout (q, p, d).
+
+    Each map reads no argument, or holds per value element an affine form
+    of every scalar it reads with a sine of it bound by `:=`; coefficients
+    are named constants, and the input maps and goal gradient are offset by
+    2.  singular_at = m makes the goal gradient vanish at t = 0.05 m, so
+    the input gain does too.
+    """
+    q, p, d = layout
+    sizes = {"q": q, "p": p, "d": d, "n": q + p, "state": q + p, "theta": d, "other": n_other}
+    maps = {}
+    for slot, shape in SHAPES.items():
+        params = [PARAMETERS[x] for x in _SLOTS[slot][1]]
+        scalars = [f"{x}[{i}]" if x in sizes else x for x in params
+                   for i in range(sizes.get(x, 1))]
+        reads, constants = draw(st.booleans()), {}
+
+        def coefficient():
+            constants[f"k{len(constants)}"] = draw(COEFFICIENTS)
+            return f"k{len(constants) - 1}"
+
+        def element():
+            if slot == "grad" and singular_at is not None:
+                constants["stop"] = 0.05 * singular_at
+                return f"{coefficient()} * (t - stop)"
+            base = "2.0 + " if slot in ("grad", "g1", "g2") else ""  # input gain mostly > 0
+            if not reads:
+                return base + coefficient()
+            form = " + ".join([*(f"{coefficient()} * {x}" for x in scalars), coefficient()])
+            return f"{base}(w := {form}) + {coefficient()} * sin(w)"
+
+        def value(shape):
+            if shape is None:
+                return element()
+            rows, shape = (shape[0], shape[1]) if isinstance(shape, tuple) else (shape, None)
+            return f"({''.join(f'{value(shape)}, ' for _ in range(sizes[rows]))})"
+
+        fn = Formula(f"lambda {', '.join(params)}: {value(shape)}", **constants)
+        maps[slot] = fn, plain(fn)
+    maps["fh"] = maps["f2"]  # both read the loop's f2
+    return maps
+
+
+def mapped_loop(layout, maps):
+    """A duck-typed loop of layout (q, p, d) whose `_SLOTS` maps are maps[slot]."""
+    q, p, d = layout
+    ns = SimpleNamespace
+    loop = ns(spec=ns(layout=ns(q=q, p=p), param_dim=d), goal=ns(), param=ns(dim=d),
+              potential=ns(), shaper=ns(), gain=np.eye(d) + 0.1)
+    for slot, (attr, _) in _SLOTS.items():
+        if attr:
+            owner, name = attr.split(".")
+            setattr(getattr(loop, owner), name, maps[slot])
+    return loop
+
+
+def outcome(run, *args):
+    """The runner's result, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except (ArithmeticError, ValueError, ControlSingularityError) as err:
+        return type(err), str(err)
+
+
+class TestFormulaRunners:
+    """A `Formula` written into a runner gives the bits of the equal plain lambda called."""
+
+    # no shrinking, as in TestGeneratedRunners: every example compiles new runners
+    @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+    @given(data=st.data(), kind=st.sampled_from(["coupled", "loop", "virtual"]),
+           n_steps=st.integers(1, 20), every=st.integers(1, 5),
+           stop=st.sampled_from(["none", "diverge", "singular"]))
+    def test_formula_and_plain_lambda_agree(self, data, kind, n_steps, every, stop):
+        layouts = data.draw(st.lists(LAYOUTS, min_size=1 + (kind == "coupled"),
+                                     max_size=1 + (kind == "coupled")))
+        n = [q + p for q, p, _ in layouts]
+        singular = data.draw(st.integers(0, n_steps)) if stop == "singular" else None
+        drawn = [data.draw(formula_maps(m, n[-1 - i], singular)) for i, m in enumerate(layouts)]
+        written = [data.draw(st.lists(st.booleans(), min_size=len(_SLOTS), max_size=len(_SLOTS)))
+                   for _ in layouts]
+        y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sum(map(sum, layouts)),
+                                max_size=sum(map(sum, layouts))))
+        bound = max(map(abs, y0)) + data.draw(st.floats(0.0, 0.5)) if stop == "diverge" else 1e6
+        thetas = [tuple(0.3 * (j + 1) for j in range(m[2])) for m in layouts]
+        args = (y0, 0.0, 0.05, n_steps, every, bound)
+        results = []
+        for picks in written, [[False] * len(_SLOTS)] * len(layouts):
+            chosen = [{slot: pair[not pick] for (slot, pair), pick in zip(maps.items(), mine)}
+                      for maps, mine in zip(drawn, picks)]
+            loops = [mapped_loop(m, c) for m, c in zip(layouts, chosen)]
+            maps = sum((_maps(loop, c["inj"] if kind == "coupled" else None)
+                        for loop, c in zip(loops, chosen)), ())
+            run = _runner(kind, sum(layouts, ()), maps)
+            if kind == "coupled":
+                results.append(outcome(run, loops[0], thetas[0], loops[1], thetas[1],
+                                       chosen[0]["inj"], chosen[1]["inj"], *args))
+            else:
+                direction = tuple(1.0 - 0.5 * i for i in range(layouts[0][1]))
+                results.append(outcome(run, loops[0], thetas[0], math.cos, direction, *args))
+        got, want = results
+        event(f"{stop} -> {got[-1]}")
+        assert len(got) == len(want) and got[-1] == want[-1]
+        if len(got) == 4:
+            assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
 
 
 class TestRunningNorms:
@@ -798,9 +950,10 @@ class TestWrongLengthOutputs:
         with pytest.raises(ValueError) as exc:
             self.run(integrate_loop, self.matrix_gain_loop(f2=lambda s, th, t: (0.1, 7.0)))
         text = "".join(traceback.format_exception(exc.value))
-        # the runner's stage-one evaluation at the initial point, inlined from the loop body
-        assert 'File "<generated loop (1, 1, 2) (0, 0, 0, 0, 0, 0, 0, 0, 0)>"' in text
-        assert "(fh0, ) = f2_fn(state, theta_hat, t)" in text
+        # the runner's stage-one evaluation at the initial point, inlined from the loop
+        # body; the runner's name holds its kind, layout and a digest of its formula texts
+        assert re.search(r'File "<generated loop \(1, 1, 2\) [0-9a-f]{8}>"', text)
+        assert "(fh0, ) = fh_fn(state, theta_hat, t)" in text
 
 
 class TestGoalAttainment:

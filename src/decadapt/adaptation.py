@@ -36,10 +36,10 @@ from .model import (
     _evaluate_samples,
     _moved,
     _require_finite,
+    _stencil,
     _worst,
     check_gradient,
     check_time_derivative,
-    fd_state_partial,
 )
 from .report import CertificateEntry, entry_from_margin
 
@@ -309,16 +309,14 @@ def build_potential_single_coordinate(
         psi = goal.psi(state, t)
         galpha = np.asarray(param.grad_state(state, t), dtype=float)
         out[:, k] = psi * galpha[:, k]
-        state_arr = np.asarray(state, dtype=float)
+        point = tuple(np.asarray(state, dtype=float).tolist())
         for j in range(q):
-            h = 1e-3 * max(1.0, abs(state_arr[j]))
-            out[:, j] = fd_state_partial(value, state_arr, j, t, h)
+            h = 1e-3 * max(1.0, abs(point[j]))
+            out[:, j] = _stencil(lambda m: value(_moved(point, j, m * h), t), h)
         return out
 
     def d_time(state, t):
-        h = 1e-3
-        vals = [value(state, t + o) for o in (2 * h, h, -h, -2 * h)]
-        return (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12.0 * h)
+        return _stencil(lambda m: value(state, t + m * 1e-3), 1e-3)
 
     return AuxiliaryPotential(value=value, grad_state=grad_state, d_time=d_time)
 

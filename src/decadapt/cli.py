@@ -22,11 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .scenario import OscillatorScenario, build_oscillator, certify_oscillator, load_scenario
 from .certify import check_small_gain, small_gain_problem
-from .simulate import STATUS_COMPLETED, integrate, write_trajectory_csv
+from .simulate import STATUS_COMPLETED, _write_csv, integrate, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -182,15 +180,9 @@ def _cmd_plotdata(args) -> int:
     traj = integrate(build_oscillator(sc), sc.integrator, sc.initial_state())
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    panels = (
-        ("a", "x1", traj.loops["x"].state[:, 0]),
-        ("b", "x2", traj.loops["x"].state[:, 1]),
-        ("c", "y1", traj.loops["y"].state[:, 0]),
-        ("d", "y2", traj.loops["y"].state[:, 1]),
-    )
-    for panel, column, series in panels:
-        np.savetxt(out_dir / f"panel_{panel}.csv", np.column_stack((traj.t, series)),
-                   fmt="%.17g", delimiter=",", header=f"t,{column}", comments="")
+    for panel, tag, i in zip("abcd", "xxyy", (0, 1, 0, 1)):
+        _write_csv(out_dir / f"panel_{panel}.csv", ["t", f"{tag}{i + 1}"],
+                   [traj.t, traj.loops[tag].state[:, i]])
     print(f"panels a-d -> {out_dir}")
     return EXIT_OK if traj.status == STATUS_COMPLETED else EXIT_SIM_ABORT
 

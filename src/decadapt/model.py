@@ -537,16 +537,6 @@ def input_gain(spec: SubsystemSpec, goal: GoalFunction, state, t: float) -> floa
     return _dot(grad[:q], spec.g1(state)) + _dot(grad[q:], spec.g2(state))
 
 
-def fd_state_partial(fn: Callable, state: np.ndarray, j: int, t: float, h: float) -> np.ndarray:
-    """Five-point central difference of fn(state, t) along state coordinate j."""
-    p = state.astype(float).copy()
-    vals = []
-    for offset in (2 * h, h, -h, -2 * h):
-        p[j] = state[j] + offset
-        vals.append(np.asarray(fn(p, t), dtype=float))
-    return (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12.0 * h)
-
-
 def _evaluate_samples(terms: Callable, samples, reduce: Callable) -> tuple:
     """(values, result) of a sampled check, on the sample columns when they agree.
 
@@ -597,6 +587,11 @@ def _moved(point: tuple, j: int, offset) -> tuple:
     return point[:j] + (point[j] + offset,) + point[j + 1:]
 
 
+def _stencil(v: Callable, h):
+    """(-v(2h) + 8 v(h) - 8 v(-h) + v(-2h)) / (12 h), called in that order; v(m) is at m h."""
+    return (-v(2) + 8 * v(1) - 8 * v(-1) + v(-2)) / (12.0 * h)
+
+
 def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.ndarray,
                 coords) -> tuple:
     """Worst relative error of analytic partials against five-point differences.
@@ -617,10 +612,9 @@ def _five_point(fn: Callable, partial: Callable, points: np.ndarray, times: np.n
         g, point = partial(state, t), (*state, t)
         out = [g[i][c] if jacobian else g[c] for c in range(len(coords)) for i in range(k)]
         for hj, j in zip(h, coords):
-            moved = [_moved(point, j, offset) for offset in (2 * hj, hj, -hj, -2 * hj)]
-            vals = [fn(p[:n], p[n]) for p in moved]
-            vals = [[v[i] for i in range(k)] if vector else [v] for v in vals]
-            out += [(-v0 + 8 * v1 - 8 * v2 + v3) / (12.0 * hj) for v0, v1, v2, v3 in zip(*vals)]
+            moved = {m: _moved(point, j, m * hj) for m in (2, 1, -1, -2)}
+            vals = {m: fn(p[:n], p[n]) for m, p in moved.items()}
+            out += [_stencil(lambda m: vals[m][i] if vector else vals[m], hj) for i in range(k)]
         return out
 
     def reduce(values):

@@ -11,10 +11,12 @@ locals, the stages unrolled, and each stage evaluation written out as the
 closed-loop law of its loops (`_loop_body`), each `Formula` in place (once
 per run if it reads no argument), every other map called, every result
 unpacked to its declared length and every dot product written out.  It
-logs raw samples of the state and of the law's diagnostics on the thinned
-grid.  Running signal norms are computed after the run from the logged
-samples by trapezoidal quadrature (`running_l2`), checked with the fixed
-tolerances `certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
+logs raw samples of the state and of the law's diagnostics every
+`log_every` steps and at the final point.  Every loop run, coupled, single
+or reduced-form, is recorded as a `LoopTrajectory`; its running signal
+norms are computed after the run from the logged samples by trapezoidal
+quadrature (`running_l2`), checked with the fixed tolerances
+`certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
 
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
@@ -123,7 +125,9 @@ class LoopTrajectory:
 
     eps is the disturbance entering the goal-error equation (for coupled
     runs, the coupling channel into this loop).  l2_* arrays hold the
-    running norms over [t0, t_k]; linf_psi the running peak of |psi|.
+    running norms over [t0, t_k]; linf_psi the running peak of |psi|.  theta_i
+    is the estimator state: the integral state, or for a reduced-form run
+    (`integrate_virtual`) the estimate itself, so there it equals theta_hat.
     """
 
     t: np.ndarray
@@ -279,7 +283,8 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
     with the coupling field maps["inj"] of partner = (its bind source, the
     partner's state container and sources), or signal(t) * direction if
     partner is None, and assigns the n state and d estimator rates to the
-    locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat) or (psi, u).
+    locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat), theta_hat
+    the estimator sources if `virtual`.
     The bind text binds what the body reads, and the terms built from the
     values of formulas that read no argument alone.
     """
@@ -325,10 +330,11 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
                     + [f"{s[q + i]} = {f2[i]} + {inj[i]} + {g2[i]} * {u}" for i in range(p)]),
     )
     fields["control"], bind = _CONTROL_TEMPLATE.format(**fields), lines(binds)
+    diag = [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj)]
     if virtual:
         return bind, _VIRTUAL_TEMPLATE.format(grad_s=_dot(gq + gp, s), theta_hat_dot=lines(
             f"{rates[n + r]} = {_dot(gain[r], [f'{P}w * {x}' for x in a])}" for r in range(d)),
-            **fields), [psi, u]
+            **fields), diag + ti
     return bind, _KERNEL_TEMPLATE.format(
         v_eqs=lines(f"{v[j]} = {psi} * {a[j]} - {pv[j]} + {ti[j]}" for j in range(d)),
         th_eqs=lines(f"{th[r]} = {_dot(gain[r], v)}" for r in range(d)),
@@ -336,7 +342,7 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
             f"{rates[n + j]} = {P}phiv * {a[j]} + ({dpdt[j]} - {psi} * ({dadt[j]} + "
             f"{_dot(da[j][:q], f1)}) + {_dot(dp[j][:q], f1)} - ({psi} * {lg1['dalpha'][j]}"
             f" - {lg1['dpot'][j]}) * {u})" for j in range(d)), **fields,
-    ), [psi, u, f"{P}lf1 + {_dot(gp, f2)} - {P}drift_hat", _dot(gp, inj), *th]
+    ), diag + th
 
 
 # The body of every RK4 run, generated by `_runner`: its stages are written
@@ -354,13 +360,12 @@ def {name}({args}y_init, t0, h, n_steps, every, bound):
     t = t0
     for k in range(n_steps + 1):
         try:
-            if k < n_steps or k % every == 0:
 {stage1}
-                if k % every == 0:
-                    if not k:
-                        log = _log_buffer(n_steps, every, h, {width})
-                    log[logged] = (t, {y}{diag})
-                    logged += 1
+            if k % every == 0 or k == n_steps:
+                if not k:
+                    log = _log_buffer(n_steps, every, h, {width})
+                log[logged] = (t, {y}{diag})
+                logged += 1
             if k == n_steps:
                 break
 {stages}
@@ -387,9 +392,11 @@ def _runner(kind: str, layout: tuple, maps: tuple):
 
     A runner keeps the state in float locals with the stages unrolled and
     returns (t, y, diag, status), one row per sample logged every `every`
-    steps, the diag from the stage-one evaluation the step needs anyway.  It
-    stops when a state component leaves [-bound, bound] (a NaN does too) or
-    the control law is undefined; undefined at the initial point propagates.
+    steps and at the final point, the diag from the stage-one evaluation the
+    step needs anyway.  It stops when a state component leaves [-bound,
+    bound] (a NaN does too) or the control law is undefined; undefined at
+    the initial point propagates, at a later one (the final point included)
+    it ends the run singular.
 
     - coupled(x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2,
       y0, ...) for loops of layouts layout[:3] and layout[3:], each injected
@@ -398,12 +405,13 @@ def _runner(kind: str, layout: tuple, maps: tuple):
     - loop / virtual(loop, theta_true, signal, direction, y0, ...) for one
       realizable / reduced-form loop injected with signal(t) * direction.
 
-    Loop stages are `_loop_body`'s text, and so is their diag.  maps are the
-    loops' `_maps`, one after the other.  Only `kind`, the integers of layout
-    and the unparse of validated formula ASTs reach the source, never raw
-    user text or constant values.  It is compiled on first use, cached, and
-    kept without blank lines in `linecache` under a name holding a digest of
-    the formula texts, so tracebacks through it show its lines.
+    Loop stages are `_loop_body`'s text, and so is their diag, the same
+    columns for every kind.  maps are the loops' `_maps`, one after the
+    other.  Only `kind`, the integers of layout and the unparse of validated
+    formula ASTs reach the source, never raw user text or constant values.
+    It is compiled on first use, cached, and kept without blank lines in
+    `linecache` under a name holding a digest of the formula texts, so
+    tracebacks through it show its lines.
     """
     texts = tuple(fn.text if isinstance(fn, Formula) else None for fn in maps)
     key = (kind, tuple(map(operator.index, layout)), texts)
@@ -424,7 +432,7 @@ def _maps(loop, inject=None) -> tuple:  # the `_SLOTS` maps of a loop injected w
 
 def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
     """Source of `_runner(kind, layout, maps)`."""
-    n, m, stages = sum(layout), len(_SLOTS), []
+    n, m, stages, diag = sum(layout), len(_SLOTS), [], []
     if kind == "coupled":
         args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
             'floor, x_tag, y_tag = SINGULARITY_FLOOR, "x", "y"']
@@ -438,7 +446,7 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
     for j, (t, c) in enumerate([("t", ""), ("t + half", "half"), ("t + half", "half"),
                                 ("t + h", "h")]):
         z = _names("z" if j else "y", n)
-        rates, diag, bodies = _names(f"k{j + 1}_", n), [], []
+        rates, bodies = _names(f"k{j + 1}_", n), []
         lines = [f"ts = {t}"] + [f"z{i} = y{i} + {c} * k{j}_{i}" for i in range(n)] if j else []
         t = "ts" if j else "t"
         for i, (P, (q, p, d), a, inject) in enumerate(loops):
@@ -448,8 +456,9 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
                 (q, p, d), dict(zip(_SLOTS, maps[i * m:(i + 1) * m])), P, z[a:a + q + p + d],
                 rates[a:a + q + p + d], partner, t, kind == "virtual")
             bodies.append(body)
-            diag += loop_diag
-            binds += [] if j else [bind]
+            if not j:  # the bind text, and the diag read at stage one
+                binds.append(bind)
+                diag += loop_diag
         lines += [f"{P}state = [{', '.join(z[a:a + q + p])}]" for P, (q, p, _), a, _ in loops
                   if re.search(rf"\b{P}state\b", "\n".join(bodies))] + bodies
         stages.append("\n".join(lines))
@@ -457,7 +466,7 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
         name=kind, args=args, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
         diag=_tup(diag), n1=n + 1,
         width=n + 1 + len(diag),
-        stage1=indent(stages[0], " " * 16), stages=indent("\n".join(stages[1:]), " " * 12),
+        stage1=indent(stages[0], " " * 12), stages=indent("\n".join(stages[1:]), " " * 12),
         update=indent("\n".join(f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + "
                                  f"k4_{i})" for i in range(n)), " " * 8),
         in_bounds=" and ".join(f"lo <= y{i} <= bound" for i in range(n)),
@@ -466,7 +475,7 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
 
 def _log_buffer(n_steps: int, every: int, step: float, width: int):
     """Empty log of a run, one row of `width` per sample; too large for numpy is a ValueError."""
-    rows = n_steps // every + 1
+    rows = -(-n_steps // every) + 1  # every `every`-th step and the final one
     try:
         return np.empty((rows, width))
     except (MemoryError, ValueError):
@@ -520,8 +529,8 @@ def integrate(
 
 
 def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Disturbance,
-                cfg: IntegratorConfig, state0, est0, t0: float):
-    """(t, state, estimator state, diag, status) of one loop's `kind` run from state0 + est0."""
+                cfg: IntegratorConfig, state0, est0, t0: float) -> LoopTrajectory:
+    """The record of one loop's `kind` run from state0 + est0 (estimator state)."""
     layout, theta_true = _checked(loop, theta_true)
     n, d = loop.spec.layout.n, loop.spec.param_dim
     state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
@@ -532,7 +541,7 @@ def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Dist
     t, z, diag, status = _runner(kind, layout, _maps(loop))(
         loop, theta_true, disturbance.signal, direction, state0 + est0, t0, cfg.step,
         cfg.n_steps, cfg.log_every, cfg.divergence_bound)
-    return t, z[:, :n], z[:, n:], diag, status
+    return _loop_record(t, z[:, :n], z[:, n:], diag, status)
 
 
 def integrate_loop(
@@ -550,19 +559,7 @@ def integrate_loop(
     coupled run whose coupling vanishes, so the two produce bit-identical
     subsystem trajectories on the same grid.
     """
-    return _loop_record(*_run_single("loop", loop, theta_true, disturbance, cfg, state0,
-                                     theta_i0, t0))
-
-
-@dataclass(eq=False)
-class VirtualTrajectory:
-    """Record of the reduced-form oracle integration: estimates evolve directly."""
-
-    t: np.ndarray
-    state: np.ndarray
-    theta_hat: np.ndarray
-    psi: np.ndarray
-    status: str
+    return _run_single("loop", loop, theta_true, disturbance, cfg, state0, theta_i0, t0)
 
 
 def integrate_virtual(
@@ -573,19 +570,24 @@ def integrate_virtual(
     state0,
     theta_hat0,
     t0: float = 0.0,
-) -> VirtualTrajectory:
+) -> LoopTrajectory:
     """Integrate the reduced update law as an oracle for the realizable one.
 
     The estimate is itself a state: its rate is gain @ ((psi_dot + phi) *
     alpha) with psi_dot the true chain-rule derivative of the goal function
     along the closed loop.  That requires the true parameters, so it is not
     realizable online; from consistent initial data it must reproduce the
-    estimates of `integrate_loop` up to integration error.
+    estimates of `integrate_loop` up to integration error.  The record is
+    `integrate_loop`'s, with theta_i the estimator state, hence equal to
+    theta_hat, and u, mismatch and eps those of the control input at it.
     """
-    t, state, theta_hat, diag, status = _run_single("virtual", loop, theta_true, disturbance,
-                                                    cfg, state0, theta_hat0, t0)
-    return VirtualTrajectory(t=t, state=state, theta_hat=theta_hat, psi=diag[:, 0],
-                             status=status)
+    return _run_single("virtual", loop, theta_true, disturbance, cfg, state0, theta_hat0, t0)
+
+
+def _write_csv(path, header: list, columns: list) -> None:
+    """Write columns under a header row as CSV with 17-significant-digit floats."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -601,9 +603,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + ["l2PsiX", "l2PsiY", "linfPsiX", "linfPsiY",
            "l2MismatchX", "l2MismatchY", "hIntoX", "hIntoY"]
     )
-    columns = np.column_stack([
+    _write_csv(path, header, [
         traj.t, lx.state, ly.state, lx.psi, ly.psi, lx.u, ly.u, lx.theta_hat, ly.theta_hat,
         lx.l2_psi, ly.l2_psi, lx.linf_psi, ly.linf_psi, lx.l2_mismatch, ly.l2_mismatch,
         lx.eps, ly.eps,
     ])
-    np.savetxt(path, columns, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

@@ -136,6 +136,16 @@ class TestVerifyMonotonicity:
         assert entry.status == INCONCLUSIVE
         assert entry.witness["floor"] == RATIO_FLOOR  # no sample cleared it
 
+    def test_difference_at_the_floor_is_not_a_ratio_sample(self):
+        # alpha^T (theta_alt - theta) is 1.0 * (RATIO_FLOOR - 0.0), exactly the floor, in
+        # the first sample and twice it in the second: only the second clears the floor
+        samples = [np.array([[2.0, 0.0], [2.0, 0.0]]), np.zeros((2, 1)),
+                   np.array([[RATIO_FLOOR], [2.0 * RATIO_FLOOR]]), np.zeros((2, 1))]
+        entry = verify_monotonicity(shifted_alpha((1.0, 1.0)),
+                                    lambda s, th, t: th[0] * (s[0] - 1.0), samples)
+        assert entry.passed
+        assert entry.witness["n_ratio_samples"] == 1
+
     def test_alpha_length_must_match_theta_box(self):
         param = Parametrization(
             alpha=lambda s, t: (s[0], s[1]),

@@ -30,7 +30,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # (scenario, log_every) -> (status, samples, t, x, y, theta_i_x, theta_i_y,
 #                           theta_hat_x, theta_hat_y) at the last logged row;
-# step 1e-3, horizon 2
+# step 1e-3, horizon 2.  The final point is logged on every grid, so the
+# log_every 7 rows equal the log_every 1 rows.
 COUPLED = {
     ("reference", 1): (
         "completed", 2001, 2.0,
@@ -39,10 +40,10 @@ COUPLED = {
         (1.0416671889261935,), (0.6625321569988311,),
     ),
     ("reference", 7): (
-        "completed", 286, 1.995,
-        (-0.27123549669467173, 0.1938011850112211), (-0.4804113399750217, -0.3525221981631361),
-        (0.9423847861889191,), (-0.5758271176389599,),
-        (1.0408220318630406,), (0.6572571376662862,),
+        "completed", 287, 2.0,
+        (-0.2702686384727334, 0.19294304325932374), (-0.4821577123939282, -0.34603131874624543),
+        (0.9434429103753619,), (-0.5649746028256325,),
+        (1.0416671889261935,), (0.6625321569988311,),
     ),
     ("strong-weak", 1): (
         "completed", 2001, 2.0,
@@ -51,10 +52,10 @@ COUPLED = {
         (1.0635154871975052,), (0.50340936063489,),
     ),
     ("strong-weak", 7): (
-        "completed", 286, 1.995,
-        (-0.29013461472454877, 0.13458331149938518), (-0.4274963383488459, -0.4668090132207477),
-        (0.8606500744684011,), (-0.7799522175218186,),
-        (1.061332195124699,), (0.4966653972095535,),
+        "completed", 287, 2.0,
+        (-0.2894637205800329, 0.1337758790937372), (-0.4298140816284311, -0.46028970164670846),
+        (0.862761663865512,), (-0.7692735628026457,),
+        (1.0635154871975052,), (0.50340936063489,),
     ),
     ("decoupled", 1): (
         "completed", 2001, 2.0,
@@ -63,10 +64,10 @@ COUPLED = {
         (0.9999999999999919,), (0.44302381734294594,),
     ),
     ("decoupled", 7): (
-        "completed", 286, 1.995,
-        (-0.25352759421388255, 0.235027880094054), (-0.4075156706590881, -0.505389343410277),
-        (0.9768100978657185,), (-0.8491860951175935,),
-        (0.9999999999999918,), (0.43574201800829326,),
+        "completed", 287, 2.0,
+        (-0.2523549275844947, 0.23403928869575122), (-0.410026488792858, -0.49893805375902384),
+        (0.9770623193858158,), (-0.8386402650286904,),
+        (0.9999999999999919,), (0.44302381734294594,),
     ),
 }
 
@@ -78,12 +79,13 @@ VIRTUAL = ("completed", 2001, (-0.25477441656977745, 0.21660882221637745),
 
 # log_every -> (status, samples, t, state, theta_hat, psi) at the last logged
 # row of the y loop of reference.cfg under pulse_disturbance(0.5, 1.0, 2.0),
-# integrated by the reduced-form oracle; step 1e-3, horizon 2
+# integrated by the reduced-form oracle; step 1e-3, horizon 2 (the final
+# point on both grids)
 VIRTUAL_PULSE_Y = {
     1: ("completed", 2001, 2.0, (-0.3449300945427801, -0.4948176819290001),
         (0.1604829124137347,), -0.8397477764717802),
-    7: ("completed", 286, 1.995, (-0.3424428254863164, -0.5001715201085096),
-        (0.1530322620758519,), -0.8426143455948261),
+    7: ("completed", 287, 2.0, (-0.3449300945427801, -0.4948176819290001),
+        (0.1604829124137347,), -0.8397477764717802),
 }
 
 

@@ -138,7 +138,7 @@ def test_virtual_rates_match_reference(name, data):
     state, _, t, inject = _draw_point(data, loop)
     theta_hat = tuple(data.draw(VALUES) for _ in range(loop.spec.param_dim))
     _, virtual_rates = _kernels(loop, theta, "virtual")
-    deriv, (psi, u) = virtual_rates(state, theta_hat, t, inject)
+    deriv, (psi, u, mismatch, eps, *_) = virtual_rates(state, theta_hat, t, inject)
 
     ref_u = control(loop.spec, loop.goal, loop.shaper, state, theta_hat, t)
     ref_state_dot = _reference_state_rate(loop, theta, state, t, inject, ref_u)
@@ -152,6 +152,9 @@ def test_virtual_rates_match_reference(name, data):
     _assert_close(u, ref_u)
     _assert_close(psi, ref_psi)
     _assert_close(deriv, ref_deriv)
+    _assert_close(mismatch, goal_drift(loop.spec, loop.goal, state, theta, t)
+                  - goal_drift(loop.spec, loop.goal, state, theta_hat, t))
+    _assert_close(eps, np.dot(grad[loop.spec.layout.q:], inject))
 
 
 def _values(lo, hi):
@@ -191,13 +194,8 @@ def test_generated_kernels_match_general_bitwise(name, data):
                 integrator(loop, theta, disturbance, cfg, state, estimate, t0)
             continue
         got = integrator(loop, theta, disturbance, cfg, state, estimate, t0)
-        if integrator is integrate_loop:
-            got_y, got_diag = (got.state, got.theta_i), (got.psi, got.u, got.mismatch, got.eps,
-                                                          got.theta_hat)
-        else:  # the reduced-form record keeps the psi of its diag
-            got_y, got_diag = (got.state, got.theta_hat), (got.psi,)
-        got_diag = np.column_stack(got_diag)
         assert got.status == status
         assert same_bits(got.t, t)
-        assert same_bits(np.column_stack(got_y), y)
-        assert same_bits(got_diag, diag[:, :got_diag.shape[1]])
+        assert same_bits(np.column_stack((got.state, got.theta_i)), y)
+        assert same_bits(np.column_stack((got.psi, got.u, got.mismatch, got.eps, got.theta_hat)),
+                         diag)

@@ -2,6 +2,7 @@ import math
 import re
 import traceback
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,8 @@ from decadapt import (
     integrate,
     integrate_loop,
     integrate_virtual,
+    load_scenario,
+    parameter_estimate,
     write_trajectory_csv,
     zero_potential,
 )
@@ -45,6 +48,8 @@ from decadapt.simulate import (
     running_l2,
     zero_disturbance,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestIntegratorConfig:
@@ -135,7 +140,7 @@ def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
     y = [float(v) for v in y0]
 
     k1, diag = rhs_full(t0, y)
-    n_logs = n_steps // every + 1
+    n_logs = -(-n_steps // every) + 1
     t_log = np.empty(n_logs)
     y_log = np.empty((n_logs, len(y)))
     diag_log = np.empty((n_logs, len(diag)))
@@ -171,15 +176,14 @@ def reference_rk4(rhs_full, y0, t0, step, n_steps, every, bound):
                 break
         if status == STATUS_DIVERGED:
             break
-    else:
-        if n_steps % every == 0:
-            tf = t0 + n_steps * h
-            try:
-                _, diag = rhs_full(tf, y)
-            except ControlSingularityError:
-                status = STATUS_SINGULAR
-            else:
-                log(tf, y, diag)
+    else:  # the final point is logged on every grid
+        tf = t0 + n_steps * h
+        try:
+            _, diag = rhs_full(tf, y)
+        except ControlSingularityError:
+            status = STATUS_SINGULAR
+        else:
+            log(tf, y, diag)
     return t_log[:logged], y_log[:logged], diag_log[:logged], status
 
 
@@ -192,9 +196,10 @@ def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, ta
       is the realizable PI estimator, with the flat
       diag = (psi, u, mismatch, eps, *theta_hat);
     - virtual_rates(state, theta_hat, t, inject2) ->
-      (state_dot + theta_hat_dot, (psi, u)) is the reduced update law
+      (state_dot + theta_hat_dot, diag) is the reduced update law
       gain @ ((psi_dot + phi) * alpha), with psi_dot the chain-rule
-      derivative along the closed loop.
+      derivative along the closed loop, and the same diag at the estimate
+      theta_hat.
 
     Both closures run one shared evaluation of the certainty-equivalent
     control input and the true plant rate (`closed_loop`).  The arithmetic
@@ -256,11 +261,14 @@ def _general_kernels(loop: AdaptiveLoopSpec, theta_true: tuple, floor: float, ta
 
     def virtual_rates(state, theta_hat, t, inject2):
         psi = psi_fn(state, t)
-        grad, dpsidt, phiv, u, _, _, state_dot, _ = closed_loop(state, psi, theta_hat, t, inject2)
+        grad, dpsidt, phiv, u, _, _, state_dot, mismatch = closed_loop(
+            state, psi, theta_hat, t, inject2
+        )
         psi_dot = dpsidt + _dot(grad, state_dot)
         w = psi_dot + phiv
         incr = [w * a for a in alpha_fn(state, t)]
-        return state_dot + [_dot(row, incr) for row in gamma_rows], (psi, u)
+        return state_dot + [_dot(row, incr) for row in gamma_rows], (
+            psi, u, mismatch, _dot(grad[q:], inject2), *theta_hat)
 
     return rates, virtual_rates
 
@@ -408,7 +416,7 @@ class TestGeneratedRunners:
             bound = max(map(abs, y0)) + data.draw(st.floats(0.0, 0.2))
         elif stop == "nan":
             nan_after = data.draw(st.floats(0.0, 0.05 * n_steps))
-        elif stop == "singular":  # 4 * n_steps is the final point, evaluated if logged
+        elif stop == "singular":  # 4 * n_steps is the final point
             singular = (data.draw(st.integers(0, len(layouts) - 1)),
                         data.draw(st.integers(1, 4 * n_steps)))
         got, want = self.both(kind, layouts, c, lambda t: scale * math.exp(-rate * t), y0,
@@ -425,8 +433,8 @@ class TestGeneratedRunners:
         got, want = self.both(kind, layouts, [[1.0, 0.8], [0.9, 1.1]], math.cos,
                               [0.1, -0.2, 0.3, 0.2, -0.1, 0.0, 0.4][:sum(map(sum, layouts))],
                               10, every, math.inf, math.inf, (len(layouts) - 1, 40))
-        # 10 steps make calls 0-40; call 40 is the final point, evaluated when it is logged
-        assert got[3] == want[3] == (STATUS_SINGULAR if 10 % every == 0 else STATUS_COMPLETED)
+        # 10 steps make calls 0-40; call 40 is the final point, evaluated on every grid
+        assert got[3] == want[3] == STATUS_SINGULAR
         assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
 
     @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
@@ -720,6 +728,27 @@ class TestTrajectoryGrid:
         assert np.array_equal(a.loops["y"].u, b.loops["y"].u)
         assert np.array_equal(a.loops["x"].l2_mismatch, b.loops["x"].l2_mismatch)
 
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_final_point_logged_on_every_grid(self, scenario, oscillator, kind):
+        # 1000 steps are not a multiple of 3: the last row is still the final point
+        def last_row(every):
+            cfg = IntegratorConfig(step=1e-3, t_final=1.0, log_every=every)
+            if kind == "coupled":
+                rec = integrate(oscillator, cfg, scenario.initial_state()).loops["y"]
+            else:
+                integrator = integrate_loop if kind == "loop" else integrate_virtual
+                rec = integrator(oscillator.loop_y, oscillator.theta_true_y,
+                                 pulse_disturbance(0.5, 0.2, 0.6), cfg,
+                                 (scenario.y1_0, scenario.y2_0), (scenario.theta_i_y0,))
+            assert rec.status == STATUS_COMPLETED
+            assert rec.t.shape[0] == -(-1000 // every) + 1
+            return np.concatenate([np.atleast_1d(getattr(rec, name)[-1]) for name in (
+                "t", "state", "theta_i", "theta_hat", "psi", "u", "mismatch", "eps")])
+
+        row = last_row(3)
+        assert row[0] == 1.0
+        assert same_bits(row, last_row(1))
+
 
 class TestTrajectoryRecord:
     def test_loops_share_grid_and_status(self, coupled_traj):
@@ -729,6 +758,35 @@ class TestTrajectoryRecord:
             assert loop.t is traj.t
             assert loop.status == traj.status
             assert loop.state.shape == (traj.t.shape[0], 2)
+
+    @pytest.mark.parametrize("tag", ["x", "y"])
+    @pytest.mark.parametrize("disturbance", [exponential_disturbance(0.5, 1.0),
+                                             pulse_disturbance(0.5, 1.0, 2.0)],
+                             ids=["exponential", "pulse"])
+    def test_virtual_record_matches_realizable(self, tag, disturbance):
+        """The reduced-form run is a `LoopTrajectory` with the realizable run's signals.
+
+        On the oscillator loops of reference.cfg (the benchmark's loop oracle),
+        eps is the constant goal gradient along the injected signal, so it is
+        the same in both runs bit for bit; mismatch and theta_hat agree to
+        criterion-5's 1e-4, and theta_i is the estimate the reduced law
+        integrates.
+        """
+        sc = load_scenario(SCENARIOS / "reference.cfg")
+        sys = build_oscillator(sc)
+        loop, theta = getattr(sys, f"loop_{tag}"), getattr(sys, f"theta_true_{tag}")
+        state0 = (sc.x1_0, sc.x2_0) if tag == "x" else (sc.y1_0, sc.y2_0)
+        ti0 = (sc.theta_i_x0,) if tag == "x" else (sc.theta_i_y0,)
+        cfg = IntegratorConfig(step=1e-3, t_final=10.0)
+        real = integrate_loop(loop, theta, disturbance, cfg, state0, ti0)
+        virt = integrate_virtual(loop, theta, disturbance, cfg, state0,
+                                 parameter_estimate(loop, state0, 0.0, ti0))
+        assert real.status == virt.status == STATUS_COMPLETED
+        assert same_bits(virt.eps, real.eps)
+        assert same_bits(virt.l2_eps, real.l2_eps)
+        assert np.max(np.abs(virt.mismatch - real.mismatch)) <= 1e-4
+        assert np.max(np.abs(virt.theta_hat - real.theta_hat)) <= 1e-4
+        assert same_bits(virt.theta_i, virt.theta_hat)
 
 
 class TestTerminationStatuses:

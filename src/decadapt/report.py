@@ -91,8 +91,8 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"all_pass": self.all_pass, "entries": [e.as_dict() for e in self.entries]},
-            indent=2,
-            sort_keys=True,
-        )
+        """Strict JSON (RFC 8259): a non-finite float, at any depth, is "inf", "-inf" or "nan"."""
+        finite = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}.get
+        entries = json.loads(json.dumps([e.as_dict() for e in self.entries]), parse_constant=finite)
+        return json.dumps({"all_pass": self.all_pass, "entries": entries},
+                          indent=2, sort_keys=True, allow_nan=False)

@@ -21,11 +21,17 @@ quadrature (`running_l2`), checked with the fixed tolerances
 Integration stops at the horizon, on divergence (a state component exceeds
 the configured bound), or on a controller singularity; the outcome is a
 status on the trajectory, never an exception.
+
+CSV export (`_write_csv`) writes the bytes of '%.17g' % v.  It decides each
+value's 17 digits exactly in numpy from a double-double product with a power
+of ten, and leaves NaN, infinities, ties and |v| outside [1e-280, 1e280] to
+Python's '%.17g'.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import linecache
 import math
 import numbers
@@ -584,10 +590,104 @@ def integrate_virtual(
     return _run_single("virtual", loop, theta_true, disturbance, cfg, state0, theta_hat0, t0)
 
 
+# The CSV writer renders a value as six little-endian words: byte 0 sign, 1-5 "0.000",
+# 6 the first digit, 7 a point, 8-39 the other digits each with a point slot after it,
+# 40-44 "e+HTU", 45 the separator.  A mask row per layout and digit count keeps text.
+_POWERS = range(-282, 299)  # k of the tabled 10**k; also the exponents E tabled
+_FIXED = range(-4, 17)  # '%g' writes these E without an exponent
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """Power-of-ten, digit and layout tables of the CSV writer, built on the first write."""
+    k = np.arange(_POWERS.start, _POWERS.stop)
+    x = [*itertools.accumulate([10] * -k[0], operator.floordiv, initial=1 << 1026)][:0:-1]
+    x += itertools.accumulate([10] * k[-1], operator.mul, initial=1)  # 10**k, * 2**1026 if k < 0
+    hi = [float(n) for n in x]
+    scale = np.where(k < 0, 2.0 ** -1026, 1.0)
+    hi, lo = np.array(hi) * scale, np.array([float(n - int(h)) for n, h in zip(x, hi)]) * scale
+    low = np.where(lo > 0, np.nextafter(hi, np.inf), hi)  # the first double >= 10**k
+    hh = hi * 134217729.0 - (hi * 134217729.0 - hi)  # Veltkamp: hi = hh + (hi - hh)
+    g = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of 0 ... 9999
+    d8 = np.full((10000, 8), ord("."), np.uint8)  # 0 ... 9999 as "d.d.d.d."
+    d8[:, ::2] = g.T + ord("0")
+    sig4 = ((g != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)  # to the last 1-9
+    lead = np.frombuffer(b"-0.000\0.", "<u8") + (np.arange(10, dtype="<u8") + ord("0")) * 2 ** 48
+    exp = b"".join(b"e%c%03d,\0\0" % (b"+-"[E < 0], abs(E)) for E in _POWERS)
+    ce = np.array([_FIXED.stop, 100, *_FIXED])[:, None]  # class: |E| < 100, |E| >= 100, fixed E
+    sig, fixed = np.arange(18), ce < _FIXED.stop
+    pt = np.where(fixed, ce, 0)  # the point follows digit pt
+    keep = np.zeros((ce.size, 18, 48), bool)
+    keep[..., 1:6] = np.arange(1, 6) <= np.where(ce < 0, 1 - ce, 0)[..., None]
+    keep[..., 6:40:2] = np.arange(17) < np.where(fixed, np.maximum(sig, ce + 1), sig)[..., None]
+    keep[..., 7:40:2] = (np.arange(17) == pt[..., None]) & (sig > pt + 1)[..., None]
+    keep[..., 40:45] = ~fixed[..., None] & ((np.arange(5) != 2) | (ce >= 100)[..., None])
+    keep[..., 45] = True
+    cls = np.where((k >= _FIXED.start) & (k < _FIXED.stop), k - _FIXED.start + 2, np.abs(k) >= 100)
+    return (np.stack([hi, hh, hi - hh, lo], axis=1), low, d8.view("<u8")[:, 0], sig4, lead,
+            np.frombuffer(exp, "<u8"), cls * 18, keep.reshape(-1, 48).view("<u8"))
+
+
+def _digits(a, E):
+    """The 17 significant digits D and exponent E of each a, 1e-280 <= a <= 1e280.
+
+    E may start one off; the first doubles >= 10**E and 10**(E + 1) set it.
+    Then p + q = a * 10**(16 - E) within 2**-46, p = fl(a * hi) plus its exact
+    error (Dekker) plus a * lo.  ok is False within 2**-20 of a rounding tie.
+    """
+    ten, low = _csv_tables()[:2]
+    E = E + (a >= low[E + 1 - _POWERS.start])
+    E -= a < low[E - _POWERS.start]
+    hi, hh, hl, lo = ten[16 - E - _POWERS.start].T
+    p = a * hi
+    ah = a * 134217729.0 - (a * 134217729.0 - a)
+    q = ((ah * hh - p) + ah * hl + (a - ah) * hh) + (a - ah) * hl + a * lo
+    r = np.floor(q + 0.5)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    return D, E + carry, np.abs(q - r) < 0.5 - 2.0 ** -20
+
+
 def _write_csv(path, header: list, columns: list) -> None:
-    """Write columns under a header row as CSV with 17-significant-digit floats."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """Write columns under a header row as CSV, each value as the bytes of '%.17g' % v.
+
+    Each v with 1e-280 <= |v| <= 1e280 gets its 17 digits from an exact
+    product with 10**(16 - E), E = floor(log10 |v|) (`_digits`); rounding it
+    is exact unless its fraction is within 2**-20 of a half.  Those values,
+    NaN, infinities and the rest of the range take Python's own '%.17g', so
+    the fast path never guesses.  Blocks of at most 2048 values bound its memory.
+    """
+    _, _, d8, sig4, lead, exp, cls, keep_rows = _csv_tables()
+    data = np.column_stack(columns).astype(float, copy=False)
+    n = data.shape[1]
+    rows = max(1, 2048 // n)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, data.shape[0], rows):
+            v = data[i:i + rows].ravel()
+            a = np.abs(v)
+            D, E = np.zeros(v.shape, np.int64), np.zeros(v.shape, np.int64)  # zero: "0", "-0"
+            fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
+            d, e, ok = _digits(a[fast], np.floor(np.log10(a[fast])).astype(np.int64))
+            D[fast[ok]], E[fast[ok]] = d[ok], e[ok]
+            h, g1 = np.divmod(D, 10000)
+            h, g2 = np.divmod(h, 10000)
+            h, g3 = np.divmod(h, 10000)
+            h, g4 = np.divmod(h, 10000)
+            L = E - _POWERS.start
+            words = np.stack([lead[h], d8[g4], d8[g3], d8[g2], d8[g1], exp[L]], axis=1)
+            words[n - 1::n, 5] ^= (ord(",") ^ ord("\n")) << 40
+            sig = np.where(g1, 13 + sig4[g1], np.where(g2, 9 + sig4[g2],
+                                                       np.where(g3, 5 + sig4[g3], 1 + sig4[g4])))
+            keep = keep_rows[cls[L] + sig].view(bool)
+            keep[:, 0] = np.signbit(v)
+            chars = words.view(np.uint8)
+            for j in np.flatnonzero((D == 0) & (a != 0)):  # left at D = 0: Python formats it
+                text = b"%.17g" % v[j]
+                chars[j, :len(text)] = np.frombuffer(text, np.uint8)
+                keep[j, :45] = np.arange(45) < len(text)
+            fh.write(np.compress(keep.ravel(), chars.ravel()).tobytes())
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -947,3 +947,20 @@ class TestReportConventions:
         payload = json.loads(report.to_json())
         assert payload["all_pass"] is False
         assert payload["entries"][0]["name"] == "a"
+
+    def test_non_finite_values_are_strict_json(self):
+        witness = {"product": math.inf, "nested": {"ratios": [1.0, -math.inf, (math.nan, 2.5)]}}
+        report = CertificateReport()
+        report.add(CertificateEntry(name="a", status=FAIL, margin=-math.inf, witness=witness,
+                                    tolerance=math.nan))
+        report.add(CertificateEntry(name="b", status=PASS, margin=0.25, witness={"t": 1.0}))
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        a, b = json.loads(report.to_json(), parse_constant=reject)["entries"]
+        assert (a["margin"], a["tolerance"], a["witness"]) == (
+            "-inf", "nan", {"product": "inf", "nested": {"ratios": [1.0, "-inf", ["nan", 2.5]]}})
+        assert (b["margin"], b["witness"]) == (0.25, {"t": 1.0})
+        assert report.entries[0].witness is witness and witness["product"] == math.inf
+        assert "Infinity" in report.to_text()  # the text report keeps json.dumps' own tokens

@@ -128,6 +128,23 @@ class TestCertifyCommand:
         assert by_name["small-gain"]["status"] == "fail"
         assert by_name["small-gain"]["margin"] == pytest.approx(1.0 - 1.25)
 
+    def test_non_finite_margin_is_strict_json(self, tmp_path):
+        # the overflowing run diverges (exit 3); its small-gain margin is -inf
+        code = run_cli([
+            "certify", "oscillator", "--k1", "1e300", "--k2", "1e300", "--t-final", "0.01",
+            "--monotonicity-samples", "100", "--out", str(tmp_path / "r"),
+        ])
+        assert code == EXIT_SIM_ABORT
+        import json
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        by_name = {e["name"]: e for e in payload["entries"]}
+        assert by_name["small-gain"]["margin"] == "-inf"
+        assert by_name["small-gain"]["witness"]["loop_product"] == "inf"
+
     def test_reference_case_all_pass(self, tmp_path, capsys):
         code = run_cli([
             "certify", "oscillator", "--k1", "0.4", "--k2", "0.4",

@@ -1,7 +1,9 @@
+import decimal
 import math
 import re
 import traceback
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
+import decadapt.cli
+import decadapt.simulate
 import tests.test_adaptation as adaptation_tests
 from decadapt import (
     AdaptiveLoopSpec,
@@ -41,8 +45,10 @@ from decadapt.simulate import (
     STATUS_DIVERGED,
     STATUS_SINGULAR,
     _SLOTS,
+    _digits,
     _maps,
     _runner,
+    _write_csv,
     exponential_disturbance,
     pulse_disturbance,
     running_l2,
@@ -1052,3 +1058,150 @@ class TestCsvExport(object):
         assert fields[1] == coupled_traj.loops["x"].state[k, 0]
         assert fields[5] == coupled_traj.loops["x"].psi[k]
         assert fields[18] == coupled_traj.loops["y"].eps[k]
+
+
+def savetxt_csv(path, header, columns):
+    """The writer `_write_csv` replaced, and the oracle its bytes are held to."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+
+
+def assert_writes_like_savetxt(directory, block):
+    block = np.asarray(block, dtype=float)
+    header = [f"c{i}" for i in range(block.shape[1])]
+    ours, oracle = directory / "ours.csv", directory / "savetxt.csv"
+    _write_csv(ours, header, list(block.T))
+    savetxt_csv(oracle, header, list(block.T))
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def exponent(x: float) -> int:  # E with 10**E <= |x| < 10**(E + 1), exactly
+    return decimal.Decimal(x).adjusted()
+
+
+def python_digits(x: float) -> tuple:  # '%.17g' % x as (17-digit integer, exponent)
+    mantissa, exp = ("%.16e" % x).split("e")
+    return int(mantissa.replace(".", "")), int(exp)
+
+
+def exact_ties(parity: int, count: int = 12) -> list:
+    """Doubles whose exact decimal has 18 significant digits, the 17th of the given parity."""
+    ties = []
+    for e in range(1, 60):
+        for m in range(1, 2 ** 21, 2 ** 14 + 1):
+            digits = decimal.Decimal(m * 2.0 ** -e).as_tuple().digits
+            if len(digits) == 18 and digits[16] % 2 == parity and len(ties) < count:
+                ties.append(m * 2.0 ** -e)
+    return ties
+
+
+def near_ties(k: int, count: int = 6) -> list:
+    """Doubles a, 1e16 <= a * 10**k < 1e17, with a * 10**k within 2**-40 of a half, not on it."""
+    s = (2 ** 53 * 5 ** k // 10 ** 17).bit_length() - 1  # a = m * 2**-(s + k), m < 2**53
+    inverse, first = pow(5 ** k, -1, 2 ** s), -(-10 ** 16 * 2 ** s // 5 ** k)
+    ties = []
+    for delta in (d for i in range(1, 2 ** (s - 41)) for d in (i, -i)):
+        m = (2 ** (s - 1) + delta) * inverse % 2 ** s  # m * 5**k = 2**(s - 1) + delta mod 2**s
+        m += -(-(first - m) // 2 ** s) * 2 ** s
+        if m * 5 ** k < 10 ** 17 * 2 ** s:
+            ties.append(math.ldexp(m, -s - k))
+        if len(ties) == count:
+            return ties
+
+
+POWERS_OF_TEN = np.array([10.0 ** k for k in range(-300, 301)])
+FAST_LIMITS = np.array([1e-280, 1e280])
+
+
+class TestCsvWriter:
+    """`_write_csv` writes the bytes of np.savetxt(..., fmt="%.17g") on every input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_floats(self, data, tmp_path_factory):
+        # all floats: NaN, infinities, signed zeros, subnormals; rows of 1-20 columns
+        ncol, nrow = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.floats(), min_size=ncol * nrow, max_size=ncol * nrow))
+        assert_writes_like_savetxt(tmp_path_factory.mktemp("csv"), np.reshape(values, (nrow, ncol)))
+
+    @pytest.mark.parametrize("values", [
+        np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0),
+                        np.nextafter(POWERS_OF_TEN, np.inf), -POWERS_OF_TEN]),
+        np.concatenate([FAST_LIMITS, np.nextafter(FAST_LIMITS, 0),
+                        np.nextafter(FAST_LIMITS, np.inf), -FAST_LIMITS]),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        np.concatenate([2.0 ** 53 + np.arange(-20, 20), 1e16 + 2 * np.arange(-20, 20),
+                        1e17 + 16 * np.arange(-20, 20), [0.0, -0.0, np.nan, np.inf, -np.inf]]),
+        exact_ties(0) + exact_ties(1),
+    ], ids=["powers-of-ten", "fast-limits", "powers-of-two", "integers-and-specials", "ties"])
+    def test_value_sets(self, values, tmp_path):
+        values = np.asarray(values, dtype=float)
+        assert_writes_like_savetxt(tmp_path, values[:, None])
+        assert_writes_like_savetxt(tmp_path, values[: values.size // 3 * 3].reshape(-1, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 19), (9000, 1)])
+    def test_one_row_and_one_column(self, shape, tmp_path):
+        rng = np.random.default_rng(29)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        assert_writes_like_savetxt(tmp_path, values)
+
+    def test_ties_are_left_to_python(self):
+        for parity in (0, 1):
+            a = np.array(exact_ties(parity))
+            assert len(a) == 12 and not _digits(a, np.array([exponent(x) for x in a]))[2].any()
+
+    @pytest.mark.parametrize("k", [23, 26, 30])
+    def test_near_ties_are_left_to_python(self, k, tmp_path):
+        a = np.array(near_ties(k))
+        for x in a:
+            scaled = Fraction(x) * 10 ** k
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 2 ** 40)
+        assert not _digits(a, np.full(a.size, 16 - k))[2].any()
+        assert_writes_like_savetxt(tmp_path, a[:, None])
+
+    def test_rounding_that_carries_to_the_next_decade(self):
+        # the double nearest 10**k, below it, whose 17 digits round up to 10**k
+        carried = [k for k in range(-279, 280) if Fraction(float(Fraction(10) ** k)) < Fraction(10) ** k
+                   and python_digits(float(Fraction(10) ** k)) == (10 ** 16, k)]
+        assert len(carried) >= 10
+        a = np.array([float(Fraction(10) ** k) for k in carried])
+        D, E, ok = _digits(a, np.array(carried) - 1)
+        assert ok.all() and (D == 10 ** 16).all() and E.tolist() == carried
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_start_exponent_one_off(self, offset):
+        rng = np.random.default_rng(7)
+        near = np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0), np.nextafter(POWERS_OF_TEN, 1)])
+        a = np.concatenate([near, 10 ** rng.uniform(-279, 279, 3000)])
+        a = a[(a >= 1e-279) & (a <= 1e279)]
+        D, E, ok = _digits(a, np.array([exponent(x) for x in a]) + offset)
+        assert ok.mean() > 0.99
+        assert [python_digits(x) for x in a[ok]] == list(zip(D[ok].tolist(), E[ok].tolist()))
+
+    @pytest.fixture
+    def both_writers(self, monkeypatch):
+        """Every `_write_csv` call also writes the savetxt oracle next to its file."""
+        pairs = []
+
+        def write(path, header, columns):
+            _write_csv(path, header, columns)
+            savetxt_csv(f"{path}.savetxt", header, columns)
+            values = np.abs(np.column_stack(columns).ravel())
+            values = values[(values >= 1e-280) & (values <= 1e280)]
+            pairs.append((path, ~_digits(values, np.floor(np.log10(values)).astype(np.int64))[2]))
+
+        monkeypatch.setattr(decadapt.simulate, "_write_csv", write)
+        monkeypatch.setattr(decadapt.cli, "_write_csv", write)
+        return pairs
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "reference"), ("simulate", "strong-weak"), ("simulate", "decoupled"),
+        ("plotdata", "reference"),
+    ])
+    def test_shipped_scenarios(self, command, name, both_writers, tmp_path):
+        out = ["--out", str(tmp_path / "run.csv")] if command == "simulate" else ["--out-dir", str(tmp_path)]
+        assert decadapt.cli.run_cli([command, str(SCENARIOS / f"{name}.cfg"), "--t-final", "10", *out]) == 0
+        assert len(both_writers) == (1 if command == "simulate" else 4)
+        for path, undecided in both_writers:
+            assert Path(path).read_bytes() == Path(f"{path}.savetxt").read_bytes()
+            assert undecided.mean() <= 1e-4  # the fast path decides these values

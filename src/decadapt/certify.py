@@ -104,12 +104,12 @@ def _extreme_rows(values: np.ndarray) -> tuple:
 
 
 def monotonicity_sample(state_box: DomainBox, theta_box: DomainBox, n_samples: int,
-                        seed: int = DEFAULT_SAMPLE_SEED, time_range: tuple = (0.0, 0.0)) -> list:
-    """The joint draw (states, thetas, thetas_alt, times) `verify_monotonicity` checks."""
+                        seed: int = DEFAULT_SAMPLE_SEED) -> list:
+    """The joint draw (states, thetas, thetas_alt) `verify_monotonicity` checks, times all 0."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    time_box = DomainBox((time_range[0],), (time_range[1],))
-    return joint_sample([state_box, theta_box, theta_box, time_box], n_samples, seed=seed)
+    return [*joint_sample([state_box, theta_box, theta_box], n_samples, seed=seed),
+            np.zeros((n_samples, 1))]
 
 
 def verify_monotonicity(param: Parametrization, f: Callable, samples: list) -> CertificateEntry:

@@ -6,8 +6,9 @@ sweep (coupling-grid pass/fail and tail-error table), plotdata (per-panel
 CSV files of the four state coordinates against time).
 
 Exit codes: 0 success (and, for certify, all checks passed); 1 at least
-one certificate entry did not pass; 2 usage error; 3 simulation aborted
-(diverged or controller singularity).
+one certificate entry did not pass; 2 usage error, also a scenario file
+that cannot be read or parsed and an output path that cannot be written;
+3 simulation aborted (diverged or controller singularity).
 
 Relative output paths are resolved under $DECADAPT_OUT_DIR when it is set.
 """
@@ -231,7 +232,7 @@ def run_cli(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:  # a file that cannot be read or written, too
         parser.exit(EXIT_USAGE, f"error: {err}\n")
 
 

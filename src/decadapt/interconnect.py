@@ -71,13 +71,3 @@ class CoupledClosedLoop:
             raise ValueError("theta_true_x has wrong length")
         if len(self.theta_true_y) != self.loop_y.spec.param_dim:
             raise ValueError("theta_true_y has wrong length")
-
-    @property
-    def dims(self):
-        """(n_x, d_x, n_y, d_y): sizes of the augmented state blocks."""
-        return (
-            self.loop_x.spec.layout.n,
-            self.loop_x.spec.param_dim,
-            self.loop_y.spec.layout.n,
-            self.loop_y.spec.param_dim,
-        )

@@ -181,26 +181,29 @@ def save_scenario(sc: OscillatorScenario, path) -> None:
 
 
 def load_scenario(path) -> OscillatorScenario:
-    """Read a scenario file; unknown sections or keys are rejected."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    known = {(section, key) for section, key, _ in _SCENARIO_FIELDS}
-    for section in cp.sections():
-        if section not in {s for s, _ in known}:
-            raise ValueError(f"unknown scenario section [{section}]")
-        for key in cp[section]:
-            if (section, key) not in known:
-                raise ValueError(f"unknown key {key!r} in section [{section}]")
+    """Read a scenario file; malformed, [DEFAULT] or unknown sections or keys are rejected."""
+    # values are read literally, and no section is the default one ("[]" is no header)
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"scenario file not found: {path}")
+        known = {(section, key) for section, key, _ in _SCENARIO_FIELDS}
+        for section in cp.sections():
+            if section not in {s for s, _ in known}:
+                raise ValueError(f"unknown scenario section [{section}]")
+            for key in cp[section]:
+                if (section, key) not in known:
+                    raise ValueError(f"unknown key {key!r} in section [{section}]")
 
-    values, integ = {}, {}
-    for section, key, name in _SCENARIO_FIELDS:
-        if cp.has_option(section, key):
-            (integ if section == "integrator" else values)[name] = float(cp[section][key])
-    base = OscillatorScenario().integrator
-    log_every = integ.get("log_every", float(base.log_every))
-    if not log_every.is_integer():
-        raise ValueError(f"log_every must be an integer, got {log_every!r}")
-    integ["log_every"] = int(log_every)
-    return OscillatorScenario(integrator=replace(base, **integ), **values)
+        values, integ = {}, {}
+        for section, key, name in _SCENARIO_FIELDS:
+            if cp.has_option(section, key):
+                (integ if section == "integrator" else values)[name] = float(cp[section][key])
+        base = OscillatorScenario().integrator
+        log_every = integ.get("log_every", float(base.log_every))
+        if not log_every.is_integer():
+            raise ValueError(f"log_every must be an integer, got {log_every!r}")
+        integ["log_every"] = int(log_every)
+        return OscillatorScenario(integrator=replace(base, **integ), **values)
+    except (configparser.Error, ValueError) as err:
+        raise ValueError(f"scenario file {path}: {err}") from None

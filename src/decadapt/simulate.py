@@ -4,17 +4,18 @@ Classical fourth-order Runge-Kutta on a fixed grid: certificate monitors
 and the realizable-versus-virtual equivalence tests need a deterministic,
 shared time grid, so reproducibility outranks solver efficiency here.
 
-Every integrator runs one RK4 runner, generated on first use (as
-`dataclasses` generates `__init__`) once per run kind, layout and the
-loops' `Formula` texts (`_runner`): `_RK4_TEMPLATE` with the state in float
+Every integrator goes through `_run`, which calls one RK4 runner
+run(loops, thetas, fields, y_init, t0, h, n_steps, every, bound), a coupled
+run being the two-loop case, generated on first use (as `dataclasses`
+generates `__init__`) once per law, loop layouts and the loops' `Formula`
+texts (`_runner`): `_RK4_TEMPLATE` with the state in float
 locals, the stages unrolled, and each stage evaluation written out as the
 closed-loop law of its loops (`_loop_body`), each `Formula` in place (once
 per run if it reads no argument), every other map called, every result
 unpacked to its declared length and every dot product written out.  It
 logs raw samples of the state and of the law's diagnostics every
-`log_every` steps and at the final point.  Every loop run, coupled, single
-or reduced-form, is recorded as a `LoopTrajectory`; its running signal
-norms are computed after the run from the logged samples by trapezoidal
+`log_every` steps and at the final point, and `_run` cuts a `LoopTrajectory`
+per loop from them, with running signal norms computed by trapezoidal
 quadrature (`running_l2`), checked with the fixed tolerances
 `certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
 
@@ -77,7 +78,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.t_final / self.step))
+        return round(self.t_final / self.step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +180,6 @@ def running_l2(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(increments, out=out[1:])
     return np.sqrt(out)
-
-
-def _checked(loop: AdaptiveLoopSpec, theta_true) -> tuple:
-    """((q, p, d) of the loop, theta_true as floats); a wrong theta_true length is a ValueError."""
-    theta_true = tuple(float(v) for v in theta_true)
-    if len(theta_true) != loop.spec.param_dim:
-        raise DimensionMismatchError("theta_true", loop.spec.param_dim, len(theta_true))
-    return (loop.spec.layout.q, loop.spec.layout.p, loop.param.dim), theta_true
 
 
 # The gain rows and true parameters of the loop {P}loop, bound to locals with its prefix {P}.
@@ -355,7 +348,7 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
 # out as the loop bodies.  Only the kind, integers derived from the layout and
 # the unparse of validated formula ASTs reach the text.
 _RK4_TEMPLATE = """\
-def {name}({args}y_init, t0, h, n_steps, every, bound):
+def {name}(loops, thetas, fields, y_init, t0, h, n_steps, every, bound):
 {bind}
     half = 0.5 * h
     sixth = h / 6.0
@@ -396,20 +389,22 @@ _GENERATED: dict = {}
 def _runner(kind: str, layout: tuple, maps: tuple):
     """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and map texts.
 
+    kind names the law, "loop" (realizable) or "virtual" (reduced form);
+    layout holds one (q, p, d) per loop, of one loop or two coupled ones.
+    Every runner is run(loops, thetas, fields, y_init, t0, h, n_steps,
+    every, bound), with a loop, its true parameters and its field per loop
+    and y_init each loop's state and estimator state in turn.  Two loops are
+    injected with their fields, coupling maps of the other's state; one loop
+    with signal(t) * direction, its field being (signal, direction).
+
     A runner keeps the state in float locals with the stages unrolled and
     returns (t, y, diag, status), one row per sample logged every `every`
     steps and at the final point, the diag from the stage-one evaluation the
     step needs anyway.  It stops when a state component leaves [-bound,
     bound] (a NaN does too) or the control law is undefined; undefined at
     the initial point propagates, at a later one (the final point included)
-    it ends the run singular.
-
-    - coupled(x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2,
-      y0, ...) for loops of layouts layout[:3] and layout[3:], each injected
-      with the coupling field of the other's state, y0 = (x, theta_i_x, y,
-      theta_i_y);
-    - loop / virtual(loop, theta_true, signal, direction, y0, ...) for one
-      realizable / reduced-form loop injected with signal(t) * direction.
+    it ends the run singular, tagged "x" or "y" for two loops and `kind`
+    for one.
 
     Loop stages are `_loop_body`'s text, and so is their diag, the same
     columns for every kind.  maps are the loops' `_maps`, one after the
@@ -432,32 +427,32 @@ def _runner(kind: str, layout: tuple, maps: tuple):
     return _GENERATED[key]
 
 
-def _maps(loop, inject=None) -> tuple:  # the `_SLOTS` maps of a loop injected with `inject`
+def _maps(loop, inject=None) -> tuple:  # the `_SLOTS` maps of a loop with field `inject`
     return tuple(operator.attrgetter(a)(loop) if a else inject for a, _ in _SLOTS.values())
 
 
 def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
     """Source of `_runner(kind, layout, maps)`."""
     n, m, stages, diag = sum(layout), len(_SLOTS), [], []
-    if kind == "coupled":
-        args, binds = "x_loop, x_theta_true, y_loop, y_theta_true, into_x2, into_y2, ", [
-            'floor, x_tag, y_tag = SINGULARITY_FLOOR, "x", "y"']
-        loops = [("x_", layout[:3], 0, "into_x2"), ("y_", layout[3:], sum(layout[:3]), "into_y2")]
-    else:
-        dirs = _names("dir", layout[1])
-        args, binds = "loop, theta_true, signal, direction, ", [
-            f"floor, tag = SINGULARITY_FLOOR, {kind!r}", f"({_tup(dirs)}) = direction"]
-        loops = [("", layout, 0, None)]
-    binds.append(f"{', '.join(FUNCTIONS)} = {', '.join(f'math.{f}' for f in FUNCTIONS)}")
+    coupled = len(layout) == 6  # else one loop
+    prefixes = ("x_", "y_") if coupled else ("",)
+    loops = [(P, layout[3 * i:3 * i + 3], sum(layout[:3 * i])) for i, P in enumerate(prefixes)]
+    fields = [f"{P}field" for P in prefixes] if coupled else [["signal", _names("dir", layout[1])]]
+    binds = [
+        f"({_tup(P + 'loop' for P in prefixes)}), ({_tup(P + 'theta_true' for P in prefixes)}), "
+        f"({_tup(fields)}) = loops, thetas, fields",
+        f"floor, ({_tup(P + 'tag' for P in prefixes)}) = SINGULARITY_FLOOR, "
+        f"({_tup(map(repr, ('x', 'y') if coupled else (kind,)))})",
+        f"{', '.join(FUNCTIONS)} = {', '.join(f'math.{f}' for f in FUNCTIONS)}"]
     for j, (t, c) in enumerate([("t", ""), ("t + half", "half"), ("t + half", "half"),
                                 ("t + h", "h")]):
         z = _names("z" if j else "y", n)
         rates, bodies = _names(f"k{j + 1}_", n), []
         lines = [f"ts = {t}"] + [f"z{i} = y{i} + {c} * k{j}_{i}" for i in range(n)] if j else []
         t = "ts" if j else "t"
-        for i, (P, (q, p, d), a, inject) in enumerate(loops):
-            o = loops[1 - i] if inject else None
-            partner = o and (inject, o[0] + "state", z[o[2]:o[2] + o[1][0] + o[1][1]])
+        for i, (P, (q, p, d), a) in enumerate(loops):
+            o = loops[1 - i] if coupled else None
+            partner = o and (fields[i], o[0] + "state", z[o[2]:o[2] + o[1][0] + o[1][1]])
             bind, body, loop_diag = _loop_body(
                 (q, p, d), dict(zip(_SLOTS, maps[i * m:(i + 1) * m])), P, z[a:a + q + p + d],
                 rates[a:a + q + p + d], partner, t, kind == "virtual")
@@ -465,11 +460,11 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
             if not j:  # the bind text, and the diag read at stage one
                 binds.append(bind)
                 diag += loop_diag
-        lines += [f"{P}state = [{', '.join(z[a:a + q + p])}]" for P, (q, p, _), a, _ in loops
+        lines += [f"{P}state = [{', '.join(z[a:a + q + p])}]" for P, (q, p, _), a in loops
                   if re.search(rf"\b{P}state\b", "\n".join(bodies))] + bodies
         stages.append("\n".join(lines))
     return _RK4_TEMPLATE.format(
-        name=kind, args=args, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
+        name=kind, bind=indent("\n".join(binds), "    "), y=_tup(_names("y", n)),
         diag=_tup(diag), n1=n + 1,
         width=n + 1 + len(diag),
         stage1=indent(stages[0], " " * 12), stages=indent("\n".join(stages[1:]), " " * 12),
@@ -514,40 +509,45 @@ def integrate(
     every cfg.log_every steps on the uniform grid, with running norms of
     the goal errors, coupling channels, and drift mismatches.
     """
-    n_x, d_x, n_y, d_y = sys.dims
+    sizes = [m for loop in (sys.loop_x, sys.loop_y) for m in (loop.spec.layout.n, loop.param.dim)]
     aug0 = np.asarray(aug0, dtype=float)
-    if len(aug0) != n_x + d_x + n_y + d_y:
-        raise ValueError(f"augmented state must have length {n_x + d_x + n_y + d_y}, "
-                         f"got {len(aug0)}")
-    layout_x, theta_x = _checked(sys.loop_x, sys.theta_true_x)
-    layout_y, theta_y = _checked(sys.loop_y, sys.theta_true_y)
-    run = _runner("coupled", layout_x + layout_y, _maps(sys.loop_x, sys.coupling.into_x2)
-                  + _maps(sys.loop_y, sys.coupling.into_y2))
-    t, aug, diag, status = run(sys.loop_x, theta_x, sys.loop_y, theta_y, sys.coupling.into_x2,
-                               sys.coupling.into_y2, aug0, t0, cfg.step, cfg.n_steps,
-                               cfg.log_every, cfg.divergence_bound)
-    ax, bx, ay, split = n_x, n_x + d_x, n_x + d_x + n_y, 4 + d_x
-    loops = {
-        "x": _loop_record(t, aug[:, :ax], aug[:, ax:bx], diag[:, :split], status),
-        "y": _loop_record(t, aug[:, bx:ay], aug[:, ay:], diag[:, split:], status),
-    }
-    return Trajectory(t=t, loops=loops, status=status)
+    if len(aug0) != sum(sizes):
+        raise ValueError(f"augmented state must have length {sum(sizes)}, got {len(aug0)}")
+    x, ti_x, y, ti_y = np.split(aug0, np.cumsum(sizes[:3]))
+    rx, ry = _run("loop", [(sys.loop_x, sys.theta_true_x, x, ti_x),
+                           (sys.loop_y, sys.theta_true_y, y, ti_y)],
+                  [sys.coupling.into_x2, sys.coupling.into_y2], cfg, t0)
+    return Trajectory(t=rx.t, loops={"x": rx, "y": ry}, status=rx.status)
 
 
-def _run_single(kind: str, loop: AdaptiveLoopSpec, theta_true, disturbance: Disturbance,
-                cfg: IntegratorConfig, state0, est0, t0: float) -> LoopTrajectory:
-    """The record of one loop's `kind` run from state0 + est0 (estimator state)."""
-    layout, theta_true = _checked(loop, theta_true)
-    n, d = loop.spec.layout.n, loop.spec.param_dim
-    state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
-    if (len(state0), len(est0)) != (n, d):
-        raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
-                         f"got {len(state0)} and {len(est0)}")
-    direction = disturbance.resolve_direction(loop.spec.layout.p)
-    t, z, diag, status = _runner(kind, layout, _maps(loop))(
-        loop, theta_true, disturbance.signal, direction, state0 + est0, t0, cfg.step,
-        cfg.n_steps, cfg.log_every, cfg.divergence_bound)
-    return _loop_record(t, z[:, :n], z[:, n:], diag, status)
+def _run(kind: str, runs: list, fields: list, cfg: IntegratorConfig, t0: float) -> list:
+    """The `kind` run of one loop or two coupled ones: one `LoopTrajectory` per loop.
+
+    runs holds each loop's (loop, theta_true, state0, est0), est0 its
+    estimator state, and fields each loop's field as `_runner` takes it.  A
+    wrong length of theta_true or of the initial data is a ValueError.
+    """
+    layouts, thetas, y0 = [], [], []
+    for loop, theta_true, state0, est0 in runs:
+        n, d = loop.spec.layout.n, loop.param.dim
+        thetas.append(tuple(float(v) for v in theta_true))
+        if len(thetas[-1]) != d:
+            raise DimensionMismatchError("theta_true", d, len(thetas[-1]))
+        state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
+        if (len(state0), len(est0)) != (n, d):
+            raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
+                             f"got {len(state0)} and {len(est0)}")
+        layouts.append((loop.spec.layout.q, loop.spec.layout.p, d))
+        y0 += state0 + est0
+    loops = [run[0] for run in runs]
+    t, y, diag, status = _runner(kind, sum(layouts, ()), sum(map(_maps, loops, fields), ()))(
+        loops, thetas, fields, y0, t0, cfg.step, cfg.n_steps, cfg.log_every, cfg.divergence_bound)
+    records, a, b = [], 0, 0
+    for q, p, d in layouts:  # each loop's state, estimator state and diag columns
+        c = a + q + p
+        records.append(_loop_record(t, y[:, a:c], y[:, c:c + d], diag[:, b:b + 4 + d], status))
+        a, b = c + d, b + 4 + d
+    return records
 
 
 def integrate_loop(
@@ -565,7 +565,8 @@ def integrate_loop(
     coupled run whose coupling vanishes, so the two produce bit-identical
     subsystem trajectories on the same grid.
     """
-    return _run_single("loop", loop, theta_true, disturbance, cfg, state0, theta_i0, t0)
+    field = (disturbance.signal, disturbance.resolve_direction(loop.spec.layout.p))
+    return _run("loop", [(loop, theta_true, state0, theta_i0)], [field], cfg, t0)[0]
 
 
 def integrate_virtual(
@@ -587,7 +588,8 @@ def integrate_virtual(
     `integrate_loop`'s, with theta_i the estimator state, hence equal to
     theta_hat, and u, mismatch and eps those of the control input at it.
     """
-    return _run_single("virtual", loop, theta_true, disturbance, cfg, state0, theta_hat0, t0)
+    field = (disturbance.signal, disturbance.resolve_direction(loop.spec.layout.p))
+    return _run("virtual", [(loop, theta_true, state0, theta_hat0)], [field], cfg, t0)[0]
 
 
 # The CSV writer renders a value as six little-endian words: byte 0 sign, 1-5 "0.000",

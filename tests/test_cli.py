@@ -338,6 +338,29 @@ class TestUsageErrors:
             run_cli(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_malformed_scenario_file(self, tmp_path, capsys):
+        # exit 1 would read as a failed certificate entry
+        cfg = tmp_path / "no-header.cfg"
+        cfg.write_text("k1 = 0.4\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify", str(cfg), "--t-final", "1.0", "--monotonicity-samples", "100"])
+        assert exc.value.code == 2
+        assert f"scenario file {cfg}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("plotdata", ["--out-dir", "{blocker}"]),
+        ("simulate", ["--out", "{blocker}/x.csv"]),
+        ("certify", ["--out", "{blocker}/r", "--monotonicity-samples", "100"]),
+    ])
+    def test_output_path_under_a_file(self, tmp_path, capsys, command, flags):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "oscillator", "--t-final", "1.0",
+                     *(flag.format(blocker=blocker) for flag in flags)])
+        assert exc.value.code == 2
+        assert str(blocker) in capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate", str(tmp_path / "nope.cfg"), "--out",

@@ -186,6 +186,21 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="unknown scenario section"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("text", [
+        "k1 = 0.4\n",
+        "[coupling]\nk1 = 0.4\nk1 = 0.5\n",
+        "[coupling]\nk1 = 50%\n",  # read literally, so not a number
+        "[DEFAULT]\nstep = 0.01\n",  # not a section of the format
+        "[DEFAULT]\n",
+    ], ids=["no-section-header", "duplicate-key", "percent", "default-section", "empty-default"])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_scenario(path)
+        assert str(exc.value).startswith(f"scenario file {path}: ")
+        assert "[DEFAULT]" not in text or "unknown scenario section [DEFAULT]" in str(exc.value)
+
     @pytest.mark.parametrize("value", ["2.5", "1e-3", "inf", "nan"])
     def test_non_integer_log_every_rejected(self, tmp_path, value):
         path = tmp_path / "bad.cfg"

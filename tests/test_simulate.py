@@ -39,6 +39,7 @@ from decadapt import (
     zero_potential,
 )
 from decadapt.controller import SINGULARITY_FLOOR, ControlSingularityError
+from decadapt.interconnect import zero_coupling
 from decadapt.model import FUNCTIONS, Formula, _dot
 from decadapt.simulate import (
     STATUS_COMPLETED,
@@ -372,8 +373,8 @@ class TestGeneratedRunners:
 
             loop_x, loop_y = loops()
             maps = _maps(loop_x, into_x2) + _maps(loop_y, into_y2)
-            got = _runner(kind, layouts[0] + layouts[1], maps)(
-                loop_x, thetas[0], loop_y, thetas[1], into_x2, into_y2, *args)
+            got = _runner("loop", layouts[0] + layouts[1], maps)(
+                [loop_x, loop_y], thetas, [into_x2, into_y2], *args)
             loop_x, loop_y = loops()
             rates_x, _ = _general_kernels(loop_x, thetas[0], SINGULARITY_FLOOR, "x")
             rates_y, _ = _general_kernels(loop_y, thetas[1], SINGULARITY_FLOOR, "y")
@@ -387,7 +388,7 @@ class TestGeneratedRunners:
             (q, p, d), = layouts
             direction = tuple(1.0 - 0.5 * i for i in range(p))
             loop, = loops()
-            got = _runner(kind, layouts[0], _maps(loop))(loop, thetas[0], signal, direction,
+            got = _runner(kind, layouts[0], _maps(loop))([loop], thetas, [(signal, direction)],
                                                          *args)
             rates, virtual = _general_kernels(*loops(), thetas[0], SINGULARITY_FLOOR, kind)
             kernel = virtual if kind == "virtual" else rates
@@ -462,10 +463,10 @@ class TestGeneratedRunners:
         args = (y0, 0.0, 0.05, 2, 1, math.inf)
         if kind == "coupled":
             into = [lambda y, t: [0.0], lambda x, t: [0.0]]
-            _runner(kind, (1, 1, 1) * 2, _maps(loops[0], into[0]) + _maps(loops[1], into[1]))(
-                loops[0], (0.3,), loops[1], (0.3,), *into, *args)
+            _runner("loop", (1, 1, 1) * 2, _maps(loops[0], into[0]) + _maps(loops[1], into[1]))(
+                loops, [(0.3,)] * 2, into, *args)
         else:
-            _runner(kind, (1, 1, 1), _maps(loops[0]))(loops[0], (0.3,), math.cos, (1.0,), *args)
+            _runner(kind, (1, 1, 1), _maps(loops[0]))(loops, [(0.3,)], [(math.cos, (1.0,))], *args)
         # f2 sees the state with the estimate (virtual) or with theta_true and theta_hat
         assert seen and all(type(v) is float for values in seen for v in values)
 
@@ -558,12 +559,12 @@ class TestConstantMaps:
         owner, name = _SLOTS[slot][0].split(".")
         loop, wrong = probe_loop(1, 1, 1, [1.0, 0.8]), probe_loop(1, 1, 1, [1.0, 0.8])
         setattr(getattr(wrong, owner), name, Constant((0.0,) * 5))
-        args = ((0.3,), math.cos, (1.0,), [0.1, -0.2, 0.05], 0.0, 0.05, 10, 1, math.inf)
-        got, want = (_runner("virtual", (1, 1, 1), _maps(m))(m, *args) for m in (wrong, loop))
+        args = ([(0.3,)], [(math.cos, (1.0,))], [0.1, -0.2, 0.05], 0.0, 0.05, 10, 1, math.inf)
+        got, want = (_runner("virtual", (1, 1, 1), _maps(m))([m], *args) for m in (wrong, loop))
         assert got[3] == want[3] == STATUS_COMPLETED
         assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
         with pytest.raises(ValueError, match="unpack"):
-            _runner("loop", (1, 1, 1), _maps(wrong))(wrong, *args)
+            _runner("loop", (1, 1, 1), _maps(wrong))([wrong], *args)
 
     @classmethod
     def run(cls, kind, oscillator, loop_x):
@@ -677,13 +678,12 @@ class TestFormulaRunners:
             loops = [mapped_loop(m, c) for m, c in zip(layouts, chosen)]
             maps = sum((_maps(loop, c["inj"] if kind == "coupled" else None)
                         for loop, c in zip(loops, chosen)), ())
-            run = _runner(kind, sum(layouts, ()), maps)
+            run = _runner("loop" if kind == "coupled" else kind, sum(layouts, ()), maps)
             if kind == "coupled":
-                results.append(outcome(run, loops[0], thetas[0], loops[1], thetas[1],
-                                       chosen[0]["inj"], chosen[1]["inj"], *args))
+                results.append(outcome(run, loops, thetas, [c["inj"] for c in chosen], *args))
             else:
                 direction = tuple(1.0 - 0.5 * i for i in range(layouts[0][1]))
-                results.append(outcome(run, loops[0], thetas[0], math.cos, direction, *args))
+                results.append(outcome(run, loops, thetas, [(math.cos, direction)], *args))
         got, want = results
         event(f"{stop} -> {got[-1]}")
         assert len(got) == len(want) and got[-1] == want[-1]
@@ -764,6 +764,24 @@ class TestTrajectoryRecord:
             assert loop.t is traj.t
             assert loop.status == traj.status
             assert loop.state.shape == (traj.t.shape[0], 2)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_unequal_layouts_split_into_each_loops_record(self, every):
+        # the (1, 1, 2) matrix-gain loop and the (0, 2, 1) loop: every column offset of
+        # the coupled record split differs between the two loops
+        loops = (adaptation_tests.TestMatrixGainLoop.build(), TestNoFirstBlock.build_loop())
+        thetas, starts = ((0.8, 1.2), (0.9,)), (((0.5, -0.2), (0.0, 0.0)), ((0.4, -0.1), (0.0,)))
+        sys = CoupledClosedLoop(loop_x=loops[0], loop_y=loops[1], coupling=zero_coupling(1, 2),
+                                theta_true_x=thetas[0], theta_true_y=thetas[1])
+        cfg = IntegratorConfig(step=1e-3, t_final=0.5, log_every=every)
+        traj = integrate(sys, cfg, [v for start in starts for part in start for v in part])
+        assert traj.status == STATUS_COMPLETED
+        for tag, loop, theta, (state0, ti0) in zip("xy", loops, thetas, starts):
+            want = integrate_loop(loop, theta, zero_disturbance(), cfg, state0, ti0)
+            for name in vars(want):
+                got_field, want_field = getattr(traj.loops[tag], name), getattr(want, name)
+                assert (got_field == want_field if name == "status"
+                        else same_bits(got_field, want_field)), (tag, name)
 
     @pytest.mark.parametrize("tag", ["x", "y"])
     @pytest.mark.parametrize("disturbance", [exponential_disturbance(0.5, 1.0),

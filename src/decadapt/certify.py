@@ -28,7 +28,6 @@ from .model import (
     GRAD_REL_TOL,
     DimensionMismatchError,
     DomainBox,
-    GainDescriptor,
     GainRangeError,
     NonFiniteValueError,
     Parametrization,
@@ -273,13 +272,14 @@ def monitor_loop_bounds(
 
 @dataclass(frozen=True, eq=False)
 class SmallGainProblem:
-    """Data of the interconnection contraction condition.
+    """Data of the interconnection contraction condition of two loops.
 
-    gain_x22 / gain_y22 are the declared energy-to-energy gains of the two
-    target dynamics; beta_x / beta_y the declared coupling growth bounds;
-    ratio_x / ratio_y the declared growth-constant ratios (upper over
-    lower, hence >= 1), all finite.  For non-linear gains the condition is
-    scanned over SCAN_POINTS logarithmically spaced amplitudes in
+    Each field holds one value per loop, in loop order, for two loops (any
+    other count is a ValueError): gains the declared energy-to-energy gains
+    of the target dynamics, betas the declared growth bounds of the coupling
+    channels into the loops, ratios the declared growth-constant ratios
+    (upper over lower, hence >= 1), all finite.  For non-linear gains the
+    condition is scanned over SCAN_POINTS logarithmically spaced amplitudes in
     [SCAN_LOWER, SCAN_UPPER] with the linear probe (1 + PROBE_DELTA) *
     identity on each of the loop's three junctions.  Every gain is
     non-decreasing, so the composed map is non-decreasing in each probe's
@@ -288,17 +288,16 @@ class SmallGainProblem:
     this probe does.  A small delta therefore decides the scan alone.
     """
 
-    gain_x22: GainDescriptor
-    gain_y22: GainDescriptor
-    beta_x: float
-    beta_y: float
-    ratio_x: float
-    ratio_y: float
+    gains: tuple
+    betas: tuple
+    ratios: tuple
 
     def __post_init__(self):
-        if not (0 <= self.beta_x < math.inf and 0 <= self.beta_y < math.inf):
+        if not len(self.gains) == len(self.betas) == len(self.ratios) == 2:
+            raise ValueError(f"the small-gain check takes two loops, got {len(self.gains)}")
+        if not all(0 <= b < math.inf for b in self.betas):
             raise ValueError("coupling bounds must be finite and >= 0")
-        if not (1 <= self.ratio_x < math.inf and 1 <= self.ratio_y < math.inf):
+        if not all(1 <= r < math.inf for r in self.ratios):
             raise ValueError("growth ratios must be finite and >= 1")
 
 
@@ -306,7 +305,7 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
     """Evaluate the small-gain condition of the coupled adaptive loops.
 
     Linear case (both gains linear): the loop product
-    beta_x * slope_x * beta_y * slope_y * (ratio_x + 1) * (ratio_y + 1)
+    beta_1 * slope_1 * beta_2 * slope_2 * (ratio_1 + 1) * (ratio_2 + 1)
     must be strictly below one; evaluated exactly, independent of
     amplitude, with margin one minus the product.  Gain offsets do not
     enter: they only shift the bounded constants, not the contraction
@@ -320,12 +319,13 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
     the scan range yields an inconclusive entry whose reason names the
     probe's query beyond the table.
     """
-    if prob.gain_x22.is_linear and prob.gain_y22.is_linear:
+    (gain_1, gain_2), (beta_1, beta_2), (ratio_1, ratio_2) = prob.gains, prob.betas, prob.ratios
+    if gain_1.is_linear and gain_2.is_linear:
         product = (
-            (prob.beta_x * prob.gain_x22.slope)
-            * (prob.beta_y * prob.gain_y22.slope)
-            * (prob.ratio_x + 1.0)
-            * (prob.ratio_y + 1.0)
+            (beta_1 * gain_1.slope)
+            * (beta_2 * gain_2.slope)
+            * (ratio_1 + 1.0)
+            * (ratio_2 + 1.0)
         )
         margin = 1.0 - product
         return entry_from_margin(
@@ -340,9 +340,9 @@ def check_small_gain(prob: SmallGainProblem) -> CertificateEntry:
     grow = 1.0 + PROBE_DELTA
 
     def composed(delta):
-        s = prob.gain_x22.evaluate(grow * ((prob.ratio_x + 1.0) * delta))
-        s = grow * ((prob.ratio_y + 1.0) * (grow * (prob.beta_x * s)))
-        return prob.beta_y * prob.gain_y22.evaluate(s)
+        s = gain_1.evaluate(grow * ((ratio_1 + 1.0) * delta))
+        s = grow * ((ratio_2 + 1.0) * (grow * (beta_1 * s)))
+        return beta_2 * gain_2.evaluate(s)
 
     try:
         with np.errstate(over="ignore"):  # a slack that overflows is -inf: the entry fails
@@ -365,23 +365,30 @@ def verify_coupling_bound(
     beta: float,
     offset: float = 0.0,
 ) -> CertificateEntry:
-    """Check a declared coupling growth bound along a coupled trajectory.
+    """Check a declared coupling growth bound along a two-loop trajectory.
 
-    channel is "into_x" or "into_y", naming the goal-error equation the
-    disturbance enters; the comparison signal is the goal error of the
-    loop that generates the channel (the partner).  The running norms must
-    satisfy |h| <= beta |psi_partner| + offset + MONITOR_TOL at every logged
-    horizon.  Couplings that depend on partner state rather than on its
-    goal error need a nonzero offset.
+    channel is "into_<tag>" ("into_x" or "into_y"), naming the goal-error
+    equation the disturbance enters; the comparison signal is the goal error
+    of the loop that generates the channel (the partner).  The running norms
+    must satisfy |h| <= beta |psi_partner| + offset + MONITOR_TOL at every
+    logged horizon.  Couplings that depend on partner state rather than on
+    its goal error need a nonzero offset, finite and >= 0 as beta is.
     """
-    if channel == "into_x":
-        into, src = traj.loops["x"], traj.loops["y"]
-    elif channel == "into_y":
-        into, src = traj.loops["y"], traj.loops["x"]
-    else:
-        raise ValueError("channel must be 'into_x' or 'into_y'")
+    channels = [f"into_{tag}" for tag in traj.loops]
+    if len(channels) != 2:
+        raise ValueError(f"the coupling-bound monitor takes two loops, got {len(channels)}")
+    if channel not in channels:
+        raise ValueError(f"channel must be {' or '.join(map(repr, channels))}")
+    _check_coupling_bound(beta=beta, offset=offset)
+    into, src = list(traj.loops.values())[::1 if channel == channels[0] else -1]
     return _running_bound(f"coupling-bound-l2-{channel}", traj.t, into.l2_eps,
                           beta * src.l2_psi + offset, MONITOR_TOL, beta=beta, offset=offset)
+
+
+def _check_coupling_bound(**values) -> None:  # a beta or offset must be finite and >= 0
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"coupling bound {name} must be finite and >= 0, got {value!r}")
 
 
 def _check_tail_arguments(window: float, threshold: float) -> None:
@@ -395,8 +402,8 @@ def _check_tail_arguments(window: float, threshold: float) -> None:
 def monitor_tail_convergence(traj: Trajectory, window: float, threshold: float) -> list:
     """Report tail suprema of goal errors and drift mismatches of a coupled run.
 
-    Four entries, each a bound `threshold` on one signal's supremum over the
-    trailing `window` time units.  The trajectory must have completed;
+    Two entries per loop, each a bound `threshold` on one signal's supremum
+    over the trailing `window` time units.  The trajectory must have completed;
     asymptotic convergence is attested only as these finite-horizon tail
     bounds.
     """
@@ -408,8 +415,8 @@ def monitor_tail_convergence(traj: Trajectory, window: float, threshold: float) 
     mask = t >= cutoff
     entries = []
     for signal in ("psi", "mismatch"):
-        for tag in ("x", "y"):
-            sup = float(np.max(np.abs(getattr(traj.loops[tag], signal)[mask])))
+        for tag, rec in traj.loops.items():
+            sup = float(np.max(np.abs(getattr(rec, signal)[mask])))
             entries.append(entry_from_margin(
                 f"tail-{signal}-{tag}", threshold - sup,
                 {"tail_sup": sup, "window": window, "from_t": float(cutoff)}, 0.0,
@@ -418,16 +425,17 @@ def monitor_tail_convergence(traj: Trajectory, window: float, threshold: float) 
 
 
 def small_gain_problem(sys: CoupledClosedLoop) -> SmallGainProblem:
-    """Small-gain data of a built system, read from its loops and coupling.
+    """Small-gain data of a built two-loop system, read from its loops and coupling.
 
     The gains are the loops' shapers' energy-to-energy gains, the coupling
-    bounds the coupling's declared `beta_into_x` / `beta_into_y`, and the
-    ratios each parametrization's growth_upper / growth_lower.
+    bounds the coupling's declared `beta` of each loop, and the ratios each
+    parametrization's growth_upper / growth_lower.
     """
-    px, py = sys.loop_x.param, sys.loop_y.param
-    return SmallGainProblem(sys.loop_x.shaper.gain_l2_from_l2, sys.loop_y.shaper.gain_l2_from_l2,
-                            sys.coupling.beta_into_x, sys.coupling.beta_into_y,
-                            px.growth_upper / px.growth_lower, py.growth_upper / py.growth_lower)
+    loops = sys.loops.values()
+    return SmallGainProblem(tuple(loop.shaper.gain_l2_from_l2 for loop in loops),
+                            tuple(sys.coupling.beta.values()),
+                            tuple(loop.param.growth_upper / loop.param.growth_lower
+                                  for loop in loops))
 
 
 def _renamed(entry: CertificateEntry, suffix: str) -> CertificateEntry:
@@ -439,7 +447,7 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
                         tail_window: float = 5.0, tail_threshold: float = 1e-2) -> tuple:
     """Full certification pass of a built system: assumption checks, small gain, monitors.
 
-    Per loop (x, then y): the gradient errors and realizability residual
+    Per loop, in loop order: the gradient errors and realizability residual
     found when the loop was built, the Poincare symmetry at t = 0 on
     POINCARE_POINTS states drawn from the loop's spec box, and the
     monotonicity of the loop's own drift channel, `model.goal_drift` of its
@@ -447,19 +455,22 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
     sample is drawn per distinct pair.  Then the small-gain condition of
     `small_gain_problem(sys)`, and along the trajectory integrated from
     aug0 the loop bounds, the coupling bounds (the coupling's declared
-    betas, with `offsets` = (offset into x, offset into y)) and the tail
-    convergence.
+    betas, with `offsets` the offset into each loop, in loop order) and the
+    tail convergence.  The system must have two loops.
 
     Returns (CertificateReport, Trajectory or None).  The trajectory is None
     when the simulation aborted; the report then carries a failing
     simulation-status entry instead of the runtime monitors, so the tail
-    arguments are checked first.
+    arguments, the offsets (each finite and >= 0) and the loop count are
+    checked first.
     """
     _check_tail_arguments(tail_window, tail_threshold)
+    small_gain = small_gain_problem(sys)
+    _check_coupling_bound(**{f"offset into {tag!r}": v
+                             for tag, v in zip(sys.loops, offsets, strict=True)})
     report = CertificateReport()
-    loops = (("x", sys.loop_x, sys.theta_true_x), ("y", sys.loop_y, sys.theta_true_y))
 
-    for tag, loop, _ in loops:
+    for tag, loop in sys.loops.items():
         for name, worst in (("gradient-goal", loop.goal_grad_error),
                             ("gradient-parametrization", loop.alpha_grad_error)):
             report.add(entry_from_margin(f"{name}-{tag}", GRAD_REL_TOL - worst,
@@ -472,14 +483,14 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
                                            np.zeros(POINCARE_POINTS)), tag))
 
     draws = {}
-    for (tag, loop, _), (state_box, theta_box) in zip(loops, boxes, strict=True):
+    for (tag, loop), (state_box, theta_box) in zip(sys.loops.items(), boxes, strict=True):
         key = tuple((b.lower, b.upper) for b in (state_box, theta_box))
         if key not in draws:  # loops on the same boxes share one draw
             draws[key] = monotonicity_sample(state_box, theta_box, n_monotonicity_samples)
         drift = functools.partial(goal_drift, loop.spec, loop.goal)
         report.add(_renamed(verify_monotonicity(loop.param, drift, draws[key]), tag))
 
-    report.add(check_small_gain(small_gain_problem(sys)))
+    report.add(check_small_gain(small_gain))
 
     traj = integrate(sys, integrator, aug0)
     if traj.status != STATUS_COMPLETED:
@@ -487,11 +498,11 @@ def certify_closed_loop(sys: CoupledClosedLoop, integrator: IntegratorConfig, au
                                     witness={"status": traj.status, "last_t": traj.t_end}))
         return report, None
 
-    for tag, loop, theta in loops:
-        for entry in monitor_loop_bounds(traj.loops[tag], loop, theta, tol=LOOP_MONITOR_TOL):
+    for tag, loop in sys.loops.items():
+        for entry in monitor_loop_bounds(traj.loops[tag], loop, sys.theta_true[tag],
+                                         tol=LOOP_MONITOR_TOL):
             report.add(_renamed(entry, tag))
-    betas = (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
-    for channel, beta, offset in zip(("into_x", "into_y"), betas, offsets, strict=True):
-        report.add(verify_coupling_bound(traj, channel, beta, offset=offset))
+    for (tag, beta), offset in zip(sys.coupling.beta.items(), offsets):
+        report.add(verify_coupling_bound(traj, f"into_{tag}", beta, offset=offset))
     report.extend(monitor_tail_convergence(traj, tail_window, tail_threshold))
     return report, traj

@@ -142,14 +142,10 @@ def _sweep_cell(payload) -> tuple:
     sys = build_oscillator(sc)
     gain_entry = check_small_gain(small_gain_problem(sys))
     traj = integrate(sys, sc.integrator, sc.initial_state())
-    if traj.status == STATUS_COMPLETED:
-        mask = traj.t >= traj.t[-1] - tail_window
-        tail_x = float(abs(traj.loops["x"].psi[mask]).max())
-        tail_y = float(abs(traj.loops["y"].psi[mask]).max())
-    else:
-        tail_x = float("nan")
-        tail_y = float("nan")
-    return (sc.k1, sc.k2, gain_entry.passed, traj.status, tail_x, tail_y)
+    mask = traj.t >= traj.t[-1] - tail_window
+    tails = [float(abs(rec.psi[mask]).max()) if traj.status == STATUS_COMPLETED else math.nan
+             for rec in traj.loops.values()]
+    return (sc.k1, sc.k2, gain_entry.passed, traj.status, *tails)
 
 
 def _cmd_sweep(args) -> int:

@@ -114,16 +114,15 @@ def _make_loop(rate: float, psi0: float, offset: float, gain: float, wobble: flo
 
 
 def build_oscillator(sc: OscillatorScenario) -> CoupledClosedLoop:
-    """Assemble the coupled oscillator pair from scenario parameters."""
-    loop_x = _make_loop(sc.lambda_x, sc.x1_0 + sc.x2_0, sc.offset_x, sc.gamma_x, WOBBLE_X,
-                        GROWTH_X)
-    loop_y = _make_loop(sc.lambda_y, sc.y1_0 + sc.y2_0, sc.offset_y, sc.gamma_y, WOBBLE_Y,
-                        GROWTH_Y)
+    """Assemble the coupled oscillator pair from scenario parameters, loops x and y."""
+    v, k = vars(sc), {"x": sc.k1, "y": sc.k2}
+    loops = {tag: _make_loop(v[f"lambda_{tag}"], v[f"{tag}1_0"] + v[f"{tag}2_0"],
+                             v[f"offset_{tag}"], v[f"gamma_{tag}"], wobble, growth)
+             for tag, wobble, growth in (("x", WOBBLE_X, GROWTH_X), ("y", WOBBLE_Y, GROWTH_Y))}
     field = "lambda state, t: (k * state[0],)"  # the partner's position, scaled
-    coupling = Coupling(into_x2=Formula(field, k=sc.k1), into_y2=Formula(field, k=sc.k2),
-                        beta_into_x=abs(sc.k1), beta_into_y=abs(sc.k2))
-    return CoupledClosedLoop(loop_x=loop_x, loop_y=loop_y, coupling=coupling,
-                             theta_true_x=(sc.theta_x,), theta_true_y=(sc.theta_y,))
+    coupling = Coupling({tag: Formula(field, k=k[tag]) for tag in loops},
+                        {tag: abs(k[tag]) for tag in loops})
+    return CoupledClosedLoop(loops, coupling, {tag: (v[f"theta_{tag}"],) for tag in loops})
 
 
 def coupling_offsets(sc: OscillatorScenario) -> tuple:

@@ -20,8 +20,9 @@ quadrature (`running_l2`), checked with the fixed tolerances
 `certify.MONITOR_TOL` and `certify.LOOP_MONITOR_TOL`.
 
 Integration stops at the horizon, on divergence (a state component exceeds
-the configured bound), or on a controller singularity; the outcome is a
-status on the trajectory, never an exception.
+the configured bound, or a `math` function overflows or leaves its domain),
+or on a controller singularity; the outcome is a status on the trajectory,
+never an exception, except at the initial point.
 
 CSV export (`_write_csv`) writes the bytes of '%.17g' % v.  It decides each
 value's 17 digits exactly in numpy from a double-double product with a power
@@ -156,8 +157,8 @@ class LoopTrajectory:
 class Trajectory:
     """Logged record of a coupled run: one LoopTrajectory per subsystem.
 
-    loops["x"] and loops["y"] share the time grid and the status; each
-    loop's eps is the coupling channel into that loop.
+    Every loop's record shares the time grid and the status; its eps is
+    the coupling channel into that loop.
     """
 
     t: np.ndarray
@@ -188,7 +189,7 @@ _BIND_TEMPLATE = """\
 ({tt}) = {P}theta_true"""
 # Every map of a loop, in `_maps` order, each the {slot} line of the templates: slot ->
 # (attribute of the loop or, for the coupling field into it, None; its arguments: s state,
-# e estimate, T true parameters, t time, p goal value, o the partner loop's state).
+# e estimate, T true parameters, t time, p goal value, o the other loops' states).
 _SLOTS = {
     "psi": ("goal.psi", "st"), "alpha": ("param.alpha", "st"), "pot": ("potential.value", "st"),
     "dpot": ("potential.grad_state", "st"), "dpotdt": ("potential.d_time", "st"),
@@ -274,15 +275,15 @@ def _slot(fn, P: str, slot: str, obj: str, target, args: list, binds: list) -> s
     return line if fn.reads else ""
 
 
-def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t", virtual=False):
+def _loop_body(layout, maps: dict, P: str, z: list, rates: list, inject, t="t", virtual=False):
     """(bind, body, diag) source of a (q, p, d) loop whose locals carry the prefix P.
 
     The body evaluates the loop's maps at the state and estimator sources z
     (integral state, or the estimate if `virtual`) and the time `t`, injected
-    with the coupling field maps["inj"] of partner = (its bind source, the
-    partner's state container and sources), or signal(t) * direction if
-    partner is None, and assigns the n state and d estimator rates to the
-    locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat), theta_hat
+    with the coupling field maps["inj"] of inject = (its bind source, the
+    other loops' (state container, sources) in loop order), or signal(t) *
+    direction if inject is None, and assigns the n state and d estimator
+    rates to the locals `rates`.  diag is (psi, u, mismatch, eps, *theta_hat), theta_hat
     the estimator sources if `virtual`.
     The bind text binds what the body reads, and the terms built from the
     values of formulas that read no argument alone.
@@ -295,19 +296,19 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
     gq, gp, f1, g1, g2, fh, f2, inj, a, pv, v, th, dadt, dpdt, tt = names.values()
     ti, gain = z[n:], [_names(f"{P}G{r}_", d) for r in range(d)]
     da, dp = ([_names(f"{P}{x}{j}_", n) for j in range(d)] for x in ("da", "dp"))
-    args = dict(s=(P + "state", z[:n]), T=(P + "theta_true", tt), t=t, p=psi,
-                e=(f"[{', '.join(ti)}]", ti) if virtual else (P + "theta_hat", th),
-                o=partner and partner[1:])
+    args = dict(s=[(P + "state", z[:n])], T=[(P + "theta_true", tt)], t=[t], p=[psi],
+                e=[(f"[{', '.join(ti)}]", ti) if virtual else (P + "theta_hat", th)],
+                o=inject and inject[1])
     targets = dict(psi=psi, alpha=a, pot=pv, dpot=dp, dpotdt=dpdt, grad=gq + gp, f1=f1, g1=g1,
                    g2=g2, dpsidt=P + "dpsidt", dalpha=da, dalphadt=dadt, fh=fh, f2=f2,
                    phi=P + "phiv", inj=inj)
     binds = [_BIND_TEMPLATE.format(P=P, gain=_tup(gain), tt=_tup(tt))]
     law, fields = _CONTROL_TEMPLATE + (_VIRTUAL_TEMPLATE if virtual else _KERNEL_TEMPLATE), {}
     for slot, (attr, params) in _SLOTS.items():
-        if f"{{{slot}}}" in law and (attr or partner):
-            fields[slot] = _slot(maps[slot], P, slot, f"{P}loop.{attr}" if attr else partner[0],
-                                 targets[slot], [args[x] for x in params], binds)
-    if partner is None:
+        if f"{{{slot}}}" in law and (attr or inject):
+            fields[slot] = _slot(maps[slot], P, slot, f"{P}loop.{attr}" if attr else inject[0],
+                                 targets[slot], [a for x in params for a in args[x]], binds)
+    if inject is None:
         fields["inj"] = f"sig = signal({t})\n" + lines(
             f"{x} = sig * dir{i}" for i, x in enumerate(inj))
     fixed = {slot for slot, fn in maps.items() if isinstance(fn, Formula) and not fn.reads}
@@ -348,7 +349,7 @@ def _loop_body(layout, maps: dict, P: str, z: list, rates: list, partner, t="t",
 # out as the loop bodies.  Only the kind, integers derived from the layout and
 # the unparse of validated formula ASTs reach the text.
 _RK4_TEMPLATE = """\
-def {name}(loops, thetas, fields, y_init, t0, h, n_steps, every, bound):
+def {name}(tags, loops, thetas, fields, y_init, t0, h, n_steps, every, bound):
 {bind}
     half = 0.5 * h
     sixth = h / 6.0
@@ -373,6 +374,13 @@ def {name}(loops, thetas, fields, y_init, t0, h, n_steps, every, bound):
                 raise
             status = STATUS_SINGULAR
             break
+        except (ValueError, OverflowError) as err:  # what `math`'s FUNCTIONS raise, and only that
+            if isinstance(err, ValueError) and err.args != ("math domain error",):
+                raise
+            if not logged:
+                raise ValueError(f"closed-loop maps overflow at t0 = {{t0!r}}: {{err}}") from err
+            status = STATUS_DIVERGED
+            break
 {update}
         if not ({in_bounds}):
             status = STATUS_DIVERGED
@@ -390,12 +398,13 @@ def _runner(kind: str, layout: tuple, maps: tuple):
     """The RK4 runner of `kind`, generated from `_RK4_TEMPLATE` once per layout and map texts.
 
     kind names the law, "loop" (realizable) or "virtual" (reduced form);
-    layout holds one (q, p, d) per loop, of one loop or two coupled ones.
-    Every runner is run(loops, thetas, fields, y_init, t0, h, n_steps,
-    every, bound), with a loop, its true parameters and its field per loop
-    and y_init each loop's state and estimator state in turn.  Two loops are
-    injected with their fields, coupling maps of the other's state; one loop
-    with signal(t) * direction, its field being (signal, direction).
+    layout holds one (q, p, d) per loop, of one loop or coupled ones.
+    Every runner is run(tags, loops, thetas, fields, y_init, t0, h, n_steps,
+    every, bound), with a tag, a loop, its true parameters and its field per
+    loop and y_init each loop's state and estimator state in turn.  Coupled
+    loops are injected with their fields, maps of the other loops' states in
+    loop order; one loop with signal(t) * direction, its field (signal,
+    direction).
 
     A runner keeps the state in float locals with the stages unrolled and
     returns (t, y, diag, status), one row per sample logged every `every`
@@ -403,13 +412,15 @@ def _runner(kind: str, layout: tuple, maps: tuple):
     step needs anyway.  It stops when a state component leaves [-bound,
     bound] (a NaN does too) or the control law is undefined; undefined at
     the initial point propagates, at a later one (the final point included)
-    it ends the run singular, tagged "x" or "y" for two loops and `kind`
-    for one.
+    it ends the run singular, the error carrying the loop's tag.  A `math`
+    function that overflows or leaves its domain is a ValueError at the
+    initial point and ends the run diverged at a later one; nothing else is
+    caught.
 
     Loop stages are `_loop_body`'s text, and so is their diag, the same
     columns for every kind.  maps are the loops' `_maps`, one after the
     other.  Only `kind`, the integers of layout and the unparse of validated
-    formula ASTs reach the source, never raw user text or constant values.
+    formula ASTs reach the source, never tags, user text or constant values.
     It is compiled on first use, cached, and kept without blank lines in
     `linecache` under a name holding a digest of the formula texts, so
     tracebacks through it show its lines.
@@ -434,15 +445,15 @@ def _maps(loop, inject=None) -> tuple:  # the `_SLOTS` maps of a loop with field
 def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
     """Source of `_runner(kind, layout, maps)`."""
     n, m, stages, diag = sum(layout), len(_SLOTS), [], []
-    coupled = len(layout) == 6  # else one loop
-    prefixes = ("x_", "y_") if coupled else ("",)
+    coupled = len(layout) > 3  # else one loop
+    prefixes = [("xy"[i] + "_" if i < 2 else f"l{i}_") if coupled else ""
+                for i in range(len(layout) // 3)]
     loops = [(P, layout[3 * i:3 * i + 3], sum(layout[:3 * i])) for i, P in enumerate(prefixes)]
     fields = [f"{P}field" for P in prefixes] if coupled else [["signal", _names("dir", layout[1])]]
     binds = [
         f"({_tup(P + 'loop' for P in prefixes)}), ({_tup(P + 'theta_true' for P in prefixes)}), "
         f"({_tup(fields)}) = loops, thetas, fields",
-        f"floor, ({_tup(P + 'tag' for P in prefixes)}) = SINGULARITY_FLOOR, "
-        f"({_tup(map(repr, ('x', 'y') if coupled else (kind,)))})",
+        f"floor, ({_tup(P + 'tag' for P in prefixes)}) = SINGULARITY_FLOOR, tags",
         f"{', '.join(FUNCTIONS)} = {', '.join(f'math.{f}' for f in FUNCTIONS)}"]
     for j, (t, c) in enumerate([("t", ""), ("t + half", "half"), ("t + half", "half"),
                                 ("t + h", "h")]):
@@ -451,11 +462,11 @@ def _runner_source(kind: str, layout: tuple, maps: tuple) -> str:
         lines = [f"ts = {t}"] + [f"z{i} = y{i} + {c} * k{j}_{i}" for i in range(n)] if j else []
         t = "ts" if j else "t"
         for i, (P, (q, p, d), a) in enumerate(loops):
-            o = loops[1 - i] if coupled else None
-            partner = o and (fields[i], o[0] + "state", z[o[2]:o[2] + o[1][0] + o[1][1]])
+            others = [(O + "state", z[b:b + qo + po]) for O, (qo, po, _), b in loops if O != P]
             bind, body, loop_diag = _loop_body(
                 (q, p, d), dict(zip(_SLOTS, maps[i * m:(i + 1) * m])), P, z[a:a + q + p + d],
-                rates[a:a + q + p + d], partner, t, kind == "virtual")
+                rates[a:a + q + p + d], (fields[i], others) if coupled else None, t,
+                kind == "virtual")
             bodies.append(body)
             if not j:  # the bind text, and the diag read at stage one
                 binds.append(bind)
@@ -505,47 +516,54 @@ def integrate(
 ) -> Trajectory:
     """Simulate the coupled closed loop from an augmented initial state.
 
-    aug0 concatenates x, theta_i_x, y, theta_i_y.  The result is logged
-    every cfg.log_every steps on the uniform grid, with running norms of
-    the goal errors, coupling channels, and drift mismatches.
+    aug0 concatenates each loop's state and integral state in loop order (x,
+    theta_i_x, y, theta_i_y for two loops).  The result is logged every
+    cfg.log_every steps on the uniform grid, with running norms of the goal
+    errors, coupling channels, and drift mismatches.
     """
-    sizes = [m for loop in (sys.loop_x, sys.loop_y) for m in (loop.spec.layout.n, loop.param.dim)]
+    sizes = [m for loop in sys.loops.values() for m in (loop.spec.layout.n, loop.param.dim)]
     aug0 = np.asarray(aug0, dtype=float)
     if len(aug0) != sum(sizes):
         raise ValueError(f"augmented state must have length {sum(sizes)}, got {len(aug0)}")
-    x, ti_x, y, ti_y = np.split(aug0, np.cumsum(sizes[:3]))
-    rx, ry = _run("loop", [(sys.loop_x, sys.theta_true_x, x, ti_x),
-                           (sys.loop_y, sys.theta_true_y, y, ti_y)],
-                  [sys.coupling.into_x2, sys.coupling.into_y2], cfg, t0)
-    return Trajectory(t=rx.t, loops={"x": rx, "y": ry}, status=rx.status)
+    parts = np.split(aug0, np.cumsum(sizes[:-1]))
+    records = _run("loop", {tag: (loop, sys.theta_true[tag], sys.coupling.into[tag],
+                                  *parts[2 * i:2 * i + 2])
+                            for i, (tag, loop) in enumerate(sys.loops.items())}, cfg, t0)
+    first = next(iter(records.values()))
+    return Trajectory(t=first.t, loops=records, status=first.status)
 
 
-def _run(kind: str, runs: list, fields: list, cfg: IntegratorConfig, t0: float) -> list:
-    """The `kind` run of one loop or two coupled ones: one `LoopTrajectory` per loop.
+def _run(kind: str, runs: dict, cfg: IntegratorConfig, t0: float) -> dict:
+    """The `kind` run of one loop or coupled ones: a `LoopTrajectory` per tag of runs.
 
-    runs holds each loop's (loop, theta_true, state0, est0), est0 its
-    estimator state, and fields each loop's field as `_runner` takes it.  A
-    wrong length of theta_true or of the initial data is a ValueError.
+    runs maps each loop's tag to its (loop, theta_true, field, state0, est0)
+    in loop order, field as `_runner` takes it and est0 the estimator state.
+    A wrong length of theta_true or of the initial data is a ValueError, and
+    so is a value that is not finite, named by its index in theta_true or in
+    the initial data (each loop's state and estimator state in turn).
     """
     layouts, thetas, y0 = [], [], []
-    for loop, theta_true, state0, est0 in runs:
+    for loop, theta_true, _, state0, est0 in runs.values():
         n, d = loop.spec.layout.n, loop.param.dim
         thetas.append(tuple(float(v) for v in theta_true))
         if len(thetas[-1]) != d:
             raise DimensionMismatchError("theta_true", d, len(thetas[-1]))
+        _require_finite(**{f"theta_true[{i}]": v for i, v in enumerate(thetas[-1])})
         state0, est0 = list(np.asarray(state0, dtype=float)), list(np.asarray(est0, dtype=float))
         if (len(state0), len(est0)) != (n, d):
             raise ValueError(f"initial data must have lengths {n} (state) and {d} (estimator), "
                              f"got {len(state0)} and {len(est0)}")
         layouts.append((loop.spec.layout.q, loop.spec.layout.p, d))
         y0 += state0 + est0
-    loops = [run[0] for run in runs]
+    _require_finite(**{f"initial data[{i}]": v for i, v in enumerate(y0)})
+    loops, fields = [run[0] for run in runs.values()], [run[2] for run in runs.values()]
     t, y, diag, status = _runner(kind, sum(layouts, ()), sum(map(_maps, loops, fields), ()))(
-        loops, thetas, fields, y0, t0, cfg.step, cfg.n_steps, cfg.log_every, cfg.divergence_bound)
-    records, a, b = [], 0, 0
-    for q, p, d in layouts:  # each loop's state, estimator state and diag columns
+        tuple(runs), loops, thetas, fields, y0, t0, cfg.step, cfg.n_steps, cfg.log_every,
+        cfg.divergence_bound)
+    records, a, b = {}, 0, 0
+    for tag, (q, p, d) in zip(runs, layouts):  # each loop's state, estimator state and diag
         c = a + q + p
-        records.append(_loop_record(t, y[:, a:c], y[:, c:c + d], diag[:, b:b + 4 + d], status))
+        records[tag] = _loop_record(t, y[:, a:c], y[:, c:c + d], diag[:, b:b + 4 + d], status)
         a, b = c + d, b + 4 + d
     return records
 
@@ -566,7 +584,7 @@ def integrate_loop(
     subsystem trajectories on the same grid.
     """
     field = (disturbance.signal, disturbance.resolve_direction(loop.spec.layout.p))
-    return _run("loop", [(loop, theta_true, state0, theta_i0)], [field], cfg, t0)[0]
+    return _run("loop", {"loop": (loop, theta_true, field, state0, theta_i0)}, cfg, t0)["loop"]
 
 
 def integrate_virtual(
@@ -589,7 +607,8 @@ def integrate_virtual(
     theta_hat, and u, mismatch and eps those of the control input at it.
     """
     field = (disturbance.signal, disturbance.resolve_direction(loop.spec.layout.p))
-    return _run("virtual", [(loop, theta_true, state0, theta_hat0)], [field], cfg, t0)[0]
+    return _run("virtual", {"virtual": (loop, theta_true, field, state0, theta_hat0)}, cfg,
+                t0)["virtual"]
 
 
 # The CSV writer renders a value as six little-endian words: byte 0 sign, 1-5 "0.000",
@@ -693,20 +712,19 @@ def _write_csv(path, header: list, columns: list) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Export a coupled trajectory as CSV with 17-significant-digit floats."""
-    lx, ly = traj.loops["x"], traj.loops["y"]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(lx.state.shape[1])]
-        + [f"y{i + 1}" for i in range(ly.state.shape[1])]
-        + ["psiX", "psiY", "uX", "uY"]
-        + [f"thetaHatX{i + 1}" for i in range(lx.theta_hat.shape[1])]
-        + [f"thetaHatY{i + 1}" for i in range(ly.theta_hat.shape[1])]
-        + ["l2PsiX", "l2PsiY", "linfPsiX", "linfPsiY",
-           "l2MismatchX", "l2MismatchY", "hIntoX", "hIntoY"]
-    )
-    _write_csv(path, header, [
-        traj.t, lx.state, ly.state, lx.psi, ly.psi, lx.u, ly.u, lx.theta_hat, ly.theta_hat,
-        lx.l2_psi, ly.l2_psi, lx.linf_psi, ly.linf_psi, lx.l2_mismatch, ly.l2_mismatch,
-        lx.eps, ly.eps,
-    ])
+    """Export a coupled trajectory as CSV with 17-significant-digit floats.
+
+    After t, each field takes one column block per loop, in loop order:
+    x1, x2, y1, y2, psiX, psiY, ... for two loops.
+    """
+    header, columns = ["t"], [traj.t]
+    for field, stem in (("state", ""), ("psi", "psi"), ("u", "u"), ("theta_hat", "thetaHat"),
+                        ("l2_psi", "l2Psi"), ("linf_psi", "linfPsi"),
+                        ("l2_mismatch", "l2Mismatch"), ("eps", "hInto")):
+        for tag, rec in traj.loops.items():  # the state's stem is the tag
+            column = getattr(rec, field)
+            name = stem + tag.capitalize() if stem else tag
+            numbered = column.ndim > 1  # a vector: one column per coordinate
+            header += [f"{name}{i + 1}" for i in range(column.shape[1])] if numbered else [name]
+            columns.append(column)
+    _write_csv(path, header, columns)

@@ -45,9 +45,8 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 
 def oscillator_small_gain(k1: float, k2: float) -> SmallGainProblem:
     return SmallGainProblem(
-        gain_x22=GainDescriptor.linear(0.0, 0.5),
-        gain_y22=GainDescriptor.linear(0.0, 0.5),
-        beta_x=k1, beta_y=k2, ratio_x=1.5 / 0.5, ratio_y=1.6 / 0.4,
+        gains=(GainDescriptor.linear(0.0, 0.5), GainDescriptor.linear(0.0, 0.5)),
+        betas=(k1, k2), ratios=(1.5 / 0.5, 1.6 / 0.4),
     )
 
 

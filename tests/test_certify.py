@@ -523,12 +523,12 @@ class TestCertifyClosedLoop:
     @staticmethod
     def build():
         """The matrix-gain loop (q = p = 1, d = 2) and a no-first-block loop (q = 0, p = 2)."""
-        coupling = Coupling(into_x2=lambda y, t: (0.1 * y[1],),
-                            into_y2=lambda x, t: (0.0, 0.2 * x[0]),
-                            beta_into_x=0.1, beta_into_y=0.2)
-        return CoupledClosedLoop(adaptation_tests.TestMatrixGainLoop.build(),
-                                 simulate_tests.TestNoFirstBlock.build_loop(), coupling,
-                                 (0.8, 1.2), (0.9,))
+        coupling = Coupling({"x": lambda y, t: (0.1 * y[1],),
+                             "y": lambda x, t: (0.0, 0.2 * x[0])},
+                            {"x": 0.1, "y": 0.2})
+        return CoupledClosedLoop({"x": adaptation_tests.TestMatrixGainLoop.build(),
+                                  "y": simulate_tests.TestNoFirstBlock.build_loop()}, coupling,
+                                 {"x": (0.8, 1.2), "y": (0.9,)})
 
     def certify(self, sys, boxes=BOXES, n=500):
         aug0 = (0.5, -0.2, 0.0, 0.0, 0.4, -0.1, 0.0)  # x, theta_i_x, y, theta_i_y
@@ -562,9 +562,9 @@ class TestCertifyClosedLoop:
 
     def test_small_gain_problem_reads_the_system(self):
         prob = small_gain_problem(self.build())
-        assert (prob.gain_x22.slope, prob.gain_y22.slope) == (1.0 / 1.5, 1.0 / 2.0)
-        assert (prob.beta_x, prob.beta_y) == (0.1, 0.2)
-        assert (prob.ratio_x, prob.ratio_y) == (4.0, 1.0)
+        assert (prob.gains[0].slope, prob.gains[1].slope) == (1.0 / 1.5, 1.0 / 2.0)
+        assert prob.betas == (0.1, 0.2)
+        assert prob.ratios == (4.0, 1.0)
 
     def test_realizability_margin_reads_the_residual(self, oscillator):
         # a potential whose second-block partial is off by 1e-9 builds, and
@@ -573,7 +573,8 @@ class TestCertifyClosedLoop:
         loop = replace(loop, potential=replace(loop.potential, grad_state=Constant(((0.0, 1e-9),))))
         assert loop.realizability_residual == 1e-9
         boxes = ((MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX),) * 2
-        report, _ = certify_closed_loop(replace(oscillator, loop_x=loop), self.CFG,
+        report, _ = certify_closed_loop(replace(oscillator, loops={**oscillator.loops, "x": loop}),
+                                        self.CFG,
                                         OscillatorScenario().initial_state(), boxes,
                                         self.OFFSETS, 500, tail_window=0.5, tail_threshold=1e6)
         entry = next(e for e in report.entries if e.name == "realizability-x")
@@ -583,14 +584,26 @@ class TestCertifyClosedLoop:
         with pytest.raises(ValueError):
             self.certify(self.build(), self.BOXES[:1])
 
+    @pytest.mark.parametrize("offsets, name", [
+        ((math.inf, 0.1), "'x'"), ((0.05, math.nan), "'y'"), ((-0.05, 0.1), "'x'"),
+    ])
+    def test_offsets_checked_before_sampling_or_integrating(self, monkeypatch, offsets, name):
+        # an infinite offset passed its coupling-bound entry with margin inf
+        sys = self.build()
+        draws, runs = counted_draws(monkeypatch), []
+        monkeypatch.setattr(certify, "integrate", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=f"offset into {name} must be finite and >= 0"):
+            certify_closed_loop(sys, self.CFG, (0.5, -0.2, 0.0, 0.0, 0.4, -0.1, 0.0),
+                                self.BOXES, offsets, 500)
+        assert (draws, runs) == ([], [])
+
 
 class TestSmallGainLinear:
     def osc_problem(self, k1, k2):
         return SmallGainProblem(
-            gain_x22=GainDescriptor.linear(0.0, 0.5),
-            gain_y22=GainDescriptor.linear(0.0, 0.5),
-            beta_x=k1, beta_y=k2,
-            ratio_x=3.0, ratio_y=4.0,
+            gains=(GainDescriptor.linear(0.0, 0.5), GainDescriptor.linear(0.0, 0.5)),
+            betas=(k1, k2),
+            ratios=(3.0, 4.0),
         )
 
     @pytest.mark.parametrize(
@@ -615,9 +628,8 @@ class TestSmallGainLinear:
 
     def test_offsets_do_not_affect_verdict(self):
         with_offsets = SmallGainProblem(
-            gain_x22=GainDescriptor.linear(2.0, 0.5),
-            gain_y22=GainDescriptor.linear(5.0, 0.5),
-            beta_x=0.4, beta_y=0.4, ratio_x=3.0, ratio_y=4.0,
+            gains=(GainDescriptor.linear(2.0, 0.5), GainDescriptor.linear(5.0, 0.5)),
+            betas=(0.4, 0.4), ratios=(3.0, 4.0),
         )
         assert check_small_gain(with_offsets).passed
 
@@ -630,17 +642,18 @@ def reference_small_gain(prob):
     skipped.  Scanned regime only.
     """
     deltas = np.geomspace(certify.SCAN_LOWER, certify.SCAN_UPPER, certify.SCAN_POINTS)
+    (gain_x, gain_y), (beta_x, beta_y), (ratio_x, ratio_y) = prob.gains, prob.betas, prob.ratios
 
     def composed(delta, d1, d2, d3):
-        s = (prob.ratio_x + 1.0) * delta
+        s = (ratio_x + 1.0) * delta
         s = (1.0 + d2) * s
-        s = prob.gain_x22.evaluate(s)
-        s = prob.beta_x * s
+        s = gain_x.evaluate(s)
+        s = beta_x * s
         s = (1.0 + d3) * s
-        s = (prob.ratio_y + 1.0) * s
+        s = (ratio_y + 1.0) * s
         s = (1.0 + d1) * s
-        s = prob.gain_y22.evaluate(s)
-        return prob.beta_y * s
+        s = gain_y.evaluate(s)
+        return beta_y * s
 
     best, best_probe, last_range_error = -np.inf, None, None
     for d1, d2, d3 in itertools.product(PROBES, repeat=3):
@@ -686,7 +699,7 @@ class TestSmallGainScanned:
         # junctions has the best slack, and leaves a table only when every
         # probe does; the inconclusive reason now names its own query
         assume(not (gain_x.is_linear and gain_y.is_linear))
-        prob = SmallGainProblem(gain_x, gain_y, beta_x, beta_y, ratio_x, ratio_y)
+        prob = SmallGainProblem((gain_x, gain_y), (beta_x, beta_y), (ratio_x, ratio_y))
         got, want = check_small_gain(prob), reference_small_gain(prob)
         assert (got.status, got.margin.hex()) == (want.status, want.margin.hex())
         if got.status == INCONCLUSIVE:
@@ -696,9 +709,9 @@ class TestSmallGainScanned:
 
     def test_tabulated_gain_pass(self):
         prob = SmallGainProblem(
-            gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (1e4, 4e3)]),
-            gain_y22=GainDescriptor.linear(0.0, 0.5),
-            beta_x=0.5, beta_y=0.5, ratio_x=1.0, ratio_y=1.0,
+            gains=(GainDescriptor.tabulated([(0.0, 0.0), (1e4, 4e3)]),
+                   GainDescriptor.linear(0.0, 0.5)),
+            betas=(0.5, 0.5), ratios=(1.0, 1.0),
         )
         entry = check_small_gain(prob)
         assert entry.passed
@@ -706,18 +719,18 @@ class TestSmallGainScanned:
 
     def test_uncovered_scan_range_is_inconclusive(self):
         prob = SmallGainProblem(
-            gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (10.0, 4.0)]),
-            gain_y22=GainDescriptor.linear(0.0, 0.5),
-            beta_x=0.5, beta_y=0.5, ratio_x=1.0, ratio_y=1.0,
+            gains=(GainDescriptor.tabulated([(0.0, 0.0), (10.0, 4.0)]),
+                   GainDescriptor.linear(0.0, 0.5)),
+            betas=(0.5, 0.5), ratios=(1.0, 1.0),
         )
         entry = check_small_gain(prob)
         assert entry.status == INCONCLUSIVE
 
     def test_contractive_fails_when_gain_too_large(self):
         prob = SmallGainProblem(
-            gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (1e4, 9e3)]),
-            gain_y22=GainDescriptor.linear(0.0, 0.9),
-            beta_x=1.0, beta_y=1.0, ratio_x=1.0, ratio_y=1.0,
+            gains=(GainDescriptor.tabulated([(0.0, 0.0), (1e4, 9e3)]),
+                   GainDescriptor.linear(0.0, 0.9)),
+            betas=(1.0, 1.0), ratios=(1.0, 1.0),
         )
         entry = check_small_gain(prob)
         assert not entry.passed
@@ -726,9 +739,9 @@ class TestSmallGainScanned:
         # at the smallest amplitude (delta - composed) / delta overflows; the
         # package's test settings turn numpy's overflow warning into an error
         prob = SmallGainProblem(
-            gain_x22=GainDescriptor.tabulated([(0.0, 0.0), (1e4, 1e4)]),
-            gain_y22=GainDescriptor.linear(0.0, 1e308),
-            beta_x=1.0, beta_y=1.0, ratio_x=4.0, ratio_y=4.0,
+            gains=(GainDescriptor.tabulated([(0.0, 0.0), (1e4, 1e4)]),
+                   GainDescriptor.linear(0.0, 1e308)),
+            betas=(1.0, 1.0), ratios=(4.0, 4.0),
         )
         entry = check_small_gain(prob)
         assert (entry.status, entry.margin) == (FAIL, -math.inf)
@@ -736,19 +749,19 @@ class TestSmallGainScanned:
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             SmallGainProblem(
-                gain_x22=GainDescriptor.linear(0.0, 0.5),
-                gain_y22=GainDescriptor.linear(0.0, 0.5),
-                beta_x=0.1, beta_y=0.1, ratio_x=0.5, ratio_y=1.0,
+                gains=(GainDescriptor.linear(0.0, 0.5), GainDescriptor.linear(0.0, 0.5)),
+                betas=(0.1, 0.1), ratios=(0.5, 1.0),
             )
 
     @pytest.mark.parametrize("change", [
-        {"beta_x": math.nan}, {"beta_y": math.inf}, {"ratio_x": math.nan}, {"ratio_y": math.inf},
-        {"beta_x": math.inf}, {"beta_y": math.nan}, {"ratio_x": math.inf}, {"ratio_y": math.nan},
+        {"betas": (math.nan, 0.1)}, {"betas": (0.1, math.inf)},
+        {"ratios": (math.nan, 1.0)}, {"ratios": (1.0, math.inf)},
+        {"betas": (math.inf, 0.1)}, {"betas": (0.1, math.nan)},
+        {"ratios": (math.inf, 1.0)}, {"ratios": (1.0, math.nan)},
     ])
     def test_problem_rejects_non_finite_or_empty(self, change):
-        data = dict(gain_x22=GainDescriptor.linear(0.0, 0.5),
-                    gain_y22=GainDescriptor.linear(0.0, 0.5),
-                    beta_x=0.1, beta_y=0.1, ratio_x=1.0, ratio_y=1.0)
+        data = dict(gains=(GainDescriptor.linear(0.0, 0.5), GainDescriptor.linear(0.0, 0.5)),
+                    betas=(0.1, 0.1), ratios=(1.0, 1.0))
         with pytest.raises(ValueError):
             SmallGainProblem(**{**data, **change})
 
@@ -818,6 +831,18 @@ class TestCouplingBoundMonitor:
         l2_x = verify_coupling_bound(coupled_traj, "into_x", 0.4, offset=off_x)
         l2_y = verify_coupling_bound(coupled_traj, "into_y", 0.4, offset=off_y)
         assert l2_x.passed and l2_y.passed
+
+    @pytest.mark.parametrize("beta, offset, name", [
+        (0.4, math.inf, "offset"), (0.4, math.nan, "offset"), (0.4, -0.1, "offset"),
+        (math.inf, 0.0, "beta"), (math.nan, 0.0, "beta"), (-0.4, 0.0, "beta"),
+    ])
+    def test_bound_must_be_finite_and_non_negative(self, coupled_traj, beta, offset, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            verify_coupling_bound(coupled_traj, "into_x", beta, offset=offset)
+
+    def test_unknown_channel(self, coupled_traj):
+        with pytest.raises(ValueError, match="channel must be 'into_x' or 'into_y'"):
+            verify_coupling_bound(coupled_traj, "into_z", 0.4)
 
 
 class TestConvergenceMonitor:
@@ -924,9 +949,8 @@ class TestReportConventions:
         entries.append(verify_coupling_bound(coupled_traj, "into_x", 0.4))
         for k1, k2 in ((0.4, 0.4), (0.2, 1.0), (0.5, 0.5)):
             entries.append(check_small_gain(SmallGainProblem(
-                gain_x22=GainDescriptor.linear(0.0, 0.5),
-                gain_y22=GainDescriptor.linear(0.0, 0.5),
-                beta_x=k1, beta_y=k2, ratio_x=3.0, ratio_y=4.0,
+                gains=(GainDescriptor.linear(0.0, 0.5), GainDescriptor.linear(0.0, 0.5)),
+                betas=(k1, k2), ratios=(3.0, 4.0),
             )))
         for e in entries:
             assert np.isfinite(e.margin)

@@ -19,6 +19,7 @@ from decadapt.cli import (
     run_cli,
 )
 
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
 CSV_HEADER = (
     "t,x1,x2,y1,y2,psiX,psiY,uX,uY,thetaHatX1,thetaHatY1,"
     "l2PsiX,l2PsiY,linfPsiX,linfPsiY,l2MismatchX,l2MismatchY,hIntoX,hIntoY"
@@ -78,6 +79,25 @@ class TestSimulateCommand:
         assert code == EXIT_SIM_ABORT
         assert [str(w.message) for w in caught] == []
         assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_overflow_inside_the_run_is_an_abort(self, tmp_path, capsys, command):
+        # theta = 1e150 overflows sin()'s argument after the first logged row
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(REFERENCE.read_text().replace("theta = 1.0", "theta = 1e150"))
+        assert cfg.read_text().count("theta = 1e150") == 2
+        code = run_cli([command, str(cfg), "--t-final", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_SIM_ABORT
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_overflow_at_the_initial_point_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(REFERENCE.read_text().replace("theta = 1.0", "theta = 1e308"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, str(cfg), "--t-final", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "closed-loop maps overflow at t0 = 0.0" in capsys.readouterr().err
 
     def test_step_must_divide_horizon(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,24 @@ from decadapt import (
     CoupledClosedLoop,
     DomainBox,
     GoalFunction,
+    Formula,
     IntegratorConfig,
+    OscillatorScenario,
     Parametrization,
     PartitionLayout,
     SubsystemSpec,
     TargetShaper,
+    build_oscillator,
+    certify_closed_loop,
     integrate,
     integrate_loop,
+    small_gain_problem,
+    verify_coupling_bound,
     zero_potential,
 )
 from decadapt.interconnect import zero_coupling
-from decadapt.simulate import zero_disturbance
+from decadapt.scenario import MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX
+from decadapt.simulate import STATUS_COMPLETED, zero_disturbance
 
 
 # One step of a coupled run: its first log row is the initial point.
@@ -67,9 +75,9 @@ class TestCoupling:
         h = 1e-7
         cfg = IntegratorConfig(step=h, t_final=h)
         bare = CoupledClosedLoop(
-            loop_x=oscillator.loop_x, loop_y=oscillator.loop_y,
-            coupling=zero_coupling(1, 1),
-            theta_true_x=(1.0,), theta_true_y=(1.0,),
+            loops=oscillator.loops,
+            coupling=zero_coupling(oscillator.loops),
+            theta_true={"x": (1.0,), "y": (1.0,)},
         )
         coupled, uncoupled = integrate(oscillator, cfg, aug), integrate(bare, cfg, aug)
         # k1 * y1 enters x2, k2 * x1 enters y2
@@ -82,16 +90,91 @@ class TestCoupling:
 
     def test_negative_declared_bounds_rejected(self):
         with pytest.raises(ValueError):
-            Coupling(into_x2=lambda y, t: (0.0,), into_y2=lambda x, t: (0.0,),
-                     beta_into_x=-0.1, beta_into_y=0.0)
+            Coupling({"x": lambda y, t: (0.0,), "y": lambda x, t: (0.0,)},
+                     {"x": -0.1, "y": 0.0})
 
     @pytest.mark.parametrize("bounds, name", [
-        ({"beta_into_x": math.nan}, "beta_into_x"), ({"beta_into_y": math.inf}, "beta_into_y"),
-    ])
+        ({"x": math.nan, "y": 0.0}, "beta['x']"),
+        ({"x": 0.0, "y": math.inf}, "beta['y']"),
+    ], ids=["beta-x", "beta-y"])
     def test_non_finite_declared_bounds_rejected(self, bounds, name):
         # NaN passes the >= 0 test; the small-gain data would reject it only later
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            Coupling(into_x2=lambda y, t: (0.0,), into_y2=lambda x, t: (0.0,), **bounds)
+        with pytest.raises(ValueError, match=f"{re.escape(name)} must be finite"):
+            Coupling({"x": lambda y, t: (0.0,), "y": lambda x, t: (0.0,)}, bounds)
+
+
+class TestCoupledClosedLoop:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_theta_true_rejected(self, oscillator, value):
+        with pytest.raises(ValueError, match=re.escape("theta_true['y'][0] must be finite")):
+            CoupledClosedLoop(oscillator.loops, oscillator.coupling,
+                              {"x": (1.0,), "y": (value,)})
+
+    def test_tags_must_agree(self, oscillator):
+        with pytest.raises(ValueError, match="name them in order"):
+            CoupledClosedLoop(oscillator.loops, oscillator.coupling,
+                              {"y": (1.0,), "x": (1.0,)})
+        with pytest.raises(ValueError, match="two or more loops"):
+            CoupledClosedLoop({"x": oscillator.loop_x},
+                              zero_coupling({"x": oscillator.loop_x}), {"x": (1.0,)})
+
+
+class TestThreeLoops:
+    """Three oscillator loops a, b, c: every layer above the runner takes N loops."""
+
+    CFG = IntegratorConfig(step=1e-3, t_final=1.0)
+    STARTS = {"a": ((-1.0, 0.0), (-1.0,)), "b": ((1.0, 0.0), (-2.0,)), "c": ((0.5, -0.5), (0.3,))}
+    THETAS = {"a": (1.0,), "b": (0.8,), "c": (1.2,)}
+    # into each loop: the first other loop's position and the second's velocity, scaled
+    FIELD = "lambda first, second, t: (0.1 * first[0] + 0.01 * second[1],)"
+
+    def system(self, into=None):
+        x, y = build_oscillator(OscillatorScenario()).loops.values()
+        z = build_oscillator(OscillatorScenario(lambda_x=3.0, offset_x=0.5)).loop_x
+        loops = {"a": x, "b": y, "c": z}
+        return CoupledClosedLoop(loops, Coupling(into) if into else zero_coupling(loops),
+                                 self.THETAS)
+
+    def aug0(self):
+        return [v for state, ti in self.STARTS.values() for v in (*state, *ti)]
+
+    def test_zero_coupling_matches_single_loops_bitwise(self):
+        sys = self.system()
+        traj = integrate(sys, self.CFG, self.aug0())
+        assert traj.status == STATUS_COMPLETED and list(traj.loops) == ["a", "b", "c"]
+        for tag, (state0, ti0) in self.STARTS.items():
+            want = integrate_loop(sys.loops[tag], self.THETAS[tag], zero_disturbance(), self.CFG,
+                                  state0, ti0)
+            for name, value in vars(want).items():
+                got = getattr(traj.loops[tag], name)
+                if name == "status":
+                    assert got == value
+                else:
+                    assert (got.shape, got.tobytes()) == (value.shape, value.tobytes()), (tag, name)
+
+    def test_fields_read_the_other_loops_in_loop_order(self):
+        formula = self.system({tag: Formula(self.FIELD) for tag in "abc"})
+        plain = self.system({tag: eval(self.FIELD) for tag in "abc"})
+        got, want = (integrate(sys, self.CFG, self.aug0()) for sys in (formula, plain))
+        (a, _), (b, _), (c, _) = self.STARTS.values()
+        # the goal gradient's second-block entry is 1, so eps at t0 is the field itself
+        for tag, first, second in (("a", b, c), ("b", a, c), ("c", a, b)):
+            assert got.loops[tag].eps[0] == 0.0 + 1.0 * (0.1 * first[0] + 0.01 * second[1])
+            for name, value in vars(want.loops[tag]).items():
+                if name != "status":
+                    assert getattr(got.loops[tag], name).tobytes() == value.tobytes()
+        assert got.status == want.status == STATUS_COMPLETED
+
+    def test_two_loop_checks_reject_three_loops(self):
+        sys = self.system()
+        with pytest.raises(ValueError, match="two loops, got 3"):
+            small_gain_problem(sys)
+        boxes = ((MONOTONICITY_STATE_BOX, MONOTONICITY_THETA_BOX),) * 3
+        with pytest.raises(ValueError, match="two loops, got 3"):
+            certify_closed_loop(sys, self.CFG, self.aug0(), boxes, (0.0,) * 3, 100)
+        traj = integrate(sys, IntegratorConfig(step=1e-3, t_final=1e-2), self.aug0())
+        with pytest.raises(ValueError, match="two loops, got 3"):
+            verify_coupling_bound(traj, "into_a", 0.0)
 
 
 class TestAugmentedRhs:
@@ -116,8 +199,9 @@ class TestAugmentedRhs:
             potential=loop_b.potential, gain=loop_b.gain,
         )
         sys = CoupledClosedLoop(
-            loop_x=loop_a, loop_y=bad_loop, coupling=zero_coupling(1, 1),
-            theta_true_x=(1.0,), theta_true_y=(1.0,),
+            loops={"x": loop_a, "y": bad_loop},
+            coupling=zero_coupling({"x": loop_a, "y": bad_loop}),
+            theta_true={"x": (1.0,), "y": (1.0,)},
         )
         with pytest.raises(ControlSingularityError) as exc:
             integrate(sys, ONE_STEP, np.zeros(6))
@@ -151,18 +235,18 @@ class TestDecoupledEquivalence:
         cfg = IntegratorConfig(step=1e-3, t_final=2.0)
         k1, k2 = 0.3, 0.7
         forward = CoupledClosedLoop(
-            loop_x=loop_a, loop_y=loop_b,
-            coupling=Coupling(into_x2=lambda y, t: (k1 * y[0],),
-                              into_y2=lambda x, t: (k2 * x[0],),
-                              beta_into_x=k1, beta_into_y=k2),
-            theta_true_x=(1.0,), theta_true_y=(0.5,),
+            loops={"x": loop_a, "y": loop_b},
+            coupling=Coupling({"x": lambda y, t: (k1 * y[0],),
+                               "y": lambda x, t: (k2 * x[0],)},
+                              {"x": k1, "y": k2}),
+            theta_true={"x": (1.0,), "y": (0.5,)},
         )
         swapped = CoupledClosedLoop(
-            loop_x=loop_b, loop_y=loop_a,
-            coupling=Coupling(into_x2=lambda y, t: (k2 * y[0],),
-                              into_y2=lambda x, t: (k1 * x[0],),
-                              beta_into_x=k2, beta_into_y=k1),
-            theta_true_x=(0.5,), theta_true_y=(1.0,),
+            loops={"x": loop_b, "y": loop_a},
+            coupling=Coupling({"x": lambda y, t: (k2 * y[0],),
+                               "y": lambda x, t: (k1 * x[0],)},
+                              {"x": k2, "y": k1}),
+            theta_true={"x": (0.5,), "y": (1.0,)},
         )
         init_f = np.array([-1.0, 0.2, 0.1, 0.8, -0.3, -0.5])
         init_s = np.array([0.8, -0.3, -0.5, -1.0, 0.2, 0.1])
@@ -190,11 +274,11 @@ class TestEpsChannel:
     def test_unit_coupling_passthrough(self):
         loop_a, loop_b = make_symmetric_loop()
         sys = CoupledClosedLoop(
-            loop_x=loop_a, loop_y=loop_b,
-            coupling=Coupling(into_x2=lambda y, t: (1.0 * y[0],),
-                              into_y2=lambda x, t: (0.0,),
-                              beta_into_x=1.0, beta_into_y=0.0),
-            theta_true_x=(1.0,), theta_true_y=(1.0,),
+            loops={"x": loop_a, "y": loop_b},
+            coupling=Coupling({"x": lambda y, t: (1.0 * y[0],),
+                               "y": lambda x, t: (0.0,)},
+                              {"x": 1.0, "y": 0.0}),
+            theta_true={"x": (1.0,), "y": (1.0,)},
         )
         aug = np.array([0.0, 0.0, 0.0, 0.37, 0.0, 0.0])
         assert integrate(sys, ONE_STEP, aug).loops["x"].eps[0] == 0.37

@@ -93,8 +93,8 @@ class TestBuildOscillator:
         sc = OscillatorScenario(k1=0.0, k2=0.0)
         sys = build_oscillator(sc)
         y = np.array([5.0, -3.0])
-        assert tuple(sys.coupling.into_x2(y, 0.0)) == (0.0,)
-        assert tuple(sys.coupling.into_y2(y, 0.0)) == (0.0,)
+        assert tuple(sys.coupling.into["x"](y, 0.0)) == (0.0,)
+        assert tuple(sys.coupling.into["y"](y, 0.0)) == (0.0,)
 
     def test_true_parameters_live_in_harness(self, oscillator):
         assert oscillator.theta_true_x == (1.0,)
@@ -122,25 +122,25 @@ class TestStoredValidation:
 class TestSmallGainProblem:
     def test_oscillator_instantiation(self, oscillator):
         prob = small_gain_problem(oscillator)
-        assert prob.gain_x22.slope == 0.5
-        assert prob.gain_y22.slope == 0.5
-        assert prob.ratio_x == 3.0
-        assert prob.ratio_y == 4.0
-        assert (prob.beta_x, prob.beta_y) == (0.4, 0.4)
+        assert prob.gains[0].slope == 0.5
+        assert prob.gains[1].slope == 0.5
+        assert prob.ratios[0] == 3.0
+        assert prob.ratios[1] == 4.0
+        assert prob.betas == (0.4, 0.4)
 
     @pytest.mark.parametrize("name", ["reference", "strong-weak", "decoupled"])
     def test_matches_built_system_without_rebuilding(self, name):
         # every field is read from the built system it is given; nothing is rebuilt
         sys = build_oscillator(load_scenario(SCENARIO_DIR / f"{name}.cfg"))
         prob = small_gain_problem(sys)
-        for got, loop in ((prob.gain_x22, sys.loop_x), (prob.gain_y22, sys.loop_y)):
+        for got, loop in zip(prob.gains, (sys.loop_x, sys.loop_y)):
             want = loop.shaper.gain_l2_from_l2
             assert (got.kind, got.offset, got.slope, got.table) == (
                 want.kind, want.offset, want.slope, want.table
             )
-        assert (prob.beta_x, prob.beta_y) == (sys.coupling.beta_into_x, sys.coupling.beta_into_y)
-        assert prob.ratio_x == sys.loop_x.param.growth_upper / sys.loop_x.param.growth_lower
-        assert prob.ratio_y == sys.loop_y.param.growth_upper / sys.loop_y.param.growth_lower
+        assert prob.betas == (sys.coupling.beta["x"], sys.coupling.beta["y"])
+        assert prob.ratios[0] == sys.loop_x.param.growth_upper / sys.loop_x.param.growth_lower
+        assert prob.ratios[1] == sys.loop_y.param.growth_upper / sys.loop_y.param.growth_lower
 
     def test_coupling_offsets(self, scenario):
         off_x, off_y = coupling_offsets(scenario)

@@ -374,7 +374,7 @@ class TestGeneratedRunners:
             loop_x, loop_y = loops()
             maps = _maps(loop_x, into_x2) + _maps(loop_y, into_y2)
             got = _runner("loop", layouts[0] + layouts[1], maps)(
-                [loop_x, loop_y], thetas, [into_x2, into_y2], *args)
+                ("x", "y"), [loop_x, loop_y], thetas, [into_x2, into_y2], *args)
             loop_x, loop_y = loops()
             rates_x, _ = _general_kernels(loop_x, thetas[0], SINGULARITY_FLOOR, "x")
             rates_y, _ = _general_kernels(loop_y, thetas[1], SINGULARITY_FLOOR, "y")
@@ -388,8 +388,8 @@ class TestGeneratedRunners:
             (q, p, d), = layouts
             direction = tuple(1.0 - 0.5 * i for i in range(p))
             loop, = loops()
-            got = _runner(kind, layouts[0], _maps(loop))([loop], thetas, [(signal, direction)],
-                                                         *args)
+            got = _runner(kind, layouts[0], _maps(loop))((kind,), [loop], thetas,
+                                                         [(signal, direction)], *args)
             rates, virtual = _general_kernels(*loops(), thetas[0], SINGULARITY_FLOOR, kind)
             kernel = virtual if kind == "virtual" else rates
 
@@ -464,9 +464,10 @@ class TestGeneratedRunners:
         if kind == "coupled":
             into = [lambda y, t: [0.0], lambda x, t: [0.0]]
             _runner("loop", (1, 1, 1) * 2, _maps(loops[0], into[0]) + _maps(loops[1], into[1]))(
-                loops, [(0.3,)] * 2, into, *args)
+                ("x", "y"), loops, [(0.3,)] * 2, into, *args)
         else:
-            _runner(kind, (1, 1, 1), _maps(loops[0]))(loops, [(0.3,)], [(math.cos, (1.0,))], *args)
+            _runner(kind, (1, 1, 1), _maps(loops[0]))((kind,), loops, [(0.3,)],
+                                                      [(math.cos, (1.0,))], *args)
         # f2 sees the state with the estimate (virtual) or with theta_true and theta_hat
         assert seen and all(type(v) is float for values in seen for v in values)
 
@@ -492,14 +493,14 @@ class TestConstantMaps:
                        potential=swap(loop.potential), shaper=swap(loop.shaper))
 
     def test_oscillator_same_as_with_lambdas(self, oscillator):
-        plain_sys = replace(oscillator, loop_x=self.with_lambdas(oscillator.loop_x),
-                            loop_y=self.with_lambdas(oscillator.loop_y),
+        plain_sys = replace(oscillator, loops={"x": self.with_lambdas(oscillator.loop_x),
+                                               "y": self.with_lambdas(oscillator.loop_y)},
                             coupling=replace(oscillator.coupling,
-                                             into_x2=plain(oscillator.coupling.into_x2),
-                                             into_y2=plain(oscillator.coupling.into_y2)))
+                                             into={"x": plain(oscillator.coupling.into["x"]),
+                                                   "y": plain(oscillator.coupling.into["y"])}))
         for sys, formulas in ((oscillator, True), (plain_sys, False)):
-            for maps in (_maps(sys.loop_x, sys.coupling.into_x2),
-                         _maps(sys.loop_y, sys.coupling.into_y2)):
+            for maps in (_maps(sys.loop_x, sys.coupling.into["x"]),
+                         _maps(sys.loop_y, sys.coupling.into["y"])):
                 assert [isinstance(fn, Formula) for fn in maps] == [formulas] * len(_SLOTS)
         y0 = OscillatorScenario().initial_state()
         got, want = integrate(oscillator, self.CFG, y0), integrate(plain_sys, self.CFG, y0)
@@ -560,16 +561,17 @@ class TestConstantMaps:
         loop, wrong = probe_loop(1, 1, 1, [1.0, 0.8]), probe_loop(1, 1, 1, [1.0, 0.8])
         setattr(getattr(wrong, owner), name, Constant((0.0,) * 5))
         args = ([(0.3,)], [(math.cos, (1.0,))], [0.1, -0.2, 0.05], 0.0, 0.05, 10, 1, math.inf)
-        got, want = (_runner("virtual", (1, 1, 1), _maps(m))([m], *args) for m in (wrong, loop))
+        got, want = (_runner("virtual", (1, 1, 1), _maps(m))(("virtual",), [m], *args)
+                     for m in (wrong, loop))
         assert got[3] == want[3] == STATUS_COMPLETED
         assert all(same_bits(a, b) for a, b in zip(got[:3], want[:3]))
         with pytest.raises(ValueError, match="unpack"):
-            _runner("loop", (1, 1, 1), _maps(wrong))([wrong], *args)
+            _runner("loop", (1, 1, 1), _maps(wrong))(("loop",), [wrong], *args)
 
     @classmethod
     def run(cls, kind, oscillator, loop_x):
         if kind == "coupled":
-            return integrate(replace(oscillator, loop_x=loop_x), cls.CFG,
+            return integrate(replace(oscillator, loops={**oscillator.loops, "x": loop_x}), cls.CFG,
                              OscillatorScenario().initial_state())
         integrator = integrate_loop if kind == "loop" else integrate_virtual
         return integrator(loop_x, (1.0,), zero_disturbance(), cls.CFG, (-1.0, 0.0), (-1.0,))
@@ -680,10 +682,12 @@ class TestFormulaRunners:
                         for loop, c in zip(loops, chosen)), ())
             run = _runner("loop" if kind == "coupled" else kind, sum(layouts, ()), maps)
             if kind == "coupled":
-                results.append(outcome(run, loops, thetas, [c["inj"] for c in chosen], *args))
+                results.append(outcome(run, ("x", "y"), loops, thetas, [c["inj"] for c in chosen],
+                                       *args))
             else:
                 direction = tuple(1.0 - 0.5 * i for i in range(layouts[0][1]))
-                results.append(outcome(run, loops, thetas, [(math.cos, direction)], *args))
+                results.append(outcome(run, (kind,), loops, thetas, [(math.cos, direction)],
+                                       *args))
         got, want = results
         event(f"{stop} -> {got[-1]}")
         assert len(got) == len(want) and got[-1] == want[-1]
@@ -771,8 +775,9 @@ class TestTrajectoryRecord:
         # the coupled record split differs between the two loops
         loops = (adaptation_tests.TestMatrixGainLoop.build(), TestNoFirstBlock.build_loop())
         thetas, starts = ((0.8, 1.2), (0.9,)), (((0.5, -0.2), (0.0, 0.0)), ((0.4, -0.1), (0.0,)))
-        sys = CoupledClosedLoop(loop_x=loops[0], loop_y=loops[1], coupling=zero_coupling(1, 2),
-                                theta_true_x=thetas[0], theta_true_y=thetas[1])
+        sys = CoupledClosedLoop(loops={"x": loops[0], "y": loops[1]},
+                                coupling=zero_coupling({"x": loops[0], "y": loops[1]}),
+                                theta_true={"x": thetas[0], "y": thetas[1]})
         cfg = IntegratorConfig(step=1e-3, t_final=0.5, log_every=every)
         traj = integrate(sys, cfg, [v for start in starts for part in start for v in part])
         assert traj.status == STATUS_COMPLETED
@@ -856,9 +861,70 @@ class TestTerminationStatuses:
         assert traj.status == STATUS_SINGULAR
         assert traj.t[-1] < 2.0
 
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_overflow_after_the_first_row_diverges(self, oscillator, kind):
+        # theta_true = 1e150 makes the first step's later stages overflow a product, so
+        # sin() of it raises "math domain error" before the bound check could stop the run
+        sys = replace(oscillator, theta_true={"x": (1e150,), "y": (1e150,)})
+        cfg = IntegratorConfig(step=1e-3, t_final=1.0)
+        if kind == "coupled":
+            traj = integrate(sys, cfg, OscillatorScenario().initial_state())
+        else:
+            integrator = integrate_loop if kind == "loop" else integrate_virtual
+            traj = integrator(sys.loop_x, (1e150,), zero_disturbance(), cfg, (-1.0, 0.0), (-1.0,))
+        assert traj.status == STATUS_DIVERGED
+        assert traj.t.tolist() == [0.0]
+
+    @pytest.mark.parametrize("kind", ["coupled", "loop", "virtual"])
+    def test_overflow_at_the_initial_point_is_a_value_error(self, oscillator, kind):
+        sys = replace(oscillator, theta_true={"x": (1e308,), "y": (1e308,)})
+        cfg = IntegratorConfig(step=1e-3, t_final=1.0)
+        with pytest.raises(ValueError, match=r"overflow at t0 = 0\.0: math domain error"):
+            if kind == "coupled":
+                integrate(sys, cfg, OscillatorScenario().initial_state())
+            else:
+                integrator = integrate_loop if kind == "loop" else integrate_virtual
+                integrator(sys.loop_x, (1e308,), zero_disturbance(), cfg, (-1.0, 0.0), (-1.0,))
+
+    def test_overflow_error_of_a_map_diverges(self, oscillator):
+        # exp() past the float range raises OverflowError; the run ends diverged
+        loop = oscillator.loop_x
+        f2 = Formula("lambda state, theta, t: (exp(1000.0 * t),)")
+        loop = replace(loop, spec=replace(loop.spec, f2=f2))
+        traj = integrate_loop(loop, (1.0,), zero_disturbance(),
+                              IntegratorConfig(step=0.25, t_final=1.0), (-1.0, 0.0), (-1.0,))
+        assert traj.status == STATUS_DIVERGED
+        assert 0.0 < traj.t[-1] < 1.0
+
 
 class TestInitialData:
-    """Both single-loop integrators reject initial data of the wrong length up front."""
+    """Every integrator rejects initial data of the wrong length or not finite up front."""
+
+    CFG = IntegratorConfig(step=1e-3, t_final=0.01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    def test_non_finite_theta_true(self, oscillator, integrator, value):
+        with pytest.raises(ValueError, match=r"theta_true\[0\] must be finite"):
+            integrator(oscillator.loop_x, (value,), zero_disturbance(), self.CFG, (-1.0, 0.0),
+                       (-1.0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
+    def test_non_finite_initial_data(self, oscillator, integrator, index, value):
+        data = [-1.0, 0.0, -1.0]
+        data[index] = value
+        with pytest.raises(ValueError, match=rf"initial data\[{index}\] must be finite"):
+            integrator(oscillator.loop_x, (1.0,), zero_disturbance(), self.CFG, data[:2],
+                       data[2:])
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_non_finite_augmented_state(self, oscillator, index):
+        aug0 = OscillatorScenario().initial_state()
+        aug0[index] = math.nan
+        with pytest.raises(ValueError, match=rf"initial data\[{index}\] must be finite"):
+            integrate(oscillator, self.CFG, aug0)
 
     @pytest.mark.parametrize("estimate0", [(0.1, 0.2), ()])
     @pytest.mark.parametrize("integrator", [integrate_loop, integrate_virtual])
@@ -1020,10 +1086,10 @@ class TestWrongLengthOutputs:
 
     def test_coupled_injection(self, oscillator):
         sys = CoupledClosedLoop(
-            loop_x=adaptation_tests.TestMatrixGainLoop.build(), loop_y=oscillator.loop_y,
-            coupling=Coupling(into_x2=lambda y, t: (0.1 * y[0], 0.0),
-                              into_y2=lambda x, t: (0.0,)),
-            theta_true_x=(0.8, 1.2), theta_true_y=oscillator.theta_true_y,
+            loops={"x": adaptation_tests.TestMatrixGainLoop.build(), "y": oscillator.loop_y},
+            coupling=Coupling({"x": lambda y, t: (0.1 * y[0], 0.0),
+                               "y": lambda x, t: (0.0,)}),
+            theta_true={"x": (0.8, 1.2), "y": oscillator.theta_true_y},
         )
         with pytest.raises(ValueError, match="unpack"):
             integrate(sys, self.CFG, [0.5, -0.2, 0.0, 0.0, 1.0, 0.0, -2.0])
